@@ -24,7 +24,6 @@ from .feasibility import (
 from .systems import (
     ONE,
     ZERO,
-    Assignment,
     Context,
     Outcome,
     Pair,
@@ -33,10 +32,10 @@ from .systems import (
     SupportSpec,
     SystemSpec,
     check_nonsignaling,
-    context_key,
     expectation_product,
     setting_key,
     support_of,
+    validate,
 )
 
 DEFAULT_LIMIT = 10**6
@@ -56,16 +55,16 @@ class SignalingSystemError(Exception):
         self.witness = witness
 
 
-@dataclass(frozen=True)
-class NsRealizationSet:
-    source: str
-    realizations: tuple[Realization, ...]
+class InvalidSystemError(ValueError):
+    """Raised when a system breaks an invariant `validate` checks."""
 
-    def __len__(self) -> int:
-        return len(self.realizations)
+    def __init__(self, name: str, violations: list[str]):
+        super().__init__(f"{name}: " + "; ".join(violations))
+        self.violations = violations
 
-    def __iter__(self):
-        return iter(self.realizations)
+
+class CertificateError(Exception):
+    """Raised when a certificate fails its independent check (a solver bug)."""
 
 
 @dataclass(frozen=True)
@@ -121,10 +120,6 @@ def _ns_functions(
             opts &= {b for _, b in support.supports[ctx]}
         domains[("B", y)] = frozenset(opts)
 
-    order_a = {("A", x): tuple(sorted(support.a_alphabet[x])) for x in support.a_settings}
-    order_b = {("B", y): tuple(sorted(support.b_alphabet[y])) for y in support.b_settings}
-    label_order = {**order_a, **order_b}
-
     solutions: list[tuple[dict[str, Outcome], dict[str, Outcome]]] = []
 
     def recurse(assigned: dict[tuple[str, str], Outcome],
@@ -138,7 +133,7 @@ def _ns_functions(
             solutions.append((f, g))
             return
         var = min(free, key=lambda v: (len(live[v]), v[0], setting_key(v[1])))
-        for value in sorted(live[var], key=lambda o: label_order[var].index(o)):
+        for value in sorted(live[var]):
             assigned[var] = value
             pruned = dict(live)
             ok = True
@@ -190,28 +185,15 @@ def _functions_key(f: dict, g: dict, support: SupportSpec):
 
 def enumerate_ns_realizations(
     support: SupportSpec, limit: int = DEFAULT_LIMIT
-) -> NsRealizationSet:
+) -> tuple[Realization, ...]:
     """All non-signaling realizations of a support, in canonical order."""
     found = _ns_functions(support, limit)
     found.sort(key=lambda fg: _functions_key(*fg, support))
-    realizations = []
-    for f, g in found:
-        values = {
-            ctx: (f[ctx.x], g[ctx.y]) for ctx in support.sorted_contexts()
-        }
-        realizations.append(Realization(assignment=Assignment(values=values), ns=True))
-    return NsRealizationSet(source=support.name, realizations=tuple(realizations))
-
-
-def count_all_assignments_in_support(support: SupportSpec) -> int:
-    out = 1
-    for ctx in support.contexts:
-        out *= len(support.supports[ctx])
-    return out
-
-
-def _realization_prob(r: Realization, ctx: Context, pair: Pair) -> Fraction:
-    return ONE if r.value(ctx) == pair else ZERO
+    contexts = support.sorted_contexts()
+    return tuple(
+        Realization(f=f, g=g, values={ctx: (f[ctx.x], g[ctx.y]) for ctx in contexts})
+        for f, g in found
+    )
 
 
 def witness_score(
@@ -222,8 +204,8 @@ def witness_score(
     for (ctx, a, b), coeff in witness.coefficients.items():
         if isinstance(target, SystemSpec):
             score += coeff * target.prob(ctx, (a, b))
-        else:
-            score += coeff * _realization_prob(target, ctx, (a, b))
+        elif target.values[ctx] == (a, b):
+            score += coeff
     return score
 
 
@@ -231,8 +213,8 @@ def full_support(system: SystemSpec) -> SupportSpec:
     """The system's shape with every alphabet pair allowed in every context."""
     return SupportSpec(
         name=system.name,
-        a_alphabet=dict(system.a_alphabet),
-        b_alphabet=dict(system.b_alphabet),
+        a_alphabet=system.a_alphabet,
+        b_alphabet=system.b_alphabet,
         contexts=system.contexts,
         supports={ctx: frozenset(system.pairs(ctx)) for ctx in system.contexts},
     )
@@ -240,7 +222,7 @@ def full_support(system: SystemSpec) -> SupportSpec:
 
 def _membership_problem(
     system: SystemSpec,
-    realizations: NsRealizationSet,
+    realizations: tuple[Realization, ...],
     pairs_of,
 ):
     """One row per (context, pair), one column per realization, plus
@@ -250,7 +232,7 @@ def _membership_problem(
         for pair in pairs_of(ctx):
             rows.append((ctx, pair))
     matrix = [
-        [_realization_prob(r, ctx, pair) for r in realizations]
+        [ONE if r.values[ctx] == pair else ZERO for r in realizations]
         for ctx, pair in rows
     ]
     rhs = [system.prob(ctx, pair) for ctx, pair in rows]
@@ -262,7 +244,7 @@ def _membership_problem(
 def _witness_from_certificate(
     rows: list[tuple[Context, Pair]],
     certificate: FarkasCertificate,
-    realizations: NsRealizationSet,
+    realizations: tuple[Realization, ...],
     system: SystemSpec,
 ) -> BellWitness:
     coefficients = {
@@ -275,7 +257,8 @@ def _witness_from_certificate(
     # inequalities guarantee the system still scores strictly above it.
     bound = max(witness_score(witness, r) for r in realizations)
     witness = BellWitness(coefficients=coefficients, bound=bound)
-    assert witness_score(witness, system) > bound
+    if not witness_score(witness, system) > bound:
+        raise CertificateError("the system does not beat the witness bound")
     return witness
 
 
@@ -289,48 +272,44 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     separating witness is built over the alphabet-wide non-signaling
     assignment set instead (so it is never vacuous).
 
-    Raises SignalingSystemError on signaling input; contextuality is only
-    defined here for non-signaling systems.
+    Raises InvalidSystemError on a system `validate` rejects, and
+    SignalingSystemError on signaling input; contextuality is only defined
+    here for non-signaling systems.  Raises CertificateError if the solver's
+    decomposition or witness fails its exact check.
     """
+    violations = validate(system)
+    if violations:
+        raise InvalidSystemError(system.name, violations)
     sw = check_nonsignaling(system)
     if sw is not None:
         raise SignalingSystemError(sw)
 
     support = support_of(system)
     realizations = enumerate_ns_realizations(support, limit)
-
-    if len(realizations) > 0:
-        problem, rows = _membership_problem(
-            system, realizations, lambda ctx: sorted(support.supports[ctx])
-        )
-        outcome = solve_feasibility(problem)
-        assert verify(problem, outcome)
-        if isinstance(outcome, FeasibleSolution):
-            components = tuple(
-                (r, w) for r, w in zip(realizations, outcome.p) if w > 0
-            )
-            return Verdict(
-                kind="noncontextual",
-                decomposition=Decomposition(components=components),
-                realization_count=len(realizations),
-            )
-        witness = _witness_from_certificate(rows, outcome, realizations, system)
+    if realizations:
+        columns = realizations
+        pairs_of = lambda ctx: sorted(support.supports[ctx])
+    else:
+        # No support-restricted ns realization: no decomposition can exist.
+        # Certify against the alphabet-wide set, never empty for a valid system.
+        columns = enumerate_ns_realizations(full_support(system), limit)
+        pairs_of = system.pairs
+    problem, rows = _membership_problem(system, columns, pairs_of)
+    outcome = solve_feasibility(problem)
+    if not verify(problem, outcome):
+        raise CertificateError("the solver's outcome fails verification")
+    if isinstance(outcome, FeasibleSolution):
+        components = tuple((r, w) for r, w in zip(columns, outcome.p) if w > 0)
         return Verdict(
-            kind="contextual",
-            witness=witness,
+            kind="noncontextual",
+            decomposition=Decomposition(components=components),
             realization_count=len(realizations),
         )
-
-    # No support-restricted ns realization at all: no decomposition can
-    # exist, so the system is contextual.  Certify with the alphabet-wide
-    # assignment set, which is never empty for a valid system.
-    wide = enumerate_ns_realizations(full_support(system), limit)
-    problem, rows = _membership_problem(system, wide, system.pairs)
-    outcome = solve_feasibility(problem)
-    assert verify(problem, outcome)
-    assert isinstance(outcome, FarkasCertificate)
-    witness = _witness_from_certificate(rows, outcome, wide, system)
-    return Verdict(kind="contextual", witness=witness, realization_count=0)
+    return Verdict(
+        kind="contextual",
+        witness=_witness_from_certificate(rows, outcome, columns, system),
+        realization_count=len(realizations),
+    )
 
 
 def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -358,10 +337,7 @@ def decomposition_reproduces(
     for ctx in system.contexts:
         for pair in system.pairs(ctx):
             mixed = sum(
-                (
-                    w * _realization_prob(r, ctx, pair)
-                    for r, w in decomposition.components
-                ),
+                (w for r, w in decomposition.components if r.values[ctx] == pair),
                 ZERO,
             )
             if mixed != system.prob(ctx, pair):
@@ -435,13 +411,4 @@ def hidden_variable_model(
 ) -> list[tuple[Fraction, dict[str, Outcome], dict[str, Outcome]]]:
     """The decomposition as a local model: weight and per-side functions per
     hidden-state value."""
-    from .systems import factor_assignment
-
-    model = []
-    for r, w in decomposition.components:
-        factored = factor_assignment(r.assignment)
-        if factored is None:
-            raise ValueError("decomposition contains a signaling realization")
-        f, g = factored
-        model.append((w, f, g))
-    return model
+    return [(w, dict(r.f), dict(r.g)) for r, w in decomposition.components]

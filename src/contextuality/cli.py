@@ -23,13 +23,13 @@ from .analysis import (
 from .peres import ks_search, orthogonal_triads, peres_rays
 from .serialize import SystemFileError, format_rational, loads_system
 from .systems import (
+    Realization,
     SupportSpec,
     SystemSpec,
     check_nonsignaling,
     context_key,
     count_assignments,
     support_of,
-    validate,
 )
 
 EXIT_OK = 0
@@ -52,6 +52,8 @@ def _load(args) -> SystemSpec | SupportSpec:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {args.path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{args.path}: not UTF-8 text: {exc}") from exc
     try:
         return loads_system(text)
     except SystemFileError as exc:
@@ -74,22 +76,18 @@ def _witness_doc(w) -> dict:
     }
 
 
+def _values_doc(r: Realization) -> list[dict]:
+    return [
+        {"x": ctx.x, "y": ctx.y, "a": a, "b": b}
+        for ctx, (a, b) in sorted(r.values.items(), key=lambda kv: context_key(kv[0]))
+    ]
+
+
 def _decomposition_doc(d: analysis.Decomposition) -> list[dict]:
-    out = []
-    for r, w in d.components:
-        out.append(
-            {
-                "weight": format_rational(w),
-                "values": [
-                    {"x": ctx.x, "y": ctx.y, "a": a, "b": b}
-                    for ctx, (a, b) in sorted(
-                        r.assignment.values.items(),
-                        key=lambda kv: context_key(kv[0]),
-                    )
-                ],
-            }
-        )
-    return out
+    return [
+        {"weight": format_rational(w), "values": _values_doc(r)}
+        for r, w in d.components
+    ]
 
 
 def _bell_witness_doc(w: analysis.BellWitness) -> dict:
@@ -115,9 +113,6 @@ def cmd_analyze(args) -> int:
         report["stats"] = {"ns_realizations": verdict.realization_count}
         _emit(report)
         return EXIT_OK
-    problems = validate(system)
-    if problems:
-        raise InputError(f"{system.name}: " + "; ".join(problems))
     try:
         verdict = classify(system, limit=args.limit)
     except SignalingSystemError as exc:
@@ -140,9 +135,6 @@ def cmd_nonsignaling(args) -> int:
     system = _load(args)
     if isinstance(system, SupportSpec):
         raise InputError("nonsignaling needs probabilistic input")
-    problems = validate(system)
-    if problems:
-        raise InputError(f"{system.name}: " + "; ".join(problems))
     witness = check_nonsignaling(system)
     report = {
         "system": system.name,
@@ -157,7 +149,7 @@ def cmd_realizations(args) -> int:
     support = support_of(system) if isinstance(system, SystemSpec) else system
     report: dict = {"system": system.name, "mode": args.mode}
     if args.mode == "all":
-        count = count_assignments(system, "alphabet")
+        count = count_assignments(system)
         report["count"] = str(count)
         if count.base is not None:
             report["value"] = (
@@ -171,16 +163,7 @@ def cmd_realizations(args) -> int:
         realizations = enumerate_ns_realizations(support, args.limit)
         report["count"] = str(len(realizations))
         if not args.count_only:
-            report["realizations"] = [
-                [
-                    {"x": ctx.x, "y": ctx.y, "a": a, "b": b}
-                    for ctx, (a, b) in sorted(
-                        r.assignment.values.items(),
-                        key=lambda kv: context_key(kv[0]),
-                    )
-                ]
-                for r in realizations
-            ]
+            report["realizations"] = [_values_doc(r) for r in realizations]
     _emit(report)
     return EXIT_OK
 
@@ -208,7 +191,7 @@ def cmd_peres(args) -> int:
         return EXIT_OK
     result = ks_search(rays, triads, rule=args.rule)
     print("FEASIBLE" if result.feasible else "INFEASIBLE")
-    print(f"nodes: {result.stats.nodes}")
+    print(f"nodes: {result.nodes}")
     return EXIT_OK
 
 
@@ -216,9 +199,6 @@ def cmd_chsh(args) -> int:
     system = _load(args)
     if isinstance(system, SupportSpec):
         raise InputError("chsh needs probabilistic input")
-    problems = validate(system)
-    if problems:
-        raise InputError(f"{system.name}: " + "; ".join(problems))
     try:
         value = analysis.chsh(system)
     except ValueError as exc:
@@ -295,13 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except RealizationLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SignalingSystemError as exc:
+    except (InputError, RealizationLimitExceeded, SignalingSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -125,16 +125,6 @@ def dot(u: Ray, v: Ray) -> Zr2:
     return out
 
 
-def collinear(u: Ray, v: Ray) -> bool:
-    """Cross product zero, tested exactly in the ring."""
-    (u0, u1, u2), (v0, v1, v2) = u.coords, v.coords
-    return (
-        (u1 * v2 + (-(u2 * v1))).is_zero()
-        and (u2 * v0 + (-(u0 * v2))).is_zero()
-        and (u0 * v1 + (-(u1 * v0))).is_zero()
-    )
-
-
 def _orbit(seed: tuple[Zr2, Zr2, Zr2]) -> set[Ray]:
     """Canonical rays in the seed's orbit under permutations and sign flips."""
     out: set[Ray] = set()
@@ -179,6 +169,11 @@ def cross(u: Ray, v: Ray) -> tuple[Zr2, Zr2, Zr2]:
     )
 
 
+def collinear(u: Ray, v: Ray) -> bool:
+    """Cross product zero, tested exactly in the ring."""
+    return all(c.is_zero() for c in cross(u, v))
+
+
 def orthogonal_triads(rays: list[Ray], complete_pairs: bool = True) -> list[Triad]:
     """All mutually orthogonal triples formed from the given rays.
 
@@ -210,20 +205,11 @@ def orthogonal_triads(rays: list[Ray], complete_pairs: bool = True) -> list[Tria
 
 
 @dataclass(frozen=True)
-class SearchStats:
+class SearchResult:
+    coloring: dict | None
     nodes: int
     feasible: bool
     solution_count: int | None = None
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    coloring: dict | None
-    stats: SearchStats
-
-    @property
-    def feasible(self) -> bool:
-        return self.stats.feasible
 
 
 def ks_search(
@@ -321,13 +307,12 @@ def ks_search(
         return False
 
     stopped_early = recurse()
-    coloring = dict(solutions[0]) if solutions else None
-    stats = SearchStats(
+    return SearchResult(
+        coloring=dict(solutions[0]) if solutions else None,
         nodes=nodes,
         feasible=bool(solutions),
         solution_count=None if stopped_early else len(solutions),
     )
-    return SearchResult(coloring=coloring, stats=stats)
 
 
 A_PATTERNS = ("011", "101", "110")

@@ -14,13 +14,10 @@ from fractions import Fraction
 from typing import Any
 
 from .systems import (
-    Context,
     SupportSpec,
     SystemSpec,
-    context_key,
     make_support,
     make_system,
-    setting_key,
     validate,
 )
 
@@ -83,7 +80,6 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
     if not contexts:
         raise SystemFileError("no contexts")
 
-    kinds = {("pmf" in c) for c in contexts if isinstance(c, dict)}
     pmfs: dict[tuple[str, str], dict] = {}
     supports: dict[tuple[str, str], list] = {}
     for entry in contexts:
@@ -133,12 +129,7 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
         return system
     support = make_support(name, a_alphabet, b_alphabet, supports)
     for ctx in support.contexts:
-        allowed = {
-            (a, b)
-            for a in a_alphabet[ctx.x]
-            for b in b_alphabet[ctx.y]
-        }
-        extra = support.supports[ctx] - allowed
+        extra = support.supports[ctx] - set(support.pairs(ctx))
         if extra:
             raise SystemFileError(
                 f"context {tuple(ctx)}: support pairs {sorted(extra)} outside alphabets"
@@ -171,14 +162,7 @@ def system_to_doc(system: SystemSpec | SupportSpec) -> dict:
     }
     for ctx in system.sorted_contexts():
         entry: dict = {"x": ctx.x, "y": ctx.y}
-        pair_order = {
-            (a, b): i
-            for i, (a, b) in enumerate(
-                (a, b)
-                for a in system.a_alphabet[ctx.x]
-                for b in system.b_alphabet[ctx.y]
-            )
-        }
+        pair_order = {pair: i for i, pair in enumerate(system.pairs(ctx))}
         if isinstance(system, SystemSpec):
             entry["pmf"] = [
                 {"a": a, "b": b, "p": format_rational(p)}
@@ -201,6 +185,8 @@ def loads_system(text: str) -> SystemSpec | SupportSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SystemFileError("invalid JSON: nested too deeply") from exc
     return parse_system_doc(doc)
 
 

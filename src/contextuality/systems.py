@@ -8,9 +8,11 @@ nothing in this module touches floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import NamedTuple
 
 Outcome = str
 Pair = tuple[Outcome, Outcome]
@@ -36,19 +38,32 @@ def context_key(ctx: Context):
     return (setting_key(ctx.x), setting_key(ctx.y))
 
 
+def _read_only(mapping: Mapping) -> Mapping:
+    """A read-only copy of a mapping; nested dicts are copied the same way."""
+    return MappingProxyType(
+        {k: _read_only(v) if isinstance(v, dict) else v for k, v in mapping.items()}
+    )
+
+
 @dataclass(frozen=True)
-class SystemSpec:
-    """A compound system: contexts with exact joint pmfs.
+class Spec:
+    """The shape of a compound system: settings, alphabets and contexts.
 
     `a_alphabet` is keyed by the A-side setting, `b_alphabet` by the B-side
     setting; a context's outcome pairs range over the product of the two.
+    Every mapping field is stored as a read-only copy, since specs (catalog
+    systems in particular) are shared between callers.
     """
 
     name: str
     a_alphabet: Mapping[str, tuple[Outcome, ...]]
     b_alphabet: Mapping[str, tuple[Outcome, ...]]
     contexts: tuple[Context, ...]
-    pmfs: Mapping[Context, Mapping[Pair, Fraction]]
+
+    def __post_init__(self):
+        for name, value in list(vars(self).items()):
+            if isinstance(value, Mapping):
+                object.__setattr__(self, name, _read_only(value))
 
     @property
     def a_settings(self) -> tuple[str, ...]:
@@ -60,11 +75,6 @@ class SystemSpec:
 
     def sorted_contexts(self) -> tuple[Context, ...]:
         return tuple(sorted(self.contexts, key=context_key))
-
-    def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
-        if ctx not in self.pmfs:
-            raise KeyError(f"unknown context {ctx}")
-        return self.pmfs[ctx]
 
     def pairs(self, ctx: Context) -> list[Pair]:
         return [
@@ -73,56 +83,46 @@ class SystemSpec:
             for b in self.b_alphabet[ctx.y]
         ]
 
+
+@dataclass(frozen=True)
+class SystemSpec(Spec):
+    """A compound system: contexts with exact joint pmfs."""
+
+    pmfs: Mapping[Context, Mapping[Pair, Fraction]]
+
+    def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
+        if ctx not in self.pmfs:
+            raise KeyError(f"unknown context {ctx}")
+        return self.pmfs[ctx]
+
     def prob(self, ctx: Context, pair: Pair) -> Fraction:
         return self.pmfs[ctx].get(pair, ZERO)
 
 
 @dataclass(frozen=True)
-class SupportSpec:
+class SupportSpec(Spec):
     """Possibilistic counterpart of `SystemSpec`: per-context supports only."""
 
-    name: str
-    a_alphabet: Mapping[str, tuple[Outcome, ...]]
-    b_alphabet: Mapping[str, tuple[Outcome, ...]]
-    contexts: tuple[Context, ...]
     supports: Mapping[Context, frozenset[Pair]]
-
-    @property
-    def a_settings(self) -> tuple[str, ...]:
-        return tuple(sorted(self.a_alphabet, key=setting_key))
-
-    @property
-    def b_settings(self) -> tuple[str, ...]:
-        return tuple(sorted(self.b_alphabet, key=setting_key))
-
-    def sorted_contexts(self) -> tuple[Context, ...]:
-        return tuple(sorted(self.contexts, key=context_key))
-
-    def support(self, ctx: Context) -> frozenset[Pair]:
-        if ctx not in self.supports:
-            raise KeyError(f"unknown context {ctx}")
-        return self.supports[ctx]
-
-
-@dataclass(frozen=True)
-class Assignment:
-    """One outcome pair chosen per context."""
-
-    values: Mapping[Context, Pair]
-
-    def contexts(self) -> tuple[Context, ...]:
-        return tuple(sorted(self.values, key=context_key))
 
 
 @dataclass(frozen=True)
 class Realization:
-    """A support-restricted assignment, flagged non-signaling or not."""
+    """A non-signaling deterministic realization: one function per side.
 
-    assignment: Assignment
-    ns: bool
+    `f` maps each A-setting to Alice's outcome and `g` each B-setting to
+    Bob's; `values` holds what they give in every context, (f[x], g[y]) at
+    context (x, y).
+    """
 
-    def value(self, ctx: Context) -> Pair:
-        return self.assignment.values[ctx]
+    f: Mapping[str, Outcome]
+    g: Mapping[str, Outcome]
+    values: Mapping[Context, Pair]
+
+    @property
+    def assignment(self) -> Realization:
+        # perfbench/workloads.py reads decompositions as `r.assignment.values`.
+        return self
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,9 @@ def make_system(
 ) -> SystemSpec:
     """Build a SystemSpec from plain dicts, coercing probabilities to Fraction."""
     contexts = tuple(sorted((Context(*c) for c in pmfs), key=context_key))
-    frozen: dict[Context, dict[Pair, Fraction]] = {}
+    coerced: dict[Context, dict[Pair, Fraction]] = {}
     for ctx in contexts:
-        frozen[ctx] = {
+        coerced[ctx] = {
             pair: Fraction(p) for pair, p in pmfs[(ctx.x, ctx.y)].items()
         }
     return SystemSpec(
@@ -161,7 +161,7 @@ def make_system(
         a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
         b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
         contexts=contexts,
-        pmfs=frozen,
+        pmfs=coerced,
     )
 
 
@@ -276,38 +276,14 @@ def support_of(system: SystemSpec) -> SupportSpec:
     """Drop probabilities, keeping the pairs with probability > 0."""
     return SupportSpec(
         name=system.name,
-        a_alphabet=dict(system.a_alphabet),
-        b_alphabet=dict(system.b_alphabet),
+        a_alphabet=system.a_alphabet,
+        b_alphabet=system.b_alphabet,
         contexts=system.contexts,
         supports={
             ctx: frozenset(p for p, v in system.pmfs[ctx].items() if v > 0)
             for ctx in system.contexts
         },
     )
-
-
-def is_ns_assignment(assignment: Assignment) -> bool:
-    """True iff the assignment factors through per-side setting functions."""
-    f: dict[str, Outcome] = {}
-    g: dict[str, Outcome] = {}
-    for ctx, (a, b) in assignment.values.items():
-        if f.setdefault(ctx.x, a) != a:
-            return False
-        if g.setdefault(ctx.y, b) != b:
-            return False
-    return True
-
-
-def factor_assignment(
-    assignment: Assignment,
-) -> tuple[dict[str, Outcome], dict[str, Outcome]] | None:
-    """The per-side setting functions (f, g), or None if signaling."""
-    f: dict[str, Outcome] = {}
-    g: dict[str, Outcome] = {}
-    for ctx, (a, b) in assignment.values.items():
-        if f.setdefault(ctx.x, a) != a or g.setdefault(ctx.y, b) != b:
-            return None
-    return f, g
 
 
 @dataclass(frozen=True)
@@ -324,23 +300,12 @@ class AssignmentCount:
         return str(self.value)
 
 
-def count_assignments(
-    system: SystemSpec | SupportSpec, mode: str = "alphabet"
-) -> AssignmentCount:
-    """Number of assignments: product over contexts of per-context choice counts."""
-    sizes: list[int] = []
-    for ctx in system.sorted_contexts():
-        if mode == "alphabet":
-            sizes.append(
-                len(system.a_alphabet[ctx.x]) * len(system.b_alphabet[ctx.y])
-            )
-        elif mode == "support":
-            if isinstance(system, SupportSpec):
-                sizes.append(len(system.supports[ctx]))
-            else:
-                sizes.append(sum(1 for p in system.pmfs[ctx].values() if p > 0))
-        else:
-            raise ValueError(f"mode must be 'alphabet' or 'support', got {mode!r}")
+def count_assignments(system: Spec) -> AssignmentCount:
+    """Number of assignments: product over contexts of the alphabet pair counts."""
+    sizes = [
+        len(system.a_alphabet[ctx.x]) * len(system.b_alphabet[ctx.y])
+        for ctx in system.contexts
+    ]
     value = 1
     for s in sizes:
         value *= s
@@ -352,8 +317,8 @@ def count_assignments(
 def _check_same_shape(a: SystemSpec, b: SystemSpec) -> None:
     if (
         set(a.contexts) != set(b.contexts)
-        or dict(a.a_alphabet) != dict(b.a_alphabet)
-        or dict(a.b_alphabet) != dict(b.b_alphabet)
+        or a.a_alphabet != b.a_alphabet
+        or a.b_alphabet != b.b_alphabet
     ):
         raise ValueError(f"shape mismatch between {a.name!r} and {b.name!r}")
 
@@ -364,30 +329,8 @@ def mix(
     """Context-wise convex combination of systems sharing one shape."""
     if not components:
         raise ValueError("empty mixture")
-    base = components[0][0]
-    total = ZERO
-    for sys_i, w in components:
-        _check_same_shape(base, sys_i)
-        if w < 0:
-            raise ValueError(f"negative weight {w}")
-        total += w
-    if total != 1:
-        raise ValueError(f"weights sum to {total}, not 1")
-    pmfs: dict[Context, dict[Pair, Fraction]] = {}
-    for ctx in base.contexts:
-        acc: dict[Pair, Fraction] = {}
-        for sys_i, w in components:
-            for pair, p in sys_i.pmfs[ctx].items():
-                if w * p != 0:
-                    acc[pair] = acc.get(pair, ZERO) + w * p
-        pmfs[ctx] = acc
-    return SystemSpec(
-        name=name,
-        a_alphabet=dict(base.a_alphabet),
-        b_alphabet=dict(base.b_alphabet),
-        contexts=base.contexts,
-        pmfs=pmfs,
-    )
+    rule = {ctx: components for ctx in components[0][0].contexts}
+    return mix_context_dependent(rule, name=name)
 
 
 def mix_context_dependent(
@@ -423,8 +366,8 @@ def mix_context_dependent(
         pmfs[ctx] = acc
     return SystemSpec(
         name=name,
-        a_alphabet=dict(base.a_alphabet),
-        b_alphabet=dict(base.b_alphabet),
+        a_alphabet=base.a_alphabet,
+        b_alphabet=base.b_alphabet,
         contexts=contexts,
         pmfs=pmfs,
     )
@@ -456,23 +399,14 @@ def expectation_product(
 
 
 def realization_system(
-    realization: Realization | Assignment,
-    shape: SystemSpec | SupportSpec,
-    name: str = "realization",
+    realization: Realization, shape: Spec, name: str = "realization"
 ) -> SystemSpec:
     """View a realization as a deterministic system of the given shape."""
-    assignment = (
-        realization.assignment
-        if isinstance(realization, Realization)
-        else realization
-    )
-    pmfs = {
-        Context(*ctx): {pair: ONE} for ctx, pair in assignment.values.items()
-    }
+    pmfs = {ctx: {pair: ONE} for ctx, pair in realization.values.items()}
     return SystemSpec(
         name=name,
-        a_alphabet=dict(shape.a_alphabet),
-        b_alphabet=dict(shape.b_alphabet),
+        a_alphabet=shape.a_alphabet,
+        b_alphabet=shape.b_alphabet,
         contexts=tuple(sorted(pmfs, key=context_key)),
         pmfs=pmfs,
     )

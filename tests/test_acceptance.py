@@ -21,7 +21,6 @@ from contextuality import (
     fine_oracle,
     full_support,
     get,
-    is_ns_assignment,
     ks_search,
     marginal,
     mix,
@@ -78,7 +77,7 @@ def test_kochen_specker_infeasibility():
 
 def test_eprb_counts():
     shape = get("eprb_shape").system
-    count = count_assignments(shape, "alphabet")
+    count = count_assignments(shape)
     ok = count.value == 256 and str(count) == "4^4"
     ok &= len(enumerate_ns_realizations(shape)) == 16
     report("EPRB counts: 256 assignments, 16 non-signaling realizations", ok)

@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from contextuality import (
+    CertificateError,
+    InvalidSystemError,
     RealizationLimitExceeded,
     SignalingSystemError,
     chsh,
@@ -16,16 +19,18 @@ from contextuality import (
     full_support,
     get,
     hidden_variable_model,
-    is_ns_assignment,
     make_support,
+    make_system,
     mix,
     support_of,
     witness_score,
 )
+from contextuality import analysis
 from contextuality.analysis import Decomposition
+from contextuality.feasibility import FarkasCertificate, FeasibleSolution
 from contextuality.systems import Context
 
-from helpers import random_ns_2x2, random_ns_mixture
+from helpers import random_ns_2x2, random_ns_mixture, random_shape
 
 HALF = Fraction(1, 2)
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
@@ -35,10 +40,47 @@ class TestEnumerate:
     def test_eprb_16(self):
         ns = enumerate_ns_realizations(get("eprb_shape").system)
         assert len(ns) == 16
-        assert all(r.ns and is_ns_assignment(r.assignment) for r in ns)
         # canonical order, no duplicates
-        keys = [tuple(sorted(r.assignment.values.items())) for r in ns]
+        keys = [tuple(sorted(r.values.items())) for r in ns]
         assert len(set(keys)) == 16
+
+    def test_values_follow_setting_functions(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            a_alph, b_alph = random_shape(rng)
+            contexts = [Context(x, y) for x in a_alph for y in b_alph]
+            supp = make_support(
+                "rand",
+                a_alph,
+                b_alph,
+                {c: rng.sample(
+                    [(a, b) for a in a_alph[c.x] for b in b_alph[c.y]],
+                    rng.randint(1, len(a_alph[c.x]) * len(b_alph[c.y])),
+                ) for c in contexts},
+            )
+            ns = enumerate_ns_realizations(supp)
+            for r in ns:
+                assert set(r.f) == set(a_alph) and set(r.g) == set(b_alph)
+                for c in contexts:
+                    assert r.values[c] == (r.f[c.x], r.g[c.y])
+                    assert r.values[c] in supp.supports[c]
+            # every (f, g) compatible with the supports is enumerated
+            fs = [dict(zip(a_alph, v)) for v in itertools.product(*a_alph.values())]
+            gs = [dict(zip(b_alph, v)) for v in itertools.product(*b_alph.values())]
+            brute = sum(
+                all((f[c.x], g[c.y]) in supp.supports[c] for c in contexts)
+                for f in fs
+                for g in gs
+            )
+            assert len(ns) == brute
+
+    def test_deterministic_tables(self):
+        # the non-signaling table factors into exactly one (f, g); the
+        # signaling one into none
+        d = get("d_eprb").system
+        (r,) = enumerate_ns_realizations(support_of(d))
+        assert all(d.prob(c, r.values[c]) == 1 for c in d.contexts)
+        assert enumerate_ns_realizations(support_of(get("d_prime_eprb").system)) == ()
 
     def test_ksp_empty(self):
         assert len(enumerate_ns_realizations(get("ksp_support").system)) == 0
@@ -94,6 +136,38 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_support(get("eprb_shape").system)
 
+    def test_invalid_pmfs_refused(self):
+        def one_context(pmf):
+            return make_system("bad", {"1": ("0", "1")}, {"1": ("0", "1")}, {("1", "1"): pmf})
+
+        half = one_context({("0", "0"): HALF})
+        negative = one_context({("0", "0"): Fraction(3, 2), ("1", "1"): -HALF})
+        with pytest.raises(InvalidSystemError) as exc:
+            classify(half)
+        assert exc.value.violations == ["context ('1', '1'): sum 1/2 != 1"]
+        with pytest.raises(InvalidSystemError) as exc:
+            classify(negative)
+        assert exc.value.violations == [
+            "context ('1', '1'): negative probability -1/2 at ('1', '1')"
+        ]
+
+
+class TestCertificateChecks:
+    """A wrong solver outcome must be refused, also under `python -O`."""
+
+    @pytest.mark.parametrize(
+        "system, wrong",
+        [
+            (get("d_eprb").system, lambda lp: FeasibleSolution(p=(Fraction(2),) * lp.num_cols)),
+            (conspiracy_system(), lambda lp: FarkasCertificate(y=(Fraction(0),) * lp.num_rows)),
+        ],
+        ids=["feasible", "farkas"],
+    )
+    def test_wrong_outcome_raises(self, monkeypatch, system, wrong):
+        monkeypatch.setattr(analysis, "solve_feasibility", wrong)
+        with pytest.raises(CertificateError):
+            classify(system)
+
 
 class TestDecompositionReproduces:
     def test_classify_output(self):
@@ -118,7 +192,7 @@ class TestDecompositionReproduces:
     def test_hand_built(self):
         m = mix([(get("d1").system, HALF), (get("d2").system, HALF)])
         ns = enumerate_ns_realizations(support_of(m))
-        by_pair = {r.value(Context("1", "1")): r for r in ns}
+        by_pair = {r.values[Context("1", "1")]: r for r in ns}
         hand = Decomposition(
             components=((by_pair[("1", "1")], HALF), (by_pair[("0", "0")], HALF))
         )

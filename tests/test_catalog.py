@@ -90,6 +90,21 @@ class TestGet:
     def test_ksp_is_support_spec(self):
         assert isinstance(get("ksp_support").system, SupportSpec)
 
+    def test_shared_systems_read_only(self):
+        d1 = get("d1").system
+        ctx = Context("1", "1")
+        before = deterministic_values(d1)
+        with pytest.raises(TypeError):
+            d1.pmfs[ctx][("1", "1")] = Fraction(5)
+        with pytest.raises(TypeError):
+            d1.pmfs[ctx] = {}
+        with pytest.raises(TypeError):
+            d1.a_alphabet["3"] = ("0", "1")
+        with pytest.raises(TypeError):
+            get("ksp_support").system.supports[Context("1", "1")] = frozenset()
+        assert deterministic_values(get("d1").system) == before
+        assert get("d1").system.a_settings == ("1", "2")
+
 
 class TestConspiracy:
     def test_marginals_all_half(self):

@@ -55,8 +55,7 @@ class TestAnalyze:
         assert witness_score(witness, system) > witness.bound
 
     def test_decomposition_reverifies_from_report_alone(self, capsys, tmp_path):
-        from contextuality import decomposition_reproduces, mix
-        from contextuality.systems import Assignment, Realization
+        from contextuality import Realization, decomposition_reproduces, mix
 
         half = Fraction(1, 2)
         m = mix([(get("d1").system, half), (get("d3").system, half)], name="m")
@@ -69,11 +68,11 @@ class TestAnalyze:
             values = {
                 Context(v["x"], v["y"]): (v["a"], v["b"]) for v in entry["values"]
             }
+            f = {ctx.x: a for ctx, (a, _) in values.items()}
+            g = {ctx.y: b for ctx, (_, b) in values.items()}
+            assert all(values[c] == (f[c.x], g[c.y]) for c in values)
             comps.append(
-                (
-                    Realization(assignment=Assignment(values=values), ns=True),
-                    Fraction(entry["weight"]),
-                )
+                (Realization(f=f, g=g, values=values), Fraction(entry["weight"]))
             )
         again = loads_system(path.read_text())
         assert decomposition_reproduces(again, Decomposition(components=tuple(comps)))
@@ -83,6 +82,19 @@ class TestAnalyze:
         path.write_text('{"name": "x"}')
         code, out, err = run(capsys, "analyze", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["not-utf8", "nested-100000-deep"],
+    )
+    def test_malformed_file_exit_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_signaling_input_reported(self, capsys):
         report = run_json(capsys, "analyze", "--builtin", "d_prime_eprb")

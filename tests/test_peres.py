@@ -184,7 +184,7 @@ class TestKsSearch:
         for rule in ("exactly-one-zero", "exactly-one-one"):
             result = ks_search(rays, triads, rule)
             assert not result.feasible
-            assert result.stats.nodes > 0
+            assert result.nodes > 0
 
     def test_single_triad_three_solutions(self):
         triad = Triad(rays=tuple(sorted([X, Y, Z], key=Ray.key)))
@@ -192,13 +192,13 @@ class TestKsSearch:
         assert result.feasible
         assert sum(1 for v in result.coloring.values() if v == 0) == 1
         counted = ks_search([X, Y, Z], [triad], "exactly-one-zero", count_solutions=True)
-        assert counted.stats.solution_count == 3
+        assert counted.solution_count == 3
 
     def test_two_disjoint_triads_nine_solutions(self):
         rays, triads = two_disjoint_triads()
         counted = ks_search(rays, triads, "exactly-one-zero", count_solutions=True)
         assert counted.feasible
-        assert counted.stats.solution_count == 9
+        assert counted.solution_count == 9
 
     def test_complement_duality(self):
         rays, triads = two_disjoint_triads()
@@ -235,7 +235,7 @@ class TestKsSearch:
                 ):
                     brute += 1
             assert result.feasible == (brute > 0)
-            assert result.stats.solution_count == brute
+            assert result.solution_count == brute
 
 
 class TestKspSupport:
@@ -282,9 +282,7 @@ class TestKspSupport:
         ns = enumerate_ns_realizations(mini)
         # one ns realization per coloring: 3 x 3
         assert len(ns) == 9
-        r0 = ns.realizations[0]
-        f = {x: r0.value(next(c for c in mini.contexts if c.x == x))[0] for x in a_alph}
-        coloring = coloring_from_ns_function(f, triads)
+        coloring = coloring_from_ns_function(ns[0].f, triads)
         for t in triads:
             assert [coloring[r] for r in t.rays].count(0) == 1
 

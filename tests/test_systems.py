@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
-    Assignment,
     Context,
+    Realization,
     check_nonsignaling,
     count_assignments,
     expectation_product,
     get,
-    is_ns_assignment,
     make_system,
     marginal,
     mix,
@@ -18,7 +17,7 @@ from contextuality import (
     support_of,
     validate,
 )
-from contextuality.systems import factor_assignment, realization_system
+from contextuality.systems import realization_system
 
 from helpers import random_deterministic_ns, random_ns_mixture, random_shape
 
@@ -27,15 +26,6 @@ BIN = {"1": ("0", "1"), "2": ("0", "1")}
 
 def binary_system(name, pmfs):
     return make_system(name, BIN, BIN, pmfs)
-
-
-def system_as_assignment(system):
-    values = {}
-    for ctx in system.contexts:
-        ((pair, p),) = [(k, v) for k, v in system.pmfs[ctx].items() if v > 0]
-        assert p == 1
-        values[ctx] = pair
-    return Assignment(values=values)
 
 
 class TestValidate:
@@ -151,59 +141,16 @@ class TestSupport:
         )
 
 
-class TestNsAssignment:
-    def test_d_eprb_true_d_prime_false(self):
-        assert is_ns_assignment(system_as_assignment(get("d_eprb").system))
-        assert not is_ns_assignment(system_as_assignment(get("d_prime_eprb").system))
-
-    def test_single_context_always_ns(self):
-        a = Assignment(values={Context("1", "1"): ("1", "0")})
-        assert is_ns_assignment(a)
-
-    def test_equivalence_with_explicit_factoring(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            a_alph, b_alph = random_shape(rng)
-            contexts = [Context(x, y) for x in a_alph for y in b_alph]
-            values = {
-                c: (rng.choice(a_alph[c.x]), rng.choice(b_alph[c.y]))
-                for c in contexts
-            }
-            a = Assignment(values=values)
-            factored = factor_assignment(a)
-            assert is_ns_assignment(a) == (factored is not None)
-            if factored is not None:
-                f, g = factored
-                assert all(values[c] == (f[c.x], g[c.y]) for c in contexts)
-
-
 class TestCounts:
     def test_eprb_256(self):
-        c = count_assignments(get("eprb_shape").system, "alphabet")
+        c = count_assignments(get("eprb_shape").system)
         assert (c.value, c.base, c.exponent) == (256, 4, 4)
         assert str(c) == "4^4"
 
     def test_ksp_factored(self):
-        c = count_assignments(get("ksp_support").system, "alphabet")
+        c = count_assignments(get("ksp_support").system)
         assert (c.base, c.exponent) == (6, 1320)
         assert c.value == 6**1320
-
-    def test_deterministic_support_one(self):
-        assert count_assignments(get("d_eprb").system, "support").value == 1
-
-    def test_support_le_alphabet(self):
-        rng = random.Random(3)
-        for _ in range(50):
-            s = random_ns_mixture(rng)
-            ca = count_assignments(s, "alphabet")
-            cs = count_assignments(s, "support")
-            assert cs.value <= ca.value
-            full = all(
-                len([p for p in s.pmfs[c].values() if p > 0])
-                == len(s.a_alphabet[c.x]) * len(s.b_alphabet[c.y])
-                for c in s.contexts
-            )
-            assert (cs.value == ca.value) == full
 
 
 class TestMix:
@@ -289,6 +236,8 @@ def test_realization_system_round_trip():
     rng = random.Random(23)
     a_alph, b_alph = random_shape(rng)
     det = random_deterministic_ns(rng, a_alph, b_alph)
-    a = system_as_assignment(det)
-    again = realization_system(a, det)
+    values = {ctx: next(iter(det.pmfs[ctx])) for ctx in det.contexts}
+    f = {ctx.x: a for ctx, (a, _) in values.items()}
+    g = {ctx.y: b for ctx, (_, b) in values.items()}
+    again = realization_system(Realization(f=f, g=g, values=values), det)
     assert again.pmfs == det.pmfs
