@@ -33,7 +33,6 @@ from .systems import (
     SystemSpec,
     check_nonsignaling,
     expectation_product,
-    setting_key,
     support_of,
     validate,
 )
@@ -78,8 +77,8 @@ class Decomposition:
 class BellWitness:
     """Linear functional separating a system from all its ns realizations.
 
-    Every non-signaling realization scores <= bound; the certified system
-    scores strictly above it.
+    Every non-signaling realization over the full alphabets scores <= bound,
+    whatever its support; the certified system scores strictly above it.
     """
 
     coefficients: Mapping[tuple[Context, Outcome, Outcome], Fraction]
@@ -94,106 +93,66 @@ class Verdict:
     realization_count: int = 0
 
 
-def _ns_functions(
-    support: SupportSpec, limit: int
-) -> list[tuple[dict[str, Outcome], dict[str, Outcome]]]:
-    """All (f, g) per-side setting functions compatible with every support.
-
-    Backtracking over settings with forward checking; at each step the
-    setting with the smallest remaining domain is assigned next.
-    """
-    by_x: dict[str, list[Context]] = {x: [] for x in support.a_settings}
-    by_y: dict[str, list[Context]] = {y: [] for y in support.b_settings}
-    for ctx in support.contexts:
-        by_x[ctx.x].append(ctx)
-        by_y[ctx.y].append(ctx)
-
-    domains: dict[tuple[str, str], frozenset[Outcome]] = {}
-    for x in support.a_settings:
-        opts = set(support.a_alphabet[x])
-        for ctx in by_x[x]:
-            opts &= {a for a, _ in support.supports[ctx]}
-        domains[("A", x)] = frozenset(opts)
-    for y in support.b_settings:
-        opts = set(support.b_alphabet[y])
-        for ctx in by_y[y]:
-            opts &= {b for _, b in support.supports[ctx]}
-        domains[("B", y)] = frozenset(opts)
-
-    solutions: list[tuple[dict[str, Outcome], dict[str, Outcome]]] = []
-
-    def recurse(assigned: dict[tuple[str, str], Outcome],
-                live: dict[tuple[str, str], frozenset[Outcome]]) -> None:
-        if len(solutions) > limit:
-            return
-        free = [v for v in live if v not in assigned]
-        if not free:
-            f = {x: assigned[("A", x)] for x in support.a_settings}
-            g = {y: assigned[("B", y)] for y in support.b_settings}
-            solutions.append((f, g))
-            return
-        var = min(free, key=lambda v: (len(live[v]), v[0], setting_key(v[1])))
-        for value in sorted(live[var]):
-            assigned[var] = value
-            pruned = dict(live)
-            ok = True
-            contexts = by_x[var[1]] if var[0] == "A" else by_y[var[1]]
-            for ctx in contexts:
-                other = ("B", ctx.y) if var[0] == "A" else ("A", ctx.x)
-                if other in assigned:
-                    pair = (
-                        (value, assigned[other])
-                        if var[0] == "A"
-                        else (assigned[other], value)
-                    )
-                    if pair not in support.supports[ctx]:
-                        ok = False
-                        break
-                    continue
-                if var[0] == "A":
-                    allowed = {
-                        b for a, b in support.supports[ctx] if a == value
-                    }
-                else:
-                    allowed = {
-                        a for a, b in support.supports[ctx] if b == value
-                    }
-                narrowed = pruned[other] & allowed
-                if not narrowed:
-                    ok = False
-                    break
-                pruned[other] = frozenset(narrowed)
-            if ok:
-                recurse(assigned, pruned)
-            del assigned[var]
-            if len(solutions) > limit:
-                return
-
-    if all(domains.values()):
-        recurse({}, domains)
-    if len(solutions) > limit:
-        raise RealizationLimitExceeded(limit)
-    return solutions
-
-
-def _functions_key(f: dict, g: dict, support: SupportSpec):
-    return (
-        tuple(f[x] for x in support.a_settings),
-        tuple(g[y] for y in support.b_settings),
-    )
-
-
 def enumerate_ns_realizations(
     support: SupportSpec, limit: int = DEFAULT_LIMIT
 ) -> tuple[Realization, ...]:
-    """All non-signaling realizations of a support, in canonical order."""
-    found = _ns_functions(support, limit)
-    found.sort(key=lambda fg: _functions_key(*fg, support))
+    """All non-signaling realizations of a support, in canonical order.
+
+    Every setting of either side is one variable, A-settings first; its
+    domain holds the outcomes still possible, one outcome once assigned.
+    Each context gives each of its two settings a table from an outcome to
+    the outcomes the support allows the other setting, so assigning a value
+    intersects every neighbour's domain with one table entry.  Backtracking
+    assigns the smallest domain first, ties to the earlier variable.
+    """
+    a_settings, b_settings = support.a_settings, support.b_settings
+    alphabets = [support.a_alphabet[x] for x in a_settings]
+    alphabets += [support.b_alphabet[y] for y in b_settings]
+    a_index = {x: i for i, x in enumerate(a_settings)}
+    b_index = {y: len(a_settings) + j for j, y in enumerate(b_settings)}
+    tables: list[dict[int, dict[Outcome, set[Outcome]]]] = [{} for _ in alphabets]
+    for ctx in support.contexts:
+        i, j = a_index[ctx.x], b_index[ctx.y]
+        forward, backward = tables[i].setdefault(j, {}), tables[j].setdefault(i, {})
+        for a, b in support.supports[ctx]:
+            forward.setdefault(a, set()).add(b)
+            backward.setdefault(b, set()).add(a)
+    # An outcome with no supported pair in some context is out from the start.
+    domains = [
+        set(alphabet).intersection(*tables[i].values())
+        for i, alphabet in enumerate(alphabets)
+    ]
+
+    found: list[tuple[Outcome, ...]] = []
+
+    def search(live: list[set[Outcome]], free: list[int]) -> None:
+        if not free:
+            found.append(tuple(value for (value,) in live))
+            if len(found) > limit:
+                raise RealizationLimitExceeded(limit)
+            return
+        var = min(free, key=lambda v: len(live[v]))
+        rest = [v for v in free if v != var]
+        for value in sorted(live[var]):
+            narrowed = list(live)
+            narrowed[var] = {value}
+            for other, table in tables[var].items():
+                narrowed[other] = narrowed[other] & table[value]
+                if not narrowed[other]:
+                    break
+            else:
+                search(narrowed, rest)
+
+    search(domains, list(range(len(alphabets))))
+    found.sort()
     contexts = support.sorted_contexts()
-    return tuple(
-        Realization(f=f, g=g, values={ctx: (f[ctx.x], g[ctx.y]) for ctx in contexts})
-        for f, g in found
-    )
+    realizations = []
+    for values in found:
+        f = dict(zip(a_settings, values))
+        g = dict(zip(b_settings, values[len(a_settings):]))
+        values_of = {ctx: (f[ctx.x], g[ctx.y]) for ctx in contexts}
+        realizations.append(Realization(f=f, g=g, values=values_of))
+    return tuple(realizations)
 
 
 def witness_score(
@@ -256,6 +215,21 @@ def _witness_from_certificate(
     # Normalize the bound to the best realization score; the Farkas
     # inequalities guarantee the system still scores strictly above it.
     bound = max(witness_score(witness, r) for r in realizations)
+    # A realization outside the columns uses some pair that is no row: on
+    # the support path, a pair of probability zero.  On the rows it scores
+    # at most the sum over contexts of max(0, largest row coefficient), so
+    # charging each such pair -K, K that sum less the bound, holds it to the
+    # bound as well, and leaves the system's score as it was.
+    best: dict[Context, Fraction] = {}
+    for (ctx, _), y in zip(rows, certificate.y):
+        best[ctx] = max(best.get(ctx, ZERO), y)
+    k = sum(best.values(), ZERO) - bound
+    if k > 0:
+        in_rows = set(rows)
+        for ctx in system.contexts:
+            for a, b in system.pairs(ctx):
+                if (ctx, (a, b)) not in in_rows:
+                    coefficients[(ctx, a, b)] = -k
     witness = BellWitness(coefficients=coefficients, bound=bound)
     if not witness_score(witness, system) > bound:
         raise CertificateError("the system does not beat the witness bound")

@@ -270,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if getattr(args, "builtin", "absent") is None and getattr(args, "path", None) is None:
-        print("error: provide a system file path or --builtin id", file=sys.stderr)
+    if hasattr(args, "builtin") and (args.builtin is None) == (args.path is None):
+        print("error: provide a file path or --builtin id, not both", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -111,12 +111,6 @@ class Triad:
 
     rays: tuple[Ray, Ray, Ray]
 
-    def __contains__(self, ray: Ray) -> bool:
-        return ray in self.rays
-
-    def index(self, ray: Ray) -> int:
-        return self.rays.index(ray)
-
 
 def dot(u: Ray, v: Ray) -> Zr2:
     out = Z0
@@ -174,14 +168,14 @@ def collinear(u: Ray, v: Ray) -> bool:
     return all(c.is_zero() for c in cross(u, v))
 
 
-def orthogonal_triads(rays: list[Ray], complete_pairs: bool = True) -> list[Triad]:
+def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
     """All mutually orthogonal triples formed from the given rays.
 
-    Triples entirely inside the set come first.  With ``complete_pairs``
-    (the default), every orthogonal pair lying in no such triple is closed
-    into one by its cross product; the completing ray may fall outside the
-    input set.  On the 33 Peres rays this yields 16 internal triads plus 24
-    completions, the classic count of 40 triples over 57 rays in total.
+    Triples entirely inside the set come first.  Then every orthogonal pair
+    lying in no such triple is closed into one by its cross product, so the
+    completing ray lies outside the input set.  On the 33 Peres rays this
+    yields 16 internal triads plus 24 completions, the classic count of 40
+    triples over 57 rays in total.
     """
     ordered = sorted(set(rays), key=Ray.key)
     orth = {
@@ -195,11 +189,10 @@ def orthogonal_triads(rays: list[Ray], complete_pairs: bool = True) -> list[Tria
         if (i, j) in orth and (i, k) in orth and (j, k) in orth:
             triads.append(Triad(rays=(ordered[i], ordered[j], ordered[k])))
             used_pairs |= {(i, j), (i, k), (j, k)}
-    if complete_pairs:
-        for i, j in sorted(orth - used_pairs):
-            w = canonical_ray(cross(ordered[i], ordered[j]))
-            members = tuple(sorted((ordered[i], ordered[j], w), key=Ray.key))
-            triads.append(Triad(rays=members))
+    for i, j in sorted(orth - used_pairs):
+        w = canonical_ray(cross(ordered[i], ordered[j]))
+        members = tuple(sorted((ordered[i], ordered[j], w), key=Ray.key))
+        triads.append(Triad(rays=members))
     triads.sort(key=lambda t: tuple(r.key() for r in t.rays))
     return triads
 
@@ -245,40 +238,28 @@ def ks_search(
     nodes = 0
     solutions: list[dict[Ray, int]] = []
 
-    def triad_ok(ti: int) -> bool:
-        got = [values[r] for r in triads[ti].rays if r in values]
-        lones = got.count(lone)
-        if lones > 1:
-            return False
-        if len(got) == 3 and lones != 1:
-            return False
-        return True
-
-    def forced(ti: int) -> list[tuple[Ray, int]]:
-        t = triads[ti]
-        got = {r: values[r] for r in t.rays if r in values}
-        free = [r for r in t.rays if r not in values]
-        out = []
-        if lone in got.values():
-            out = [(r, pair) for r in free]
-        elif len(free) == 1:
-            out = [(free[0], lone)]
-        return out
-
     def propagate(trail: list[Ray]) -> bool:
-        queue = list(range(len(triads)))
+        """Close the state under the triad rule after coloring trail[0].
+
+        The state before was closed, so only triads through a newly colored
+        ray can force anything or break.
+        """
+        queue = list(triads_of[trail[0]])
         while queue:
-            ti = queue.pop()
-            if not triad_ok(ti):
+            free, lones = [], 0
+            for q in triads[queue.pop()].rays:
+                if q not in values:
+                    free.append(q)
+                elif values[q] == lone:
+                    lones += 1
+            if lones > 1 or not (free or lones):
                 return False
-            for r, v in forced(ti):
-                if r in values:
-                    if values[r] != v:
-                        return False
-                    continue
-                values[r] = v
-                trail.append(r)
-                queue.extend(triads_of[r])
+            if lones or len(free) == 1:
+                # a lone value makes the others pair; two pairs make the last lone
+                for q in free:
+                    values[q] = pair if lones else lone
+                    trail.append(q)
+                    queue.extend(triads_of[q])
         return True
 
     def constrained_key(r: Ray):
@@ -337,8 +318,8 @@ def build_ksp_support():
     supports = {}
     for i, t in enumerate(triads):
         for j, r in enumerate(rays):
-            if r in t:
-                pos = t.index(r)
+            if r in t.rays:
+                pos = t.rays.index(r)
                 supp = [(pat, pat[pos]) for pat in A_PATTERNS]
             else:
                 supp = [(pat, b) for pat in A_PATTERNS for b in ("0", "1")]

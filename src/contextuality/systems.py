@@ -65,6 +65,10 @@ class Spec:
             if isinstance(value, Mapping):
                 object.__setattr__(self, name, _read_only(value))
 
+    def __hash__(self) -> int:
+        # Read-only mappings cannot be hashed; equal specs share these fields.
+        return hash((type(self), self.name, self.contexts))
+
     @property
     def a_settings(self) -> tuple[str, ...]:
         return tuple(sorted(self.a_alphabet, key=setting_key))
@@ -90,6 +94,8 @@ class SystemSpec(Spec):
 
     pmfs: Mapping[Context, Mapping[Pair, Fraction]]
 
+    __hash__ = Spec.__hash__
+
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
         if ctx not in self.pmfs:
             raise KeyError(f"unknown context {ctx}")
@@ -104,6 +110,8 @@ class SupportSpec(Spec):
     """Possibilistic counterpart of `SystemSpec`: per-context supports only."""
 
     supports: Mapping[Context, frozenset[Pair]]
+
+    __hash__ = Spec.__hash__
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from contextuality import (
     pair_as_mixture,
     peres_rays,
     solve_feasibility,
-    support_of,
     verify,
     witness_score,
 )
@@ -177,11 +176,7 @@ def test_certificate_soundness():
             w = v.witness
             if not witness_score(w, s) > w.bound:
                 ok = False
-            base = (
-                enumerate_ns_realizations(support_of(s))
-                if v.realization_count
-                else enumerate_ns_realizations(full_support(s))
-            )
+            base = enumerate_ns_realizations(full_support(s))
             if not all(witness_score(w, r) <= w.bound for r in base):
                 ok = False
         elif v.kind == "noncontextual":

@@ -46,9 +46,12 @@ class TestEnumerate:
 
     def test_values_follow_setting_functions(self):
         rng = random.Random(11)
-        for _ in range(50):
+        for trial in range(100):
             a_alph, b_alph = random_shape(rng)
             contexts = [Context(x, y) for x in a_alph for y in b_alph]
+            if trial % 2:
+                # a setting in no context is left unconstrained
+                contexts = rng.sample(contexts, rng.randint(1, len(contexts)))
             supp = make_support(
                 "rand",
                 a_alph,
@@ -60,19 +63,22 @@ class TestEnumerate:
             )
             ns = enumerate_ns_realizations(supp)
             for r in ns:
-                assert set(r.f) == set(a_alph) and set(r.g) == set(b_alph)
-                for c in contexts:
-                    assert r.values[c] == (r.f[c.x], r.g[c.y])
-                    assert r.values[c] in supp.supports[c]
-            # every (f, g) compatible with the supports is enumerated
+                assert r.values == {c: (r.f[c.x], r.g[c.y]) for c in contexts}
+            # exactly the (f, g) compatible with every support, in canonical
+            # order: f over the A-settings, then g over the B-settings
             fs = [dict(zip(a_alph, v)) for v in itertools.product(*a_alph.values())]
             gs = [dict(zip(b_alph, v)) for v in itertools.product(*b_alph.values())]
-            brute = sum(
-                all((f[c.x], g[c.y]) in supp.supports[c] for c in contexts)
+            brute = [
+                (f, g)
                 for f in fs
                 for g in gs
-            )
-            assert len(ns) == brute
+                if all((f[c.x], g[c.y]) in supp.supports[c] for c in contexts)
+            ]
+            brute.sort(key=lambda fg: (
+                [fg[0][x] for x in supp.a_settings],
+                [fg[1][y] for y in supp.b_settings],
+            ))
+            assert [(r.f, r.g) for r in ns] == brute
 
     def test_deterministic_tables(self):
         # the non-signaling table factors into exactly one (f, g); the
@@ -95,8 +101,12 @@ class TestEnumerate:
         assert len(enumerate_ns_realizations(supp)) == 4
 
     def test_limit_exceeded_is_loud(self):
-        with pytest.raises(RealizationLimitExceeded):
-            enumerate_ns_realizations(get("eprb_shape").system, limit=7)
+        # the limit is the most realizations returned; eprb_shape has 16
+        eprb = get("eprb_shape").system
+        assert len(enumerate_ns_realizations(eprb, limit=16)) == 16
+        for limit in (7, 15):
+            with pytest.raises(RealizationLimitExceeded):
+                enumerate_ns_realizations(eprb, limit=limit)
 
 
 class TestClassify:
@@ -293,15 +303,9 @@ class TestWitness:
                 continue
             checked += 1
             assert witness_score(v.witness, s) > v.witness.bound
-            # the witness guarantee covers the realization set classify
-            # enumerated: support-restricted when nonempty, alphabet-wide
-            # otherwise
-            base = (
-                enumerate_ns_realizations(support_of(s))
-                if v.realization_count
-                else enumerate_ns_realizations(full_support(s))
-            )
-            for r in base:
+            # the bound holds for every realization over the full alphabets,
+            # not only those classify used as columns
+            for r in enumerate_ns_realizations(full_support(s)):
                 assert witness_score(v.witness, r) <= v.witness.bound
 
 

@@ -14,6 +14,7 @@ from contextuality import (
     pair_as_mixture,
 )
 from contextuality.catalog import UnknownSystemError, catalog_ids
+from contextuality.serialize import dumps_system, loads_system
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -104,6 +105,12 @@ class TestGet:
             get("ksp_support").system.supports[Context("1", "1")] = frozenset()
         assert deterministic_values(get("d1").system) == before
         assert get("d1").system.a_settings == ("1", "2")
+
+    def test_specs_hashable(self):
+        systems = {get(i).system for i in catalog_ids()}
+        assert len(systems) == 9
+        for s in systems:
+            assert hash(s) == hash(loads_system(dumps_system(s)))
 
 
 class TestConspiracy:

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,13 @@ class TestAnalyze:
     def test_no_input_usage_error(self, capsys):
         code, out, err = run(capsys, "analyze")
         assert code == 1
+
+    def test_path_and_builtin_usage_error(self, capsys):
+        system_file = str(Path(__file__).parent / "golden" / "system.json")
+        code, out, err = run(capsys, "analyze", system_file, "--builtin", "d1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_witness_reverifies_from_report_alone(self, capsys):
         report = run_json(capsys, "analyze", "--builtin", "conspiracy")

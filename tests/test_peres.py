@@ -141,10 +141,10 @@ class TestTriads:
 
     def test_internal_and_completed_split(self):
         rays = peres_rays()
-        internal = orthogonal_triads(rays, complete_pairs=False)
-        assert len(internal) == 16
         full = orthogonal_triads(rays)
         ray_set = set(rays)
+        internal = [t for t in full if set(t.rays) <= ray_set]
+        assert len(internal) == 16
         completed = [t for t in full if any(r not in ray_set for r in t.rays)]
         assert len(completed) == 24
         # completions add exactly one new ray each, all distinct
@@ -222,7 +222,7 @@ class TestKsSearch:
         for trial in range(20):
             k = rng.randint(6, 12)
             rays = pool[:k]
-            triads = orthogonal_triads(rays, complete_pairs=False)
+            triads = [t for t in orthogonal_triads(rays) if set(t.rays) <= set(rays)]
             if not triads:
                 continue
             result = ks_search(rays, triads, "exactly-one-zero", count_solutions=True)
