@@ -19,7 +19,6 @@ from .feasibility import (
     FeasibleSolution,
     make_problem,
     solve_feasibility,
-    verify,
 )
 from .systems import (
     ONE,
@@ -64,6 +63,12 @@ class InvalidSystemError(ValueError):
 
 class CertificateError(Exception):
     """Raised when a certificate fails its independent check (a solver bug)."""
+
+
+def _require_valid(spec: SystemSpec | SupportSpec) -> None:
+    violations = validate(spec)
+    if violations:
+        raise InvalidSystemError(spec.name, violations)
 
 
 @dataclass(frozen=True)
@@ -248,12 +253,11 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
 
     Raises InvalidSystemError on a system `validate` rejects, and
     SignalingSystemError on signaling input; contextuality is only defined
-    here for non-signaling systems.  Raises CertificateError if the solver's
-    decomposition or witness fails its exact check.
+    here for non-signaling systems.  Raises CertificateError if the returned
+    decomposition or witness fails the check a reader would run on it:
+    `decomposition_reproduces`, or the system beating the witness bound.
     """
-    violations = validate(system)
-    if violations:
-        raise InvalidSystemError(system.name, violations)
+    _require_valid(system)
     sw = check_nonsignaling(system)
     if sw is not None:
         raise SignalingSystemError(sw)
@@ -270,13 +274,16 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         pairs_of = system.pairs
     problem, rows = _membership_problem(system, columns, pairs_of)
     outcome = solve_feasibility(problem)
-    if not verify(problem, outcome):
-        raise CertificateError("the solver's outcome fails verification")
     if isinstance(outcome, FeasibleSolution):
-        components = tuple((r, w) for r, w in zip(columns, outcome.p) if w > 0)
+        # Keep every nonzero weight: a negative one must fail the check, not vanish.
+        decomposition = Decomposition(
+            components=tuple((r, w) for r, w in zip(columns, outcome.p) if w != 0)
+        )
+        if not decomposition_reproduces(system, decomposition):
+            raise CertificateError("the decomposition does not reproduce the system")
         return Verdict(
             kind="noncontextual",
-            decomposition=Decomposition(components=components),
+            decomposition=decomposition,
             realization_count=len(realizations),
         )
     return Verdict(
@@ -289,9 +296,11 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
 def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     """Possibilistic classification: only the empty case is decidable.
 
-    Raises ValueError when non-signaling realizations exist, since without
+    Raises InvalidSystemError on a support `validate` rejects, and
+    ValueError when non-signaling realizations exist, since without
     probabilities their mixtures cannot be compared to the system.
     """
+    _require_valid(support)
     realizations = enumerate_ns_realizations(support, limit)
     if len(realizations) == 0:
         return Verdict(kind="no_ns_realizations", realization_count=0)
@@ -335,45 +344,37 @@ def _binary_shape(system: SystemSpec) -> tuple[list[str], list[str]]:
     return a_settings, b_settings
 
 
-def chsh(
-    system: SystemSpec,
-    coding: Mapping[Outcome, Fraction] | None = None,
-) -> Fraction:
+def chsh(system: SystemSpec) -> Fraction:
     """Max over the four odd-sign CHSH combinations, +-1 coding.
 
-    Default coding sends the first alphabet label of each setting to -1
-    and the second to +1.
+    The first alphabet label of each setting codes -1, the second +1.  The
+    combination flipping the sign of context c is the sum of all four
+    correlators less twice the one at c.
     """
     a_settings, b_settings = _binary_shape(system)
-    if coding is None:
-        alphabets = [system.a_alphabet[x] for x in a_settings]
-        alphabets += [system.b_alphabet[y] for y in b_settings]
-        coding = {}
-        for lo, hi in alphabets:
-            for label, val in ((lo, Fraction(-1)), (hi, Fraction(1))):
-                if coding.setdefault(label, val) != val:
-                    raise ValueError(
-                        "alphabets disagree on a default +-1 coding; pass one"
-                    )
-    corr = {}
-    for x in a_settings:
-        for y in b_settings:
-            corr[(x, y)] = expectation_product(system, Context(x, y), coding)
-    x1, x2 = a_settings
-    y1, y2 = b_settings
-    best = ZERO
-    for sx, sy in ((x1, y1), (x1, y2), (x2, y1), (x2, y2)):
-        s = sum(
-            (-corr[(x, y)] if (x, y) == (sx, sy) else corr[(x, y)])
-            for x in (x1, x2)
-            for y in (y1, y2)
-        )
-        best = max(best, abs(s))
-    return best
+    alphabets = [system.a_alphabet[x] for x in a_settings]
+    alphabets += [system.b_alphabet[y] for y in b_settings]
+    coding: dict[Outcome, Fraction] = {}
+    for lo, hi in alphabets:
+        for label, val in ((lo, -ONE), (hi, ONE)):
+            if coding.setdefault(label, val) != val:
+                raise ValueError("alphabets disagree on the +-1 coding")
+    corr = [
+        expectation_product(system, Context(x, y), coding)
+        for x in a_settings
+        for y in b_settings
+    ]
+    total = sum(corr, ZERO)
+    return max(abs(total - 2 * c) for c in corr)
 
 
 def fine_oracle(system: SystemSpec) -> str:
-    """Independent 2x2-binary oracle: noncontextual iff all CHSH values <= 2."""
+    """Independent 2x2-binary oracle: noncontextual iff all CHSH values <= 2.
+
+    Raises InvalidSystemError on a system `validate` rejects, and
+    SignalingSystemError on signaling input.
+    """
+    _require_valid(system)
     sw = check_nonsignaling(system)
     if sw is not None:
         raise SignalingSystemError(sw)

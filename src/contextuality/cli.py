@@ -273,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "builtin") and (args.builtin is None) == (args.path is None):
         print("error: provide a file path or --builtin id, not both", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "limit", 0) < 0:
+        print("error: --limit must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (InputError, RealizationLimitExceeded, SignalingSystemError) as exc:

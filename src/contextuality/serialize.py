@@ -53,7 +53,7 @@ def _require(doc: dict, key: str, kind, what: str):
 
 def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[str, ...]]:
     raw = _require(doc, key, dict, "system file")
-    if set(raw) != set(settings):
+    if not all(isinstance(s, str) for s in settings) or set(raw) != set(settings):
         raise SystemFileError(f"{key} keys do not match the declared settings")
     out = {}
     for s, labels in raw.items():
@@ -61,8 +61,6 @@ def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[s
             isinstance(v, str) for v in labels
         ):
             raise SystemFileError(f"{key}[{s!r}] must be a list of strings")
-        if len(set(labels)) != len(labels) or not labels:
-            raise SystemFileError(f"{key}[{s!r}] must be non-empty and duplicate-free")
         out[s] = tuple(labels)
     return out
 
@@ -77,8 +75,6 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
     a_alphabet = _alphabet_map(doc, "a_alphabet", a_settings)
     b_alphabet = _alphabet_map(doc, "b_alphabet", b_settings)
     contexts = _require(doc, "contexts", list, "system file")
-    if not contexts:
-        raise SystemFileError("no contexts")
 
     pmfs: dict[tuple[str, str], dict] = {}
     supports: dict[tuple[str, str], list] = {}
@@ -87,8 +83,6 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
             raise SystemFileError("each context must be an object")
         x = _require(entry, "x", str, "context")
         y = _require(entry, "y", str, "context")
-        if x not in a_alphabet or y not in b_alphabet:
-            raise SystemFileError(f"context ({x!r}, {y!r}) uses unknown settings")
         if (x, y) in pmfs or (x, y) in supports:
             raise SystemFileError(f"duplicate context ({x!r}, {y!r})")
         if "pmf" in entry:
@@ -113,8 +107,6 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
                 ):
                     raise SystemFileError("support entries must be [a, b] pairs")
                 supp.append((row[0], row[1]))
-            if not supp:
-                raise SystemFileError(f"context ({x!r}, {y!r}): empty support")
             supports[(x, y)] = supp
         else:
             raise SystemFileError(f"context ({x!r}, {y!r}) carries neither pmf nor support")
@@ -123,18 +115,12 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
         raise SystemFileError("mixing pmf and support contexts is not allowed")
     if pmfs:
         system = make_system(name, a_alphabet, b_alphabet, pmfs)
-        problems = validate(system)
-        if problems:
-            raise SystemFileError("; ".join(problems))
-        return system
-    support = make_support(name, a_alphabet, b_alphabet, supports)
-    for ctx in support.contexts:
-        extra = support.supports[ctx] - set(support.pairs(ctx))
-        if extra:
-            raise SystemFileError(
-                f"context {tuple(ctx)}: support pairs {sorted(extra)} outside alphabets"
-            )
-    return support
+    else:
+        system = make_support(name, a_alphabet, b_alphabet, supports)
+    problems = validate(system)
+    if problems:
+        raise SystemFileError("; ".join(problems))
+    return system
 
 
 def _pmf_row(row: Any) -> tuple[str, str, Fraction]:
@@ -142,10 +128,7 @@ def _pmf_row(row: Any) -> tuple[str, str, Fraction]:
         raise SystemFileError("pmf entries must be objects {a, b, p}")
     a = _require(row, "a", str, "pmf entry")
     b = _require(row, "b", str, "pmf entry")
-    p = parse_rational(_require(row, "p", object, "pmf entry"))
-    if p < 0:
-        raise SystemFileError(f"negative probability {p}")
-    return a, b, p
+    return a, b, parse_rational(_require(row, "p", object, "pmf entry"))
 
 
 def system_to_doc(system: SystemSpec | SupportSpec) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -81,11 +82,7 @@ class Spec:
         return tuple(sorted(self.contexts, key=context_key))
 
     def pairs(self, ctx: Context) -> list[Pair]:
-        return [
-            (a, b)
-            for a in self.a_alphabet[ctx.x]
-            for b in self.b_alphabet[ctx.y]
-        ]
+        return list(product(self.a_alphabet[ctx.x], self.b_alphabet[ctx.y]))
 
 
 @dataclass(frozen=True)
@@ -191,43 +188,64 @@ def make_support(
     )
 
 
-def validate(system: SystemSpec) -> list[str]:
-    """Return every invariant violation; an empty list means the system is valid."""
+def validate(spec: Spec) -> list[str]:
+    """Return every invariant violation; an empty list means the spec is valid.
+
+    Holds for both kinds of spec: every alphabet is non-empty and
+    duplicate-free, contexts are unique and use declared settings, and each
+    context's pmf or support lies inside its alphabet product.  A pmf is
+    non-negative and sums to 1; a support is non-empty.
+    """
     violations: list[str] = []
-    if not system.contexts:
+    for side, alphabets in (("A", spec.a_alphabet), ("B", spec.b_alphabet)):
+        for s, outcomes in alphabets.items():
+            if not outcomes or len(set(outcomes)) != len(outcomes):
+                violations.append(
+                    f"{side}-setting {s!r}: alphabet must be non-empty and duplicate-free"
+                )
+    if not spec.contexts:
         violations.append("no contexts")
+    probabilistic = isinstance(spec, SystemSpec)
+    kind = "pmf" if probabilistic else "support"
+    tables = spec.pmfs if probabilistic else spec.supports
     seen: set[Context] = set()
-    for ctx in system.contexts:
+    for ctx in spec.contexts:
         if ctx in seen:
             violations.append(f"duplicate context {tuple(ctx)}")
         seen.add(ctx)
-        if ctx.x not in system.a_alphabet:
+        if ctx.x not in spec.a_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown A-setting {ctx.x!r}")
             continue
-        if ctx.y not in system.b_alphabet:
+        if ctx.y not in spec.b_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {ctx.y!r}")
             continue
-        if ctx not in system.pmfs:
-            violations.append(f"context {tuple(ctx)}: missing pmf")
+        if ctx not in tables:
+            violations.append(f"context {tuple(ctx)}: missing {kind}")
             continue
-        pmf = system.pmfs[ctx]
-        allowed = set(system.pairs(ctx))
-        total = ZERO
-        for pair, p in pmf.items():
-            if pair not in allowed:
-                violations.append(
-                    f"context {tuple(ctx)}: pair {pair} outside alphabet product"
-                )
-            if p < 0:
+        table = tables[ctx]
+        allowed = set(spec.pairs(ctx))
+        if not allowed.issuperset(table):
+            violations += [
+                f"context {tuple(ctx)}: pair {pair} outside alphabet product"
+                for pair in table
+                if pair not in allowed
+            ]
+        if not probabilistic:
+            if not table:
+                violations.append(f"context {tuple(ctx)}: empty support")
+            continue
+        for pair, p in table.items():
+            # The numerator carries the sign and is cheaper to compare.
+            if p.numerator < 0:
                 violations.append(
                     f"context {tuple(ctx)}: negative probability {p} at {pair}"
                 )
-            total += p
+        total = sum(table.values(), ZERO)
         if total != 1:
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
-    for ctx in system.pmfs:
+    for ctx in tables:
         if ctx not in seen:
-            violations.append(f"pmf for undeclared context {tuple(ctx)}")
+            violations.append(f"{kind} for undeclared context {tuple(ctx)}")
     return violations
 
 

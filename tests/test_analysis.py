@@ -161,6 +161,52 @@ class TestClassify:
             "context ('1', '1'): negative probability -1/2 at ('1', '1')"
         ]
 
+    @pytest.mark.parametrize(
+        "decide, spec, violations",
+        [
+            (
+                classify_support,
+                make_support("out", BIN, BIN, {("1", "1"): [("7", "0")]}),
+                ["context ('1', '1'): pair ('7', '0') outside alphabet product"],
+            ),
+            (
+                classify_support,
+                make_support("unknown", BIN, BIN, {("9", "1"): [("0", "0")]}),
+                ["context ('9', '1'): unknown A-setting '9'"],
+            ),
+            (
+                classify,
+                make_system(
+                    "empty",
+                    {"1": ("0", "1"), "2": ()},
+                    BIN,
+                    {("1", "1"): {("0", "0"): Fraction(1)}},
+                ),
+                ["A-setting '2': alphabet must be non-empty and duplicate-free"],
+            ),
+            (
+                fine_oracle,
+                make_system(
+                    "half",
+                    BIN,
+                    BIN,
+                    {(x, y): {("0", "0"): HALF} for x in BIN for y in BIN},
+                ),
+                [f"context ('{x}', '{y}'): sum 1/2 != 1" for x in BIN for y in BIN],
+            ),
+        ],
+        ids=[
+            "support-outside-alphabet",
+            "support-unknown-setting",
+            "empty-alphabet",
+            "oracle-half-sum",
+        ],
+    )
+    def test_every_entry_point_validates(self, decide, spec, violations):
+        with pytest.raises(InvalidSystemError) as exc:
+            decide(spec)
+        assert exc.value.violations == violations
+
 
 class TestCertificateChecks:
     """A wrong solver outcome must be refused, also under `python -O`."""
@@ -177,6 +223,20 @@ class TestCertificateChecks:
         monkeypatch.setattr(analysis, "solve_feasibility", wrong)
         with pytest.raises(CertificateError):
             classify(system)
+
+    def test_lp_of_another_system_raises(self, monkeypatch):
+        # The solver answers its LP correctly, but the LP holds d1's
+        # probabilities: only a check of the decomposition against the input
+        # itself can see that.
+        build = analysis._membership_problem
+        d1 = get("d1").system
+        monkeypatch.setattr(
+            analysis,
+            "_membership_problem",
+            lambda system, columns, pairs_of: build(d1, columns, pairs_of),
+        )
+        with pytest.raises(CertificateError):
+            classify(mix([(d1, HALF), (get("d2").system, HALF)]))
 
 
 class TestDecompositionReproduces:

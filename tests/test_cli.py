@@ -93,8 +93,12 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"name": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
-        ids=["not-utf8", "nested-100000-deep"],
+        [
+            b'{"name": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"name": "x", "a_settings": [[1]], "b_settings": [], "a_alphabet": {}}',
+        ],
+        ids=["not-utf8", "nested-100000-deep", "unhashable-setting"],
     )
     def test_malformed_file_exit_2(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -108,6 +112,13 @@ class TestAnalyze:
         report = run_json(capsys, "analyze", "--builtin", "d_prime_eprb")
         assert report["verdict"] == "signaling"
         assert report["nonsignaling"]["side"] == "A"
+
+    def test_negative_limit_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "analyze", "--builtin", "ksp_support", "--limit", "-1"
+        )
+        assert code == 1
+        assert out == ""
 
     def test_limit_exceeded_exit_2(self, capsys):
         code, out, err = run(
