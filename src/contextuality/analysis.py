@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import lcm
 from typing import Mapping
 
 from .feasibility import (
@@ -238,7 +240,43 @@ def _witness_from_certificate(
     witness = BellWitness(coefficients=coefficients, bound=bound)
     if not witness_score(witness, system) > bound:
         raise CertificateError("the system does not beat the witness bound")
+    # The columns bound only the realizations they list; check all of them.
+    if _local_bound(witness, system) > bound:
+        raise CertificateError("a realization beats the witness bound")
     return witness
+
+
+def _local_bound(witness: BellWitness, system: SystemSpec) -> Fraction:
+    """Exact largest witness score of any (f, g) over the full alphabets.
+
+    For each f over the A-settings the best g is picked setting by setting:
+    B-setting y adds the largest, over its outcomes b, of the coefficients
+    at (ctx, f[x], b) summed over its contexts ctx = (x, y).  Sums run over
+    integers, the coefficients times their common denominator.
+    """
+    scale = lcm(*(c.denominator for c in witness.coefficients.values()))
+    # terms[y][x][a][b]: the scaled coefficient at ((x, y), a, b).
+    terms: dict[str, dict[str, dict[Outcome, dict[Outcome, int]]]] = {}
+    for (ctx, a, b), c in witness.coefficients.items():
+        by_a = terms.setdefault(ctx.y, {}).setdefault(ctx.x, {})
+        by_a.setdefault(a, {})[b] = c.numerator * (scale // c.denominator)
+
+    def best_score(f: dict[str, Outcome]) -> int:
+        total = 0
+        for y, by_x in terms.items():
+            sums = dict.fromkeys(system.b_alphabet[y], 0)
+            for x, by_a in by_x.items():
+                for b, c in by_a.get(f[x], {}).items():
+                    sums[b] += c
+            total += max(sums.values())
+        return total
+
+    xs = list(dict.fromkeys(ctx.x for ctx, _, _ in witness.coefficients))
+    best = max(
+        best_score(dict(zip(xs, outcomes)))
+        for outcomes in product(*(system.a_alphabet[x] for x in xs))
+    )
+    return Fraction(best, scale)
 
 
 def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -255,7 +293,8 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     SignalingSystemError on signaling input; contextuality is only defined
     here for non-signaling systems.  Raises CertificateError if the returned
     decomposition or witness fails the check a reader would run on it:
-    `decomposition_reproduces`, or the system beating the witness bound.
+    `decomposition_reproduces`, or the system beating the witness bound
+    while no realization over the full alphabets does.
     """
     _require_valid(system)
     sw = check_nonsignaling(system)

@@ -1,4 +1,4 @@
-"""Shared random generators for property-style tests.
+"""Shared random generators and a reference LP solver for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -11,6 +11,13 @@ import random
 from fractions import Fraction
 
 from contextuality import make_system, mix
+from contextuality.feasibility import (
+    ONE,
+    ZERO,
+    FarkasCertificate,
+    FeasibilityProblem,
+    FeasibleSolution,
+)
 from contextuality.systems import SystemSpec
 
 BIN = ("0", "1")
@@ -80,3 +87,65 @@ def random_ns_mixture(rng: random.Random, max_components: int = 5) -> SystemSpec
         [(s, Fraction(w, total)) for s, w in zip(systems, weights)],
         name="random-mixture",
     )
+
+
+def dense_bland_solve(problem: FeasibilityProblem) -> FeasibleSolution | FarkasCertificate:
+    """Reference phase-one simplex on a dense `Fraction` tableau.
+
+    The same Bland's rule as `solve_feasibility`, in the plainest form:
+    tests require the two to return equal outcomes.
+    """
+    m, n = problem.num_rows, problem.num_cols
+    flip = [(-1 if problem.rhs[i] < 0 else 1) for i in range(m)]
+    # Tableau columns: n original variables, m artificials, then rhs.
+    tab = [
+        [flip[i] * v for v in problem.matrix[i]]
+        + [ONE if j == i else ZERO for j in range(m)]
+        + [flip[i] * problem.rhs[i]]
+        for i in range(m)
+    ]
+    basis = [n + i for i in range(m)]
+
+    # Reduced costs of "minimize the sum of artificials" on the artificial basis.
+    obj = [ZERO] * (n + m) + [ZERO]
+    for j in range(n + m):
+        cj = ZERO if j < n else ONE
+        obj[j] = cj - sum(tab[i][j] for i in range(m))
+    obj[n + m] = -sum(tab[i][n + m] for i in range(m))
+
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][n + m] / tab[i][enter]
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-one simplex reported unbounded")
+        pivot = tab[leave][enter]
+        tab[leave] = [v / pivot for v in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        obj = [v - f * w for v, w in zip(obj, tab[leave])]
+        basis[leave] = enter
+
+    if obj[n + m] == 0:
+        p = [ZERO] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                p[b] = tab[i][n + m]
+        return FeasibleSolution(p=tuple(p))
+    # y_j = c_j - obj[n + j] on the artificial columns, rows flipped back.
+    return FarkasCertificate(y=tuple(flip[i] * (ONE - obj[n + i]) for i in range(m)))

@@ -26,7 +26,7 @@ from contextuality import (
     witness_score,
 )
 from contextuality import analysis
-from contextuality.analysis import Decomposition
+from contextuality.analysis import BellWitness, Decomposition
 from contextuality.feasibility import FarkasCertificate, FeasibleSolution
 from contextuality.systems import Context
 
@@ -238,6 +238,18 @@ class TestCertificateChecks:
         with pytest.raises(CertificateError):
             classify(mix([(d1, HALF), (get("d2").system, HALF)]))
 
+    def test_missing_column_raises(self, monkeypatch):
+        # Without one of its realizations the noncontextual half mix gets a
+        # Farkas certificate whose witness the dropped realization beats.
+        enumerate_all = analysis.enumerate_ns_realizations
+        monkeypatch.setattr(
+            analysis,
+            "enumerate_ns_realizations",
+            lambda support, limit: enumerate_all(support, limit)[1:],
+        )
+        with pytest.raises(CertificateError):
+            classify(mix([(get("d1").system, HALF), (get("d2").system, HALF)]))
+
 
 class TestDecompositionReproduces:
     def test_classify_output(self):
@@ -367,6 +379,24 @@ class TestWitness:
             # not only those classify used as columns
             for r in enumerate_ns_realizations(full_support(s)):
                 assert witness_score(v.witness, r) <= v.witness.bound
+
+    def test_local_bound_is_best_realization_score(self):
+        rng = random.Random(4242)
+        for _ in range(60):
+            s = random_ns_mixture(rng)
+            keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
+            w = BellWitness(
+                coefficients={
+                    key: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                    for key in rng.sample(keys, rng.randint(0, len(keys)))
+                },
+                bound=Fraction(0),
+            )
+            best = max(
+                witness_score(w, r)
+                for r in enumerate_ns_realizations(full_support(s))
+            )
+            assert analysis._local_bound(w, s) == best
 
 
 class TestHiddenVariableModel:

@@ -6,10 +6,16 @@ import pytest
 from contextuality import (
     FarkasCertificate,
     FeasibleSolution,
+    analysis,
+    enumerate_ns_realizations,
     make_problem,
+    mix,
     solve_feasibility,
+    support_of,
     verify,
 )
+
+from helpers import dense_bland_solve, random_deterministic_ns
 
 
 def test_normalization_only_is_feasible():
@@ -141,3 +147,58 @@ def test_mutual_exclusion():
                 )
             )
             assert not verify(problem, forged)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_equals_dense_reference_on_random_problems(seed):
+    rng = random.Random(seed)
+    for _ in range(500):
+        problem = _random_problem(rng)
+        assert solve_feasibility(problem) == dense_bland_solve(problem)
+
+
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[0, 1], [0, 0]], [1, 0]),  # a zero column, and a zero row
+        ([[0, 0], [0, 0]], [0, 1]),  # only zero columns, infeasible
+        ([[], []], [0, 0]),  # no columns, feasible
+        ([[]], [1]),  # no columns, infeasible
+        ([[-1, 0], [0, 1]], [-2, 1]),  # negative rhs
+        ([[1, -3], [-2, 1]], [-1, -1]),  # every rhs negative
+        (
+            # large coprime denominators: the row scales and their gcds
+            [
+                [Fraction(1, 7919), Fraction(1, 7907), 1],
+                [Fraction(1, 7907), Fraction(-1, 7919), Fraction(2, 7919)],
+                [1, 1, 1],
+            ],
+            [Fraction(1, 7919 * 7907), Fraction(1, 7907), 1],
+        ),
+    ],
+    ids=["zero-column", "zero-columns-only", "no-columns", "no-columns-infeasible",
+         "negative-rhs", "all-rhs-negative", "coprime-denominators"],
+)
+def test_equals_dense_reference_on_edge_cases(matrix, rhs):
+    problem = make_problem(matrix, rhs)
+    outcome = solve_feasibility(problem)
+    assert outcome == dense_bland_solve(problem)
+    assert verify(problem, outcome)
+
+
+@pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
+def test_equals_dense_reference_on_4x4_membership(columns_from):
+    rng = random.Random(3)
+    alph = {str(i): ("0", "1") for i in range(1, 5)}
+    parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
+    system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
+    other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
+    columns = enumerate_ns_realizations(
+        support_of(system if columns_from == "own" else other)
+    )
+    problem, _ = analysis._membership_problem(system, columns, system.pairs)
+    assert problem.num_rows == 65
+    outcome = solve_feasibility(problem)
+    assert outcome == dense_bland_solve(problem)
+    kind = FeasibleSolution if columns_from == "own" else FarkasCertificate
+    assert isinstance(outcome, kind)
