@@ -16,12 +16,7 @@ from itertools import product
 from math import lcm
 from typing import Mapping
 
-from .feasibility import (
-    FarkasCertificate,
-    FeasibleSolution,
-    make_problem,
-    solve_feasibility,
-)
+from .feasibility import FarkasCertificate, FeasibleSolution, solve_feasibility
 from .systems import (
     ONE,
     ZERO,
@@ -190,49 +185,50 @@ def _membership_problem(
     system: SystemSpec,
     realizations: tuple[Realization, ...],
     pairs_of,
-):
+) -> tuple[list[dict[int, int]], list[Fraction], list[tuple[Context, Pair]]]:
     """One row per (context, pair), one column per realization, plus
-    normalization; feasibility of M p = d, p >= 0 is exactly decomposability."""
-    rows: list[tuple[Context, Pair]] = []
-    for ctx in system.sorted_contexts():
-        for pair in pairs_of(ctx):
-            rows.append((ctx, pair))
-    matrix = [
-        [ONE if r.values[ctx] == pair else ZERO for r in realizations]
-        for ctx, pair in rows
-    ]
-    rhs = [system.prob(ctx, pair) for ctx, pair in rows]
-    matrix.append([ONE] * len(realizations))
-    rhs.append(ONE)
-    return make_problem(matrix, rhs), rows
+    normalization; feasibility of M p = d, p >= 0 is exactly decomposability.
+
+    Returns M as sparse rows, d, and the (context, pair) of each row but the
+    last.  Column j has a 1 in the row of each pair realization j gives, and
+    in the normalization row.
+    """
+    keys = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
+    index = {key: i for i, key in enumerate(keys)}
+    rows: list[dict[int, int]] = [{} for _ in keys]
+    for j, r in enumerate(realizations):
+        for key in r.values.items():
+            rows[index[key]][j] = 1
+    rows.append(dict.fromkeys(range(len(realizations)), 1))
+    rhs = [system.prob(ctx, pair) for ctx, pair in keys] + [ONE]
+    return rows, rhs, keys
 
 
 def _witness_from_certificate(
-    rows: list[tuple[Context, Pair]],
+    keys: list[tuple[Context, Pair]],
     certificate: FarkasCertificate,
-    realizations: tuple[Realization, ...],
     system: SystemSpec,
 ) -> BellWitness:
     coefficients = {
         (ctx, pair[0], pair[1]): y
-        for (ctx, pair), y in zip(rows, certificate.y)
+        for (ctx, pair), y in zip(keys, certificate.y)
         if y != 0
     }
-    witness = BellWitness(coefficients=coefficients, bound=ZERO)
-    # Normalize the bound to the best realization score; the Farkas
-    # inequalities guarantee the system still scores strictly above it.
-    bound = max(witness_score(witness, r) for r in realizations)
+    # Normalize the bound to the best score of a realization that uses only
+    # row pairs: the LP columns are exactly those realizations, so the
+    # Farkas inequalities guarantee the system still scores strictly above.
+    in_rows = set(keys)
+    bound = _local_bound(coefficients, system, in_rows)
     # A realization outside the columns uses some pair that is no row: on
     # the support path, a pair of probability zero.  On the rows it scores
     # at most the sum over contexts of max(0, largest row coefficient), so
     # charging each such pair -K, K that sum less the bound, holds it to the
     # bound as well, and leaves the system's score as it was.
     best: dict[Context, Fraction] = {}
-    for (ctx, _), y in zip(rows, certificate.y):
+    for (ctx, _), y in zip(keys, certificate.y):
         best[ctx] = max(best.get(ctx, ZERO), y)
     k = sum(best.values(), ZERO) - bound
     if k > 0:
-        in_rows = set(rows)
         for ctx in system.contexts:
             for a, b in system.pairs(ctx):
                 if (ctx, (a, b)) not in in_rows:
@@ -241,42 +237,55 @@ def _witness_from_certificate(
     if not witness_score(witness, system) > bound:
         raise CertificateError("the system does not beat the witness bound")
     # The columns bound only the realizations they list; check all of them.
-    if _local_bound(witness, system) > bound:
+    if _local_bound(coefficients, system) > bound:
         raise CertificateError("a realization beats the witness bound")
     return witness
 
 
-def _local_bound(witness: BellWitness, system: SystemSpec) -> Fraction:
-    """Exact largest witness score of any (f, g) over the full alphabets.
+def _local_bound(
+    coefficients: Mapping[tuple[Context, Outcome, Outcome], Fraction],
+    system: SystemSpec,
+    allowed: set[tuple[Context, Pair]] | None = None,
+) -> Fraction:
+    """Exact largest score of the coefficients on any (f, g) over the full
+    alphabets or, given `allowed`, on any (f, g) whose pair in every context
+    is an allowed (context, pair).
 
     For each f over the A-settings the best g is picked setting by setting:
-    B-setting y adds the largest, over its outcomes b, of the coefficients
-    at (ctx, f[x], b) summed over its contexts ctx = (x, y).  Sums run over
-    integers, the coefficients times their common denominator.
+    B-setting y takes, of the outcomes b allowed with f in each of its
+    contexts ctx = (x, y), the largest sum of the coefficients at
+    (ctx, f[x], b).  Sums run over integers, the coefficients times their
+    common denominator.
     """
-    scale = lcm(*(c.denominator for c in witness.coefficients.values()))
-    # terms[y][x][a][b]: the scaled coefficient at ((x, y), a, b).
-    terms: dict[str, dict[str, dict[Outcome, dict[Outcome, int]]]] = {}
-    for (ctx, a, b), c in witness.coefficients.items():
-        by_a = terms.setdefault(ctx.y, {}).setdefault(ctx.x, {})
-        by_a.setdefault(a, {})[b] = c.numerator * (scale // c.denominator)
+    scale = lcm(*(c.denominator for c in coefficients.values()))
+    scaled = {
+        key: c.numerator * (scale // c.denominator)
+        for key, c in coefficients.items()
+    }
+    contexts_of: dict[str, list[Context]] = {}
+    for ctx in system.sorted_contexts():
+        contexts_of.setdefault(ctx.y, []).append(ctx)
 
-    def best_score(f: dict[str, Outcome]) -> int:
+    def best_score(f: dict[str, Outcome]) -> int | None:
         total = 0
-        for y, by_x in terms.items():
-            sums = dict.fromkeys(system.b_alphabet[y], 0)
-            for x, by_a in by_x.items():
-                for b, c in by_a.get(f[x], {}).items():
-                    sums[b] += c
-            total += max(sums.values())
+        for y, contexts in contexts_of.items():
+            sums = [
+                sum(scaled.get((ctx, f[ctx.x], b), 0) for ctx in contexts)
+                for b in system.b_alphabet[y]
+                if allowed is None
+                or all((ctx, (f[ctx.x], b)) in allowed for ctx in contexts)
+            ]
+            if not sums:
+                return None  # no g goes with this f
+            total += max(sums)
         return total
 
-    xs = list(dict.fromkeys(ctx.x for ctx, _, _ in witness.coefficients))
-    best = max(
+    xs = system.a_settings
+    scores = (
         best_score(dict(zip(xs, outcomes)))
         for outcomes in product(*(system.a_alphabet[x] for x in xs))
     )
-    return Fraction(best, scale)
+    return Fraction(max(s for s in scores if s is not None), scale)
 
 
 def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -311,8 +320,8 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         # Certify against the alphabet-wide set, never empty for a valid system.
         columns = enumerate_ns_realizations(full_support(system), limit)
         pairs_of = system.pairs
-    problem, rows = _membership_problem(system, columns, pairs_of)
-    outcome = solve_feasibility(problem)
+    rows, rhs, keys = _membership_problem(system, columns, pairs_of)
+    outcome = solve_feasibility(rows, rhs, len(columns))
     if isinstance(outcome, FeasibleSolution):
         # Keep every nonzero weight: a negative one must fail the check, not vanish.
         decomposition = Decomposition(
@@ -327,7 +336,7 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         )
     return Verdict(
         kind="contextual",
-        witness=_witness_from_certificate(rows, outcome, columns, system),
+        witness=_witness_from_certificate(keys, outcome, system),
         realization_count=len(realizations),
     )
 

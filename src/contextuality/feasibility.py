@@ -1,16 +1,17 @@
 """Exact rational linear feasibility with Farkas certificates.
 
 Decides whether M p = d has a solution p >= 0, by an exact sparse
-fraction-free phase-one simplex with Bland's anti-cycling rule.  Each
-tableau row is a dict of nonzero integers, a positive multiple of the
-rational row; a pivot on entry p of row r at column e sets every other row
-to p*row - row[e]*row_r and divides out its gcd (fraction-free elimination
+fraction-free phase-one simplex with Bland's anti-cycling rule.  M arrives
+as one sparse row {column: rational} per constraint.  Each tableau row is
+a dict of nonzero integers, a positive multiple of the rational row; a
+pivot on entry p of row r at column e sets every other row to
+p*row - row[e]*row_r and divides out its gcd (fraction-free elimination
 in the style of Edmonds 1967 and Bareiss 1968), and the ratio test
 cross-multiplies.  Positive row scales change no sign or ratio that Bland's
 rule reads, so pivots and results are those of the rational tableau.
 Infeasible problems yield a dual vector y with y^T M <= 0 and y^T d > 0,
-extracted from the final tableau; both outcomes are checkable by `verify`
-with no access to solver state.
+extracted from the final tableau.  Callers check the outcomes they use:
+`classify` checks its decomposition and witness against the input system.
 """
 
 from __future__ import annotations
@@ -25,31 +26,6 @@ SCALE = -1  # column of the objective row that holds its denominator
 
 
 @dataclass(frozen=True)
-class FeasibilityProblem:
-    """Find p >= 0 with matrix @ p == rhs (all entries Fraction)."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.matrix) != len(self.rhs):
-            raise ValueError(
-                f"{len(self.matrix)} rows but {len(self.rhs)} rhs entries"
-            )
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
-            raise ValueError("ragged constraint matrix")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.matrix)
-
-    @property
-    def num_cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
-
-
-@dataclass(frozen=True)
 class FeasibleSolution:
     p: tuple[Fraction, ...]
 
@@ -57,17 +33,6 @@ class FeasibleSolution:
 @dataclass(frozen=True)
 class FarkasCertificate:
     y: tuple[Fraction, ...]
-
-
-def make_problem(matrix, rhs) -> FeasibilityProblem:
-    """The problem with every entry exact; Fraction entries are kept as is."""
-    return FeasibilityProblem(
-        matrix=tuple(
-            tuple(v if isinstance(v, Fraction) else Fraction(v) for v in row)
-            for row in matrix
-        ),
-        rhs=tuple(v if isinstance(v, Fraction) else Fraction(v) for v in rhs),
-    )
 
 
 def _integer_row(entries) -> dict[int, int]:
@@ -100,29 +65,35 @@ def _combine(row: dict[int, int], a: int, pivot_row: dict[int, int], p: int):
 
 
 def solve_feasibility(
-    problem: FeasibilityProblem,
+    rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], num_cols: int
 ) -> FeasibleSolution | FarkasCertificate:
     """Phase-one simplex; deterministic for a fixed problem (Bland's rule).
 
+    Row i of M is rows[i], {column: entry} with columns in [0, num_cols)
+    and absent entries zero; d is rhs.  Entries may be int or Fraction.
     The tableau holds sparse integer rows.  Row i stands for the rational
     row tab[i] / tab[i][basis[i]], which has 1 in its basic column; the
     objective stands for obj / obj[SCALE].  Every stored row is a positive
     multiple of the rational one, so each sign and ratio Bland's rule reads,
     and thus the whole pivot sequence, is that of the rational tableau.
     """
-    m, n = problem.num_rows, problem.num_cols
-    rhs = n + m  # column index of the right-hand side
+    if len(rows) != len(rhs):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} rhs entries")
+    if any(not 0 <= j < num_cols for row in rows for j in row):
+        raise ValueError(f"a column index outside [0, {num_cols})")
+    m, n = len(rows), num_cols
+    d_col = n + m  # column index of the right-hand side
 
     # Flip rows so the rhs is nonnegative; remember flips to map the
     # certificate back to original coordinates.
-    flip = [(-1 if d < 0 else 1) for d in problem.rhs]
+    flip = [(-1 if d < 0 else 1) for d in rhs]
     # Tableau columns: n original variables, m artificials, then rhs.
     tab = []
-    for i, (row, d) in enumerate(zip(problem.matrix, problem.rhs)):
-        entries = [(j, v) for j, v in enumerate(row) if v]
+    for i, (row, d) in enumerate(zip(rows, rhs)):
+        entries = [(j, v) for j, v in row.items() if v]
         entries.append((n + i, flip[i]))
         if d:
-            entries.append((rhs, d))
+            entries.append((d_col, d))
         int_row = _integer_row(entries)
         tab.append(int_row if flip[i] > 0 else {j: -v for j, v in int_row.items()})
     basis = [n + i for i in range(m)]
@@ -142,7 +113,7 @@ def solve_feasibility(
 
     while True:
         # Bland: lowest-index column with negative reduced cost.
-        enter = min((j for j, v in obj.items() if v < 0 and j != rhs), default=None)
+        enter = min((j for j, v in obj.items() if v < 0 and j != d_col), default=None)
         if enter is None:
             break
         # Ratio test by cross-multiplication; ties broken by lowest basic
@@ -151,7 +122,7 @@ def solve_feasibility(
         for i, row in enumerate(tab):
             e = row.get(enter, 0)
             if e > 0:
-                d = row.get(rhs, 0)
+                d = row.get(d_col, 0)
                 if leave is None:
                     leave, num, den = i, d, e
                     continue
@@ -171,11 +142,11 @@ def solve_feasibility(
         obj = _combine(obj, obj[enter], pivot_row, p)
         basis[leave] = enter
 
-    if rhs not in obj:
+    if d_col not in obj:
         solution = [ZERO] * n
         for row, b in zip(tab, basis):
-            if b < n and rhs in row:
-                solution[b] = Fraction(row[rhs], row[b])
+            if b < n and d_col in row:
+                solution[b] = Fraction(row[d_col], row[b])
         return FeasibleSolution(p=tuple(solution))
 
     # Infeasible: the optimal dual of the phase-one LP is a Farkas vector.
@@ -185,26 +156,3 @@ def solve_feasibility(
         flip[i] * (ONE - Fraction(obj.get(n + i, 0), obj[SCALE])) for i in range(m)
     )
     return FarkasCertificate(y=y)
-
-
-def verify(
-    problem: FeasibilityProblem,
-    outcome: FeasibleSolution | FarkasCertificate,
-) -> bool:
-    """Re-check the defining (in)equalities exactly, independent of the solver."""
-    m, n = problem.num_rows, problem.num_cols
-    if isinstance(outcome, FeasibleSolution):
-        if len(outcome.p) != n or any(v < 0 for v in outcome.p):
-            return False
-        for row, d in zip(problem.matrix, problem.rhs):
-            if sum(r * v for r, v in zip(row, outcome.p)) != d:
-                return False
-        return True
-    if isinstance(outcome, FarkasCertificate):
-        if len(outcome.y) != m:
-            return False
-        for j in range(n):
-            if sum(outcome.y[i] * problem.matrix[i][j] for i in range(m)) > 0:
-                return False
-        return sum(y * d for y, d in zip(outcome.y, problem.rhs)) > 0
-    return False

@@ -35,7 +35,10 @@ def parse_rational(text: Any) -> Fraction:
         )
     if not _RATIONAL_RE.match(text):
         raise SystemFileError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ValueError as exc:  # past the interpreter's int-string digit limit
+        raise SystemFileError(f"rational literal too long: {len(text)} characters") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -166,7 +169,7 @@ def system_to_doc(system: SystemSpec | SupportSpec) -> dict:
 def loads_system(text: str) -> SystemSpec | SupportSpec:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise SystemFileError(f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise SystemFileError("invalid JSON: nested too deeply") from exc

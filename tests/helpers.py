@@ -1,4 +1,4 @@
-"""Shared random generators and a reference LP solver for tests.
+"""Shared random generators and a dense reference LP for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -8,16 +8,11 @@ non-signaling holds by construction with no tolerance.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from contextuality import make_system, mix
-from contextuality.feasibility import (
-    ONE,
-    ZERO,
-    FarkasCertificate,
-    FeasibilityProblem,
-    FeasibleSolution,
-)
+from contextuality.feasibility import ONE, ZERO, FarkasCertificate, FeasibleSolution
 from contextuality.systems import SystemSpec
 
 BIN = ("0", "1")
@@ -87,6 +82,73 @@ def random_ns_mixture(rng: random.Random, max_components: int = 5) -> SystemSpec
         [(s, Fraction(w, total)) for s, w in zip(systems, weights)],
         name="random-mixture",
     )
+
+
+@dataclass(frozen=True)
+class FeasibilityProblem:
+    """Find p >= 0 with matrix @ p == rhs (all entries Fraction), dense."""
+
+    matrix: tuple[tuple[Fraction, ...], ...]
+    rhs: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        if len(self.matrix) != len(self.rhs):
+            raise ValueError(
+                f"{len(self.matrix)} rows but {len(self.rhs)} rhs entries"
+            )
+        widths = {len(row) for row in self.matrix}
+        if len(widths) > 1:
+            raise ValueError("ragged constraint matrix")
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.matrix)
+
+    @property
+    def num_cols(self) -> int:
+        return len(self.matrix[0]) if self.matrix else 0
+
+
+def make_problem(matrix, rhs) -> FeasibilityProblem:
+    """The dense problem with every entry exact."""
+    return FeasibilityProblem(
+        matrix=tuple(tuple(Fraction(v) for v in row) for row in matrix),
+        rhs=tuple(Fraction(v) for v in rhs),
+    )
+
+
+def sparse_rows(problem: FeasibilityProblem):
+    """The arguments `solve_feasibility` takes for a dense problem."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in problem.matrix]
+    return rows, list(problem.rhs), problem.num_cols
+
+
+def dense_problem(rows, rhs, num_cols: int) -> FeasibilityProblem:
+    """The dense problem of `solve_feasibility`'s sparse arguments."""
+    return make_problem([[row.get(j, 0) for j in range(num_cols)] for row in rows], rhs)
+
+
+def verify(
+    problem: FeasibilityProblem,
+    outcome: FeasibleSolution | FarkasCertificate,
+) -> bool:
+    """Re-check the defining (in)equalities exactly, independent of the solver."""
+    m, n = problem.num_rows, problem.num_cols
+    if isinstance(outcome, FeasibleSolution):
+        if len(outcome.p) != n or any(v < 0 for v in outcome.p):
+            return False
+        for row, d in zip(problem.matrix, problem.rhs):
+            if sum(r * v for r, v in zip(row, outcome.p)) != d:
+                return False
+        return True
+    if isinstance(outcome, FarkasCertificate):
+        if len(outcome.y) != m:
+            return False
+        for j in range(n):
+            if sum(outcome.y[i] * problem.matrix[i][j] for i in range(m)) > 0:
+                return False
+        return sum(y * d for y, d in zip(outcome.y, problem.rhs)) > 0
+    return False
 
 
 def dense_bland_solve(problem: FeasibilityProblem) -> FeasibleSolution | FarkasCertificate:

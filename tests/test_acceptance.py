@@ -28,14 +28,13 @@ from contextuality import (
     pair_as_mixture,
     peres_rays,
     solve_feasibility,
-    verify,
     witness_score,
 )
 from contextuality.feasibility import FarkasCertificate, FeasibleSolution
 from contextuality.peres import collinear
 from contextuality.systems import Context
 
-from helpers import random_ns_2x2, random_ns_mixture
+from helpers import make_problem, random_ns_2x2, random_ns_mixture, sparse_rows, verify
 
 HALF = Fraction(1, 2)
 
@@ -191,10 +190,8 @@ def test_certificate_soundness():
             [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
         ]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        from contextuality import make_problem
-
         problem = make_problem(matrix, rhs)
-        outcome = solve_feasibility(problem)
+        outcome = solve_feasibility(*sparse_rows(problem))
         ok &= verify(problem, outcome)
         if isinstance(outcome, FeasibleSolution) and n:
             forged = FeasibleSolution(

@@ -214,8 +214,8 @@ class TestCertificateChecks:
     @pytest.mark.parametrize(
         "system, wrong",
         [
-            (get("d_eprb").system, lambda lp: FeasibleSolution(p=(Fraction(2),) * lp.num_cols)),
-            (conspiracy_system(), lambda lp: FarkasCertificate(y=(Fraction(0),) * lp.num_rows)),
+            (get("d_eprb").system, lambda rows, rhs, n: FeasibleSolution(p=(Fraction(2),) * n)),
+            (conspiracy_system(), lambda rows, rhs, n: FarkasCertificate(y=(Fraction(0),) * len(rows))),
         ],
         ids=["feasible", "farkas"],
     )
@@ -396,7 +396,16 @@ class TestWitness:
                 witness_score(w, r)
                 for r in enumerate_ns_realizations(full_support(s))
             )
-            assert analysis._local_bound(w, s) == best
+            assert analysis._local_bound(w.coefficients, s) == best
+            # restricted to the support pairs: the best support realization
+            support = support_of(s)
+            allowed = {
+                (ctx, pair) for ctx, pairs in support.supports.items() for pair in pairs
+            }
+            best = max(
+                witness_score(w, r) for r in enumerate_ns_realizations(support)
+            )
+            assert analysis._local_bound(w.coefficients, s, allowed) == best
 
 
 class TestHiddenVariableModel:

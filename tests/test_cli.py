@@ -1,14 +1,33 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import contextuality
 from contextuality import get, witness_score
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
 from contextuality.systems import Context
+
+
+def pmf_file(p: str) -> bytes:
+    """A one-context system file whose single pmf entry has probability p."""
+    alphabet = {"1": ["0"]}
+    context = {"x": "1", "y": "1", "pmf": [{"a": "0", "b": "0", "p": p}]}
+    doc = {
+        "name": "x",
+        "a_settings": ["1"],
+        "b_settings": ["1"],
+        "a_alphabet": alphabet,
+        "b_alphabet": alphabet,
+        "contexts": [context],
+    }
+    return json.dumps(doc).encode()
 
 
 def run(capsys, *argv):
@@ -97,8 +116,18 @@ class TestAnalyze:
             b'{"name": "\xff"}',
             b"[" * 100_000 + b"]" * 100_000,
             b'{"name": "x", "a_settings": [[1]], "b_settings": [], "a_alphabet": {}}',
+            pmf_file("1" * 5000),
+            pmf_file("1/1" + "0" * 4999),
+            b'{"name": ' + b"1" * 5000 + b"}",
         ],
-        ids=["not-utf8", "nested-100000-deep", "unhashable-setting"],
+        ids=[
+            "not-utf8",
+            "nested-100000-deep",
+            "unhashable-setting",
+            "p-5000-digits",
+            "denominator-5000-digits",
+            "json-number-5000-digits",
+        ],
     )
     def test_malformed_file_exit_2(self, capsys, tmp_path, content):
         path = tmp_path / "bad.json"
@@ -256,3 +285,21 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, "analyze", "--builtin", "conspiracy")
     _, out2, _ = run(capsys, "analyze", "--builtin", "conspiracy")
     assert out1 == out2
+
+
+def test_runtime_imports_only_stdlib():
+    # Every top-level module that importing the package and its CLI loads,
+    # beyond what the interpreter loaded at start-up, is stdlib or our own.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextuality, contextuality.cli\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'contextuality'}))\n"
+    )
+    paths = [str(Path(contextuality.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "[]\n"

@@ -8,19 +8,24 @@ from contextuality import (
     FeasibleSolution,
     analysis,
     enumerate_ns_realizations,
-    make_problem,
     mix,
     solve_feasibility,
     support_of,
-    verify,
 )
 
-from helpers import dense_bland_solve, random_deterministic_ns
+from helpers import (
+    dense_bland_solve,
+    dense_problem,
+    make_problem,
+    random_deterministic_ns,
+    sparse_rows,
+    verify,
+)
 
 
 def test_normalization_only_is_feasible():
     problem = make_problem([[1, 1]], [1])
-    outcome = solve_feasibility(problem)
+    outcome = solve_feasibility(*sparse_rows(problem))
     assert isinstance(outcome, FeasibleSolution)
     assert outcome.p == (Fraction(1), Fraction(0))
     assert verify(problem, outcome)
@@ -28,7 +33,7 @@ def test_normalization_only_is_feasible():
 
 def test_contradictory_rows_give_certificate():
     problem = make_problem([[1, 1], [1, 1]], [1, 2])
-    outcome = solve_feasibility(problem)
+    outcome = solve_feasibility(*sparse_rows(problem))
     assert isinstance(outcome, FarkasCertificate)
     assert verify(problem, outcome)
     assert sum(y * d for y, d in zip(outcome.y, problem.rhs)) > 0
@@ -36,33 +41,36 @@ def test_contradictory_rows_give_certificate():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        make_problem([[1, 1]], [1, 2])
+        solve_feasibility([{0: 1, 1: 1}], [1, 2], 2)
     with pytest.raises(ValueError):
-        make_problem([[1, 1], [1]], [1, 2])
+        solve_feasibility([{0: 1, 1: 1}, {2: 1}], [1, 2], 2)
+    with pytest.raises(ValueError):
+        solve_feasibility([{-1: 1}], [1], 2)
 
 
 def test_zero_columns_and_duplicate_columns_are_legal():
+    def solve(matrix, rhs):
+        return solve_feasibility(*sparse_rows(make_problem(matrix, rhs)))
+
     # a column of zeros
-    outcome = solve_feasibility(make_problem([[0, 1]], [1]))
-    assert isinstance(outcome, FeasibleSolution)
+    assert isinstance(solve([[0, 1]], [1]), FeasibleSolution)
     # duplicate columns
-    outcome = solve_feasibility(make_problem([[2, 2], [1, 1]], [2, 1]))
-    assert isinstance(outcome, FeasibleSolution)
+    assert isinstance(solve([[2, 2], [1, 1]], [2, 1]), FeasibleSolution)
     # no columns at all: feasible iff rhs is zero
-    assert isinstance(solve_feasibility(make_problem([[], []], [0, 0])), FeasibleSolution)
-    assert isinstance(solve_feasibility(make_problem([[]], [1])), FarkasCertificate)
+    assert isinstance(solve([[], []], [0, 0]), FeasibleSolution)
+    assert isinstance(solve([[]], [1]), FarkasCertificate)
 
 
 def test_negative_rhs_handled():
     problem = make_problem([[-1, 0], [0, 1]], [-2, 1])
-    outcome = solve_feasibility(problem)
+    outcome = solve_feasibility(*sparse_rows(problem))
     assert isinstance(outcome, FeasibleSolution)
     assert outcome.p[0] == 2
 
 
 def test_verify_rejects_forgeries():
     problem = make_problem([[1, 1], [1, -1]], [1, 0])
-    outcome = solve_feasibility(problem)
+    outcome = solve_feasibility(*sparse_rows(problem))
     assert isinstance(outcome, FeasibleSolution)
     assert verify(problem, outcome)
     # negate one entry of the solution
@@ -72,7 +80,7 @@ def test_verify_rejects_forgeries():
     assert not verify(problem, FarkasCertificate(y=(Fraction(0), Fraction(0))))
 
     infeasible = make_problem([[1, 1], [1, 1]], [1, 2])
-    cert = solve_feasibility(infeasible)
+    cert = solve_feasibility(*sparse_rows(infeasible))
     assert isinstance(cert, FarkasCertificate)
     # y with y.d = 0 must fail: strict inequality is required
     assert not verify(infeasible, FarkasCertificate(y=(Fraction(0), Fraction(0))))
@@ -99,7 +107,7 @@ def test_soundness_on_random_problems():
     rng = random.Random(99)
     for _ in range(300):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(problem)
+        outcome = solve_feasibility(*sparse_rows(problem))
         assert verify(problem, outcome)
 
 
@@ -107,14 +115,15 @@ def test_determinism():
     rng = random.Random(5)
     for _ in range(50):
         problem = _random_problem(rng)
-        assert solve_feasibility(problem) == solve_feasibility(problem)
+        args = sparse_rows(problem)
+        assert solve_feasibility(*args) == solve_feasibility(*args)
 
 
 def test_row_scaling_preserves_verdict_kind():
     rng = random.Random(17)
     for _ in range(100):
         problem = _random_problem(rng)
-        kind = type(solve_feasibility(problem))
+        kind = type(solve_feasibility(*sparse_rows(problem)))
         scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in problem.rhs]
         scaled = make_problem(
             [
@@ -123,14 +132,14 @@ def test_row_scaling_preserves_verdict_kind():
             ],
             [s * d for s, d in zip(scales, problem.rhs)],
         )
-        assert type(solve_feasibility(scaled)) is kind
+        assert type(solve_feasibility(*sparse_rows(scaled))) is kind
 
 
 def test_mutual_exclusion():
     rng = random.Random(41)
     for _ in range(100):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(problem)
+        outcome = solve_feasibility(*sparse_rows(problem))
         if isinstance(outcome, FeasibleSolution):
             # no certificate can verify against a feasible problem
             forged = FarkasCertificate(
@@ -154,7 +163,7 @@ def test_equals_dense_reference_on_random_problems(seed):
     rng = random.Random(seed)
     for _ in range(500):
         problem = _random_problem(rng)
-        assert solve_feasibility(problem) == dense_bland_solve(problem)
+        assert solve_feasibility(*sparse_rows(problem)) == dense_bland_solve(problem)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +190,7 @@ def test_equals_dense_reference_on_random_problems(seed):
 )
 def test_equals_dense_reference_on_edge_cases(matrix, rhs):
     problem = make_problem(matrix, rhs)
-    outcome = solve_feasibility(problem)
+    outcome = solve_feasibility(*sparse_rows(problem))
     assert outcome == dense_bland_solve(problem)
     assert verify(problem, outcome)
 
@@ -196,9 +205,9 @@ def test_equals_dense_reference_on_4x4_membership(columns_from):
     columns = enumerate_ns_realizations(
         support_of(system if columns_from == "own" else other)
     )
-    problem, _ = analysis._membership_problem(system, columns, system.pairs)
-    assert problem.num_rows == 65
-    outcome = solve_feasibility(problem)
-    assert outcome == dense_bland_solve(problem)
+    rows, rhs, _ = analysis._membership_problem(system, columns, system.pairs)
+    assert len(rows) == 65
+    outcome = solve_feasibility(rows, rhs, len(columns))
+    assert outcome == dense_bland_solve(dense_problem(rows, rhs, len(columns)))
     kind = FeasibleSolution if columns_from == "own" else FarkasCertificate
     assert isinstance(outcome, kind)
