@@ -4,8 +4,28 @@ A system is noncontextual iff it is a convex mixture of its non-signaling
 realizations, i.e. of pairs of per-side setting functions compatible with
 every context's support.  The decision is an exact linear feasibility
 problem: one column per non-signaling realization, one row per supported
-outcome pair of each context, plus normalization.  A feasible point is a
-decomposition; a Farkas certificate folds into a Bell-type witness.
+outcome pair of each context that the rule below keeps, plus
+normalization.  A feasible point is a decomposition; a Farkas certificate
+folds into a Bell-type witness.
+
+The rule keeps the rows Collins & Gisin (2004, arXiv:quant-ph/0306129)
+count as independent.  In context c = (x, y), let a and b be the last
+outcomes of x and y.  The row of (a, b) goes; the row of (a, b') goes
+unless c is the first context (sorted order) holding y; the row of (a', b)
+goes unless c is the first holding x.  Nothing is lost.  Every column is a
+deterministic (f, g), and the system has passed `check_nonsignaling`, so
+on both the entries of (a'', b') summed over a'' give the B-marginal of b'
+at y, the same in every context holding y.  In the first one, c_y, every
+row (a'', b') with b' not last is kept, so row (a, b') of c is that sum in
+c_y less the kept rows (a'', b'), a'' != a, of c; (a', b) is the mirror
+image, and (a, b) is normalization less every other pair of c.  Pairs
+outside the support have all-zero rows on both sides, so the identities
+hold among the supported rows alone.  Each dropped row is thus one fixed
+combination of kept rows, on every column and on the system alike: the
+two LPs have the same solutions, and a Farkas y on the kept rows, zero on
+the dropped ones, certifies the full LP.  At full support this takes 65
+rows to 25 at 4x4 binary, 82 to 49 at 3x3 ternary and 101 to 36 at 5x5
+binary.
 """
 
 from __future__ import annotations
@@ -184,21 +204,37 @@ def full_support(system: SystemSpec) -> SupportSpec:
 def _membership_problem(
     system: SystemSpec,
     realizations: tuple[Realization, ...],
-    pairs_of,
+    supported: list[tuple[Context, Pair]],
 ) -> tuple[list[dict[int, int]], list[Fraction], list[tuple[Context, Pair]]]:
-    """One row per (context, pair), one column per realization, plus
-    normalization; feasibility of M p = d, p >= 0 is exactly decomposability.
+    """One row per supported (context, pair) the Collins-Gisin rule keeps
+    (module docstring), one column per realization, plus normalization;
+    feasibility of M p = d, p >= 0 is exactly decomposability.
 
     Returns M as sparse rows, d, and the (context, pair) of each row but the
-    last.  Column j has a 1 in the row of each pair realization j gives, and
-    in the normalization row.
+    last.  Column j has a 1 in the row of each kept pair realization j
+    gives, and in the normalization row.
     """
-    keys = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
+    first_with_x: dict[str, Context] = {}
+    first_with_y: dict[str, Context] = {}
+    for ctx in system.sorted_contexts():
+        first_with_x.setdefault(ctx.x, ctx)
+        first_with_y.setdefault(ctx.y, ctx)
+    keys = []
+    for ctx, (a, b) in supported:
+        a_last = a == system.a_alphabet[ctx.x][-1]
+        b_last = b == system.b_alphabet[ctx.y][-1]
+        if a_last and (b_last or ctx != first_with_y[ctx.y]):
+            continue
+        if b_last and ctx != first_with_x[ctx.x]:
+            continue
+        keys.append((ctx, (a, b)))
     index = {key: i for i, key in enumerate(keys)}
     rows: list[dict[int, int]] = [{} for _ in keys]
     for j, r in enumerate(realizations):
         for key in r.values.items():
-            rows[index[key]][j] = 1
+            i = index.get(key)
+            if i is not None:
+                rows[i][j] = 1
     rows.append(dict.fromkeys(range(len(realizations)), 1))
     rhs = [system.prob(ctx, pair) for ctx, pair in keys] + [ONE]
     return rows, rhs, keys
@@ -208,6 +244,7 @@ def _witness_from_certificate(
     keys: list[tuple[Context, Pair]],
     certificate: FarkasCertificate,
     system: SystemSpec,
+    supported: set[tuple[Context, Pair]],
 ) -> BellWitness:
     coefficients = {
         (ctx, pair[0], pair[1]): y
@@ -215,15 +252,15 @@ def _witness_from_certificate(
         if y != 0
     }
     # Normalize the bound to the best score of a realization that uses only
-    # row pairs: the LP columns are exactly those realizations, so the
+    # supported pairs: the LP columns are exactly those realizations, so the
     # Farkas inequalities guarantee the system still scores strictly above.
-    in_rows = set(keys)
-    bound = _local_bound(coefficients, system, in_rows)
-    # A realization outside the columns uses some pair that is no row: on
-    # the support path, a pair of probability zero.  On the rows it scores
-    # at most the sum over contexts of max(0, largest row coefficient), so
-    # charging each such pair -K, K that sum less the bound, holds it to the
-    # bound as well, and leaves the system's score as it was.
+    bound = _local_bound(coefficients, system, supported)
+    # A realization outside the columns uses some pair that is unsupported:
+    # on the support path, a pair of probability zero.  On the supported
+    # pairs it scores at most the sum over contexts of max(0, largest
+    # coefficient), so charging each unsupported pair -K, K that sum less
+    # the bound, holds it to the bound as well, and leaves the system's
+    # score as it was.
     best: dict[Context, Fraction] = {}
     for (ctx, _), y in zip(keys, certificate.y):
         best[ctx] = max(best.get(ctx, ZERO), y)
@@ -231,7 +268,7 @@ def _witness_from_certificate(
     if k > 0:
         for ctx in system.contexts:
             for a, b in system.pairs(ctx):
-                if (ctx, (a, b)) not in in_rows:
+                if (ctx, (a, b)) not in supported:
                     coefficients[(ctx, a, b)] = -k
     witness = BellWitness(coefficients=coefficients, bound=bound)
     if not witness_score(witness, system) > bound:
@@ -320,7 +357,8 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         # Certify against the alphabet-wide set, never empty for a valid system.
         columns = enumerate_ns_realizations(full_support(system), limit)
         pairs_of = system.pairs
-    rows, rhs, keys = _membership_problem(system, columns, pairs_of)
+    supported = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
+    rows, rhs, keys = _membership_problem(system, columns, supported)
     outcome = solve_feasibility(rows, rhs, len(columns))
     if isinstance(outcome, FeasibleSolution):
         # Keep every nonzero weight: a negative one must fail the check, not vanish.
@@ -336,7 +374,7 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         )
     return Verdict(
         kind="contextual",
-        witness=_witness_from_certificate(keys, outcome, system),
+        witness=_witness_from_certificate(keys, outcome, system, set(supported)),
         realization_count=len(realizations),
     )
 

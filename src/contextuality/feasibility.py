@@ -1,14 +1,26 @@
 """Exact rational linear feasibility with Farkas certificates.
 
 Decides whether M p = d has a solution p >= 0, by an exact sparse
-fraction-free phase-one simplex with Bland's anti-cycling rule.  M arrives
-as one sparse row {column: rational} per constraint.  Each tableau row is
-a dict of nonzero integers, a positive multiple of the rational row; a
-pivot on entry p of row r at column e sets every other row to
-p*row - row[e]*row_r and divides out its gcd (fraction-free elimination
-in the style of Edmonds 1967 and Bareiss 1968), and the ratio test
-cross-multiplies.  Positive row scales change no sign or ratio that Bland's
-rule reads, so pivots and results are those of the rational tableau.
+fraction-free phase-one simplex.  M arrives as one sparse row
+{column: rational} per constraint.  Each tableau row is a dict of nonzero
+integers, a positive multiple of the rational row; a pivot on entry p of
+row r at column e sets every other row to p*row - row[e]*row_r and divides
+out its gcd (fraction-free elimination in the style of Edmonds 1967 and
+Bareiss 1968), and the ratio test cross-multiplies.  Positive row scales
+change no sign or ratio the pivoting rules read, so pivots and results are
+those of the rational tableau.
+
+Pricing follows Dantzig's rule: the column with the most negative reduced
+cost enters, ties to the lowest index.  After DEGENERATE_RUN degenerate
+pivots in a row (pivots whose step is zero) it falls back to Bland's rule,
+the lowest-index column with negative reduced cost, until the next
+non-degenerate pivot.  The ratio test always breaks ties by the lowest
+basic index.  This terminates: a non-degenerate pivot strictly lowers the
+phase-one objective, so no basis recurs across one, and there are finitely
+many bases; between two of them Dantzig's rule makes at most DEGENERATE_RUN
+degenerate pivots, and the Bland stretch that follows cannot cycle (Bland
+1977), so it ends in a non-degenerate pivot or at the optimum.
+
 Infeasible problems yield a dual vector y with y^T M <= 0 and y^T d > 0,
 extracted from the final tableau.  Callers check the outcomes they use:
 `classify` checks its decomposition and witness against the input system.
@@ -16,23 +28,31 @@ extracted from the final tableau.  Callers check the outcomes they use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 SCALE = -1  # column of the objective row that holds its denominator
+# Degenerate pivots in a row after which pricing falls back from Dantzig's
+# rule to Bland's, until the next pivot that moves the point.
+DEGENERATE_RUN = 50
 
 
 @dataclass(frozen=True)
 class FeasibleSolution:
     p: tuple[Fraction, ...]
+    # How the solve went, not what it found: equality ignores them.
+    pivots: int = field(default=0, compare=False)
+    degenerate_pivots: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
 class FarkasCertificate:
     y: tuple[Fraction, ...]
+    pivots: int = field(default=0, compare=False)
+    degenerate_pivots: int = field(default=0, compare=False)
 
 
 def _integer_row(entries) -> dict[int, int]:
@@ -67,15 +87,17 @@ def _combine(row: dict[int, int], a: int, pivot_row: dict[int, int], p: int):
 def solve_feasibility(
     rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], num_cols: int
 ) -> FeasibleSolution | FarkasCertificate:
-    """Phase-one simplex; deterministic for a fixed problem (Bland's rule).
+    """Phase-one simplex; deterministic for a fixed problem.
 
     Row i of M is rows[i], {column: entry} with columns in [0, num_cols)
     and absent entries zero; d is rhs.  Entries may be int or Fraction.
     The tableau holds sparse integer rows.  Row i stands for the rational
     row tab[i] / tab[i][basis[i]], which has 1 in its basic column; the
     objective stands for obj / obj[SCALE].  Every stored row is a positive
-    multiple of the rational one, so each sign and ratio Bland's rule reads,
-    and thus the whole pivot sequence, is that of the rational tableau.
+    multiple of the rational one, and every reduced cost shares the scale
+    obj[SCALE], so each sign, ratio and comparison the pricing reads, and
+    thus the whole pivot sequence, is that of the rational tableau.  The
+    outcome counts its pivots and the degenerate ones among them.
     """
     if len(rows) != len(rhs):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} rhs entries")
@@ -111,11 +133,17 @@ def solve_feasibility(
                 obj[j] = obj.get(j, 0) - k * v
     obj = _reduce({j: v for j, v in obj.items() if v})
 
+    pivots = degenerate = run = 0
     while True:
-        # Bland: lowest-index column with negative reduced cost.
-        enter = min((j for j, v in obj.items() if v < 0 and j != d_col), default=None)
-        if enter is None:
+        negative = [j for j, v in obj.items() if v < 0 and j != d_col]
+        if not negative:
             break
+        if run < DEGENERATE_RUN:
+            # Dantzig: the most negative reduced cost, ties to the lowest index.
+            enter = min(negative, key=lambda j: (obj[j], j))
+        else:
+            # Bland: the lowest-index column with negative reduced cost.
+            enter = min(negative)
         # Ratio test by cross-multiplication; ties broken by lowest basic
         # variable index (Bland).
         leave = None
@@ -133,6 +161,12 @@ def solve_feasibility(
             # Phase-one objective is bounded below by 0; unboundedness
             # cannot happen for well-formed input.
             raise RuntimeError("phase-one simplex reported unbounded")
+        pivots += 1
+        if num == 0:  # a zero step: the basis changes, the point does not
+            degenerate += 1
+            run += 1
+        else:
+            run = 0
         pivot_row = tab[leave]
         p = pivot_row[enter]
         for i, row in enumerate(tab):
@@ -147,7 +181,9 @@ def solve_feasibility(
         for row, b in zip(tab, basis):
             if b < n and d_col in row:
                 solution[b] = Fraction(row[d_col], row[b])
-        return FeasibleSolution(p=tuple(solution))
+        return FeasibleSolution(
+            p=tuple(solution), pivots=pivots, degenerate_pivots=degenerate
+        )
 
     # Infeasible: the optimal dual of the phase-one LP is a Farkas vector.
     # Artificial column j of the final tableau holds B^{-1} e_j, so the
@@ -155,4 +191,4 @@ def solve_feasibility(
     y = tuple(
         flip[i] * (ONE - Fraction(obj.get(n + i, 0), obj[SCALE])) for i in range(m)
     )
-    return FarkasCertificate(y=y)
+    return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

@@ -1,4 +1,4 @@
-"""Shared random generators and a dense reference LP for tests.
+"""Shared random generators, a dense reference LP and a 2xn oracle for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from contextuality import make_system, mix
 from contextuality.feasibility import ONE, ZERO, FarkasCertificate, FeasibleSolution
@@ -84,6 +85,105 @@ def random_ns_mixture(rng: random.Random, max_components: int = 5) -> SystemSpec
     )
 
 
+def uniform_system(a_alph, b_alph) -> SystemSpec:
+    """Every outcome pair equally likely in every context."""
+    pmfs = {}
+    for x in a_alph:
+        for y in b_alph:
+            share = Fraction(1, len(a_alph[x]) * len(b_alph[y]))
+            pmfs[(x, y)] = {(a, b): share for a in a_alph[x] for b in b_alph[y]}
+    return make_system("uniform", a_alph, b_alph, pmfs)
+
+
+def noisy_mixture(rng: random.Random, a_alph, b_alph) -> SystemSpec:
+    """6 random deterministic systems at 1/8 each plus the uniform system
+    at 1/4: full support, and an interior point of the LP's feasible set."""
+    parts = [(random_deterministic_ns(rng, a_alph, b_alph), Fraction(1, 8)) for _ in range(6)]
+    return mix(parts + [(uniform_system(a_alph, b_alph), Fraction(1, 4))], name="noisy")
+
+
+def chained_box(a_alph, b_alph, k: int, shifts) -> SystemSpec:
+    """Outcomes "0".."k-1", a uniform and b = a + shifts.get((x, y), 0) mod k.
+
+    Uniform marginals make it non-signaling.  With settings 1 and 2 on
+    each side and one of their four contexts shifted by one, it is a
+    chained box and contextual: the four conditions sum to a
+    contradiction mod k, so a local mixture meets at most three.
+    """
+    pmfs = {}
+    for x in a_alph:
+        for y in b_alph:
+            shift = shifts.get((x, y), 0)
+            pmfs[(x, y)] = {
+                (str(a), str((a + shift) % k)): Fraction(1, k) for a in range(k)
+            }
+    return make_system(f"chained-{k}", a_alph, b_alph, pmfs)
+
+
+def every_pair(system: SystemSpec) -> list:
+    """Every (context, pair) of the system, contexts in sorted order."""
+    return [(ctx, pair) for ctx in system.sorted_contexts() for pair in system.pairs(ctx)]
+
+
+def restrict(system: SystemSpec, contexts) -> SystemSpec:
+    """The system on a subset of its contexts, alphabets unchanged."""
+    return make_system(
+        system.name, system.a_alphabet, system.b_alphabet,
+        {tuple(ctx): system.pmfs[ctx] for ctx in contexts},
+    )
+
+
+def chsh_2xn_oracle(system: SystemSpec) -> str:
+    """Verdict of a non-signaling system with two binary A-settings, binary
+    B-settings and every context: noncontextual iff the CHSH value of every
+    2x2 sub-box, settings {1, 2} x {y, y'}, is at most 2.
+
+    Why this suffices: with the marginals as a root node, the local
+    polytope is the cut polytope of the complete tripartite graph K_{1,2,n}
+    (the covariance map).  That graph has no K5 minor (without its root it
+    is K_{2,n}, which has no K4 minor), so cycle inequalities on chordless
+    cycles describe its cut polytope (Barahona & Mahjoub, "On the cut
+    polytope", Math. Programming 36 (1986) 157-173).  Its chordless cycles
+    are the triangles through the root, whose inequalities say that
+    probabilities are nonnegative, and the 4-cycles x1-y-x2-y'-x1, whose
+    inequalities are the CHSH inequalities of that sub-box.  For n = 2
+    this is Fine's theorem (Phys. Rev. Lett. 48 (1982) 291).
+
+    Written from the pmfs alone, with no call into the decider: outcomes
+    are coded -1 and +1 by their place in the alphabet.
+    """
+    xs, ys = system.a_settings, system.b_settings
+    alphabets = list(system.a_alphabet.values()) + list(system.b_alphabet.values())
+    if len(xs) != 2 or len(system.contexts) != 2 * len(ys) or {len(al) for al in alphabets} != {2}:
+        raise ValueError("the oracle needs two binary A-settings, binary B-settings and every context")
+
+    def correlator(x, y):
+        a_alph, b_alph = system.a_alphabet[x], system.b_alphabet[y]
+        return sum(
+            (p if a_alph.index(a) == b_alph.index(b) else -p)
+            for (a, b), p in system.pmfs[(x, y)].items()
+        )
+
+    for y, y2 in combinations(ys, 2):
+        corr = [correlator(x, yy) for x in xs for yy in (y, y2)]
+        total = sum(corr)
+        if any(abs(total - 2 * c) > 2 for c in corr):
+            return "contextual"
+    return "noncontextual"
+
+
+def full_membership_problem(system: SystemSpec, columns, supported):
+    """The membership LP with a row for every supported (context, pair), the
+    form the kept-row rule reduces: sparse rows, rhs and the row keys."""
+    index = {key: i for i, key in enumerate(supported)}
+    rows = [{} for _ in supported]
+    for j, r in enumerate(columns):
+        for key in r.values.items():
+            rows[index[key]][j] = 1
+    rows.append(dict.fromkeys(range(len(columns)), 1))
+    return rows, [system.prob(ctx, pair) for ctx, pair in supported] + [ONE], supported
+
+
 @dataclass(frozen=True)
 class FeasibilityProblem:
     """Find p >= 0 with matrix @ p == rhs (all entries Fraction), dense."""
@@ -154,8 +254,9 @@ def verify(
 def dense_bland_solve(problem: FeasibilityProblem) -> FeasibleSolution | FarkasCertificate:
     """Reference phase-one simplex on a dense `Fraction` tableau.
 
-    The same Bland's rule as `solve_feasibility`, in the plainest form:
-    tests require the two to return equal outcomes.
+    Bland's rule, which `solve_feasibility` falls back to, in the plainest
+    form: with the fallback taken from the first pivot, tests require the
+    two to return equal outcomes.
     """
     m, n = problem.num_rows, problem.num_cols
     flip = [(-1 if problem.rhs[i] < 0 else 1) for i in range(m)]

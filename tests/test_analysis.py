@@ -27,10 +27,27 @@ from contextuality import (
 )
 from contextuality import analysis
 from contextuality.analysis import BellWitness, Decomposition
-from contextuality.feasibility import FarkasCertificate, FeasibleSolution
+from contextuality.feasibility import (
+    FarkasCertificate,
+    FeasibleSolution,
+    solve_feasibility,
+)
 from contextuality.systems import Context
 
-from helpers import random_ns_2x2, random_ns_mixture, random_shape
+from helpers import (
+    chained_box,
+    chsh_2xn_oracle,
+    dense_problem,
+    every_pair,
+    full_membership_problem,
+    random_deterministic_ns,
+    random_ns_2x2,
+    random_ns_mixture,
+    random_shape,
+    restrict,
+    uniform_system,
+    verify,
+)
 
 HALF = Fraction(1, 2)
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
@@ -233,7 +250,7 @@ class TestCertificateChecks:
         monkeypatch.setattr(
             analysis,
             "_membership_problem",
-            lambda system, columns, pairs_of: build(d1, columns, pairs_of),
+            lambda system, columns, supported: build(d1, columns, supported),
         )
         with pytest.raises(CertificateError):
             classify(mix([(d1, HALF), (get("d2").system, HALF)]))
@@ -249,6 +266,82 @@ class TestCertificateChecks:
         )
         with pytest.raises(CertificateError):
             classify(mix([(get("d1").system, HALF), (get("d2").system, HALF)]))
+
+
+def _kept_rows_case(rng: random.Random):
+    """A random non-signaling system up to 3x3 settings and ternary outcomes
+    on a random subset of its contexts: a mixture of deterministic systems,
+    or a chained box mod k mixed with deterministic noise, which keeps the
+    four contexts of its chain in most draws."""
+    if rng.random() < 0.3:
+        system = random_ns_mixture(rng)
+        chain = []
+    else:
+        k = rng.randint(2, 3)
+        alph = lambda n: {str(i): tuple(map(str, range(k))) for i in range(1, n + 1)}
+        a_alph, b_alph = alph(rng.randint(2, 3)), alph(rng.randint(2, 3))
+        noise = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(rng.randint(1, 3))]
+        weights = [rng.randint(1, 3) for _ in noise]
+        box = rng.randint(1, 4 * sum(weights))
+        total = box + sum(weights)
+        system = mix(
+            [(chained_box(a_alph, b_alph, k, {("1", "1"): 1}), Fraction(box, total))]
+            + [(n, Fraction(w, total)) for n, w in zip(noise, weights)]
+        )
+        chain = [ctx for ctx in system.contexts if {ctx.x, ctx.y} <= {"1", "2"}]
+        if rng.random() < 0.2:
+            chain = []
+    others = [ctx for ctx in system.contexts if ctx not in chain]
+    contexts = chain + rng.sample(others, rng.randint(0 if chain else 1, len(others)))
+    return restrict(system, contexts)
+
+
+class TestKeptRows:
+    """The rows the membership LP drops follow from the rows it keeps."""
+
+    def test_reduced_lp_decides_as_the_full_lp(self):
+        rng = random.Random(1004)
+        kinds = set()
+        contextual = 0
+        for _ in range(400):
+            system = _kept_rows_case(rng)
+            support = support_of(system)
+            columns = enumerate_ns_realizations(support)
+            pairs_of = lambda ctx: sorted(support.supports[ctx])
+            if not columns:
+                columns = enumerate_ns_realizations(full_support(system))
+                pairs_of = system.pairs
+            supported = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
+            rows, rhs, keys = analysis._membership_problem(system, columns, supported)
+            full_rows, full_rhs, _ = full_membership_problem(system, columns, supported)
+            assert len(rows) <= len(full_rows)
+            reduced = solve_feasibility(rows, rhs, len(columns))
+            full = solve_feasibility(full_rows, full_rhs, len(columns))
+            assert type(reduced) is type(full)
+            kinds.add(type(reduced))
+            if isinstance(reduced, FeasibleSolution):
+                components = tuple((r, w) for r, w in zip(columns, reduced.p) if w)
+                assert decomposition_reproduces(system, Decomposition(components))
+            else:
+                contextual += 1
+                # The kept rows' y, zero on the dropped rows, certifies the full LP.
+                y = dict(zip(keys, reduced.y))
+                padded = tuple(y.get(key, 0) for key in supported) + reduced.y[-1:]
+                problem = dense_problem(full_rows, full_rhs, len(columns))
+                assert verify(problem, FarkasCertificate(y=padded))
+        assert kinds == {FeasibleSolution, FarkasCertificate}
+        assert contextual >= 100
+
+    @pytest.mark.parametrize(
+        "settings, outcomes, rows",
+        [(4, 2, 25), (3, 3, 49), (5, 2, 36), (2, 2, 9)],
+        ids=["4x4-binary", "3x3-ternary", "5x5-binary", "2x2-binary"],
+    )
+    def test_full_support_row_counts(self, settings, outcomes, rows):
+        # Collins-Gisin: (k-1)^2 per context, (k-1) per setting, and one.
+        alph = {str(i): tuple(map(str, range(outcomes))) for i in range(1, settings + 1)}
+        system = uniform_system(alph, alph)
+        assert len(analysis._membership_problem(system, (), every_pair(system))[0]) == rows
 
 
 class TestDecompositionReproduces:
@@ -342,6 +435,36 @@ class TestFineOracle:
             assert v.kind == fine_oracle(s)
             kinds.add(v.kind)
         assert kinds == {"noncontextual", "contextual"}
+
+
+class TestTwoByNOracle:
+    """`classify` against the CHSH criterion on 2x3 and 2x4 binary systems."""
+
+    def _case(self, rng: random.Random, n: int):
+        a_alph = {"1": ("0", "1"), "2": ("0", "1")}
+        b_alph = {str(j): ("0", "1") for j in range(1, n + 1)}
+        parts = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            # a PR box on B-settings y, y2: b = a, except b = a + 1 in one
+            # of their contexts; every other context copies a or flips it
+            y, y2 = rng.sample(sorted(b_alph), 2)
+            shifts = {(x, yy): rng.randint(0, 1) for x in a_alph for yy in b_alph}
+            shifts.update({(x, yy): 0 for x in a_alph for yy in (y, y2)})
+            shifts[(rng.choice("12"), rng.choice((y, y2)))] = 1
+            parts.append(chained_box(a_alph, b_alph, 2, shifts))
+        weights = [rng.randint(1, 6) for _ in parts]
+        return mix([(p, Fraction(w, sum(weights))) for p, w in zip(parts, weights)])
+
+    def test_agrees_with_classify(self):
+        rng = random.Random(2718)
+        kinds = []
+        for n in (3, 4):
+            for _ in range(200):
+                system = self._case(rng, n)
+                kind = classify(system).kind
+                assert kind == chsh_2xn_oracle(system)
+                kinds.append(kind)
+        assert kinds.count("contextual") >= 40 and kinds.count("noncontextual") >= 40
 
 
 class TestWitness:

@@ -4,10 +4,14 @@ from fractions import Fraction
 import pytest
 
 from contextuality import (
+    Decomposition,
     FarkasCertificate,
     FeasibleSolution,
     analysis,
+    decomposition_reproduces,
     enumerate_ns_realizations,
+    feasibility,
+    full_support,
     mix,
     solve_feasibility,
     support_of,
@@ -16,7 +20,9 @@ from contextuality import (
 from helpers import (
     dense_bland_solve,
     dense_problem,
+    every_pair,
     make_problem,
+    noisy_mixture,
     random_deterministic_ns,
     sparse_rows,
     verify,
@@ -160,10 +166,26 @@ def test_mutual_exclusion():
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_equals_dense_reference_on_random_problems(seed):
+    # Dantzig pricing may stop at another vertex than Bland's rule, so the
+    # outcomes agree in kind, and each one holds on its own.
     rng = random.Random(seed)
     for _ in range(500):
         problem = _random_problem(rng)
-        assert solve_feasibility(*sparse_rows(problem)) == dense_bland_solve(problem)
+        outcome = solve_feasibility(*sparse_rows(problem))
+        reference = dense_bland_solve(problem)
+        assert type(outcome) is type(reference)
+        assert verify(problem, outcome) and verify(problem, reference)
+
+
+def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
+    # With the fallback taken from the first pivot, every pivot is Bland's:
+    # the outcome is the reference's vertex or certificate exactly.
+    monkeypatch.setattr(feasibility, "DEGENERATE_RUN", 0)
+    for seed in [1, 2, 3, 4]:
+        rng = random.Random(seed)
+        for _ in range(500):
+            problem = _random_problem(rng)
+            assert solve_feasibility(*sparse_rows(problem)) == dense_bland_solve(problem)
 
 
 @pytest.mark.parametrize(
@@ -205,9 +227,68 @@ def test_equals_dense_reference_on_4x4_membership(columns_from):
     columns = enumerate_ns_realizations(
         support_of(system if columns_from == "own" else other)
     )
-    rows, rhs, _ = analysis._membership_problem(system, columns, system.pairs)
-    assert len(rows) == 65
+    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
+    assert len(rows) == 25  # of 65: 16 contexts x 1 pair, 4 + 4 marginals, normalization
+    problem = dense_problem(rows, rhs, len(columns))
     outcome = solve_feasibility(rows, rhs, len(columns))
-    assert outcome == dense_bland_solve(dense_problem(rows, rhs, len(columns)))
+    reference = dense_bland_solve(problem)
     kind = FeasibleSolution if columns_from == "own" else FarkasCertificate
-    assert isinstance(outcome, kind)
+    assert isinstance(outcome, kind) and isinstance(reference, kind)
+    assert verify(problem, outcome) and verify(problem, reference)
+    if kind is FeasibleSolution:
+        for solution in (outcome, reference):
+            components = tuple((r, w) for r, w in zip(columns, solution.p) if w)
+            assert decomposition_reproduces(system, Decomposition(components))
+
+
+def _beale_problem():
+    """Beale's 1955 cycling LP as a feasibility problem.
+
+    Columns are Beale's x4..x7; the artificials of rows 1-3 play his
+    slacks x1..x3.  Row 4 makes the phase-one reduced costs on the
+    artificial basis -3/4, 20, -1/2, 6, his objective: the phase-one cost
+    differs from his by the sum of the rows, so every basis prices alike.
+    Its rhs is large enough that it never wins a ratio test.
+    """
+    matrix = [
+        [Fraction(1, 4), -8, -1, 9],
+        [Fraction(1, 2), -12, Fraction(-1, 2), 3],
+        [0, 0, 1, 0],
+        [0, 0, 1, -18],
+    ]
+    return make_problem(matrix, [0, 0, 1, 100])
+
+
+def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
+    problem = _beale_problem()
+    outcome = solve_feasibility(*sparse_rows(problem))
+    assert verify(problem, outcome)
+    # Dantzig's rule runs out its 50 degenerate pivots; Bland's rule then
+    # leaves within a few.
+    run = feasibility.DEGENERATE_RUN
+    assert run < outcome.degenerate_pivots <= run + 10
+    # Given 100, Dantzig's rule spends them all: more degenerate pivots in a
+    # row than the LP has bases (8 columns choose 4 = 70), so it cycles.
+    monkeypatch.setattr(feasibility, "DEGENERATE_RUN", 100)
+    assert solve_feasibility(*sparse_rows(problem)).degenerate_pivots >= 100
+
+
+def test_degenerate_pivots_stay_bounded_on_an_interior_point():
+    # A full-support 4x4 binary noisy mixture, interior to a degenerate LP:
+    # Bland's rule alone makes 461 pivots here, 353 of them degenerate.
+    rng = random.Random(0)
+    alph = {str(i): ("0", "1") for i in range(1, 5)}
+    system = noisy_mixture(rng, alph, alph)
+    columns = enumerate_ns_realizations(full_support(system))
+    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
+    outcome = solve_feasibility(rows, rhs, len(columns))
+    assert isinstance(outcome, FeasibleSolution)
+    assert 0 < outcome.degenerate_pivots <= 50
+    assert outcome.pivots <= 100
+
+
+def test_pivot_counts_do_not_change_equality():
+    p = (Fraction(1),)
+    assert FeasibleSolution(p=p, pivots=3, degenerate_pivots=1) == FeasibleSolution(p=p)
+    assert FarkasCertificate(y=p, pivots=2) == FarkasCertificate(y=p, degenerate_pivots=2)
+    assert FeasibleSolution(p=p, pivots=3) != FeasibleSolution(p=(Fraction(2),), pivots=3)
