@@ -47,6 +47,7 @@ from .systems import (
     SignalingWitness,
     SupportSpec,
     SystemSpec,
+    _counts,
     check_nonsignaling,
     expectation_product,
     support_of,
@@ -399,17 +400,27 @@ def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdic
 def decomposition_reproduces(
     system: SystemSpec, decomposition: Decomposition
 ) -> bool:
-    """Exact context-wise equality of the weighted mixture and the system."""
-    total = sum((w for _, w in decomposition.components), ZERO)
-    if total != 1 or any(w <= 0 for _, w in decomposition.components):
+    """Exact context-wise equality of the weighted mixture and the system.
+
+    The weights are read as integers over their common denominator W and
+    the system as counts over its own, D (`systems._counts`); the mixture
+    matches where its sum times D equals the system's count times W.  One
+    pass over the components sums their weights into every context.
+    """
+    weights = [w for _, w in decomposition.components]
+    scale = lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    if sum(weights) != scale or any(w <= 0 for w in weights):
         return False
-    for ctx in system.contexts:
+    mixed: dict[Context, dict[Pair, int]] = {ctx: {} for ctx in system.contexts}
+    for (r, _), w in zip(decomposition.components, weights):
+        for ctx, sums in mixed.items():
+            pair = r.values[ctx]
+            sums[pair] = sums.get(pair, 0) + w
+    system_scale, counts = _counts(system)
+    for ctx, sums in mixed.items():
         for pair in system.pairs(ctx):
-            mixed = sum(
-                (w for r, w in decomposition.components if r.values[ctx] == pair),
-                ZERO,
-            )
-            if mixed != system.prob(ctx, pair):
+            if sums.get(pair, 0) * system_scale != counts[ctx].get(pair, 0) * scale:
                 return False
     return True
 

@@ -10,6 +10,17 @@ Bareiss 1968), and the ratio test cross-multiplies.  Positive row scales
 change no sign or ratio the pivoting rules read, so pivots and results are
 those of the rational tableau.
 
+The right-hand side d is first multiplied by D, the lcm of its
+denominators, and the solution divided by D at the end.  Scaling d by a
+positive constant scales every rhs entry of every tableau and nothing
+else: reduced costs do not read d, ratio-test ratios all scale by D, so
+the same row wins with the same ties, and a step is zero exactly when it
+was.  The pivots and the Farkas vector are thus those of the unscaled
+problem, and its solution is the scaled one divided by D.  Rows with
+integer entries (the membership LP's 0/1 rows) then start out integer with
+a unit artificial, instead of carrying the rhs denominator as a row scale
+through every combine.
+
 Pricing follows Dantzig's rule: the column with the most negative reduced
 cost enters, ties to the lowest index.  After DEGENERATE_RUN degenerate
 pivots in a row (pivots whose step is zero) it falls back to Bland's rule,
@@ -106,6 +117,10 @@ def solve_feasibility(
     m, n = len(rows), num_cols
     d_col = n + m  # column index of the right-hand side
 
+    # Solve M p = D d, D the common denominator of d, so the rhs is integer;
+    # the solution is divided by D at the end (module docstring).
+    rhs_scale = lcm(*(d.denominator for d in rhs))
+    rhs = [d.numerator * (rhs_scale // d.denominator) for d in rhs]
     # Flip rows so the rhs is nonnegative; remember flips to map the
     # certificate back to original coordinates.
     flip = [(-1 if d < 0 else 1) for d in rhs]
@@ -180,7 +195,7 @@ def solve_feasibility(
         solution = [ZERO] * n
         for row, b in zip(tab, basis):
             if b < n and d_col in row:
-                solution[b] = Fraction(row[d_col], row[b])
+                solution[b] = Fraction(row[d_col], row[b] * rhs_scale)
         return FeasibleSolution(
             p=tuple(solution), pivots=pivots, degenerate_pivots=degenerate
         )

@@ -3,7 +3,12 @@
 A system assigns to every context (x, y) -- a pair of measurement settings,
 one per side -- a joint probability mass function over the outcome pair
 alphabet of that context.  All probabilities are `fractions.Fraction`;
-nothing in this module touches floating point.
+nothing in this module touches floating point.  Fractions stay at the
+boundary: a system holds them, and every function takes and returns them.
+Inside, `validate`, `check_nonsignaling` and
+`analysis.decomposition_reproduces` each read the pmfs once as integer
+counts over one common denominator (`_counts`), so their sums and
+comparisons run over ints.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -188,6 +194,17 @@ def make_support(
     )
 
 
+def _counts(system: SystemSpec) -> tuple[int, dict[Context, dict[Pair, int]]]:
+    """The pmfs as integer counts over D, the lcm of every denominator:
+    (D, {context: {pair: probability * D}}), for every context with a pmf."""
+    pmfs = system.pmfs
+    scale = lcm(*[p.denominator for pmf in pmfs.values() for p in pmf.values()])
+    return scale, {
+        ctx: {pair: p.numerator * (scale // p.denominator) for pair, p in pmf.items()}
+        for ctx, pmf in pmfs.items()
+    }
+
+
 def validate(spec: Spec) -> list[str]:
     """Return every invariant violation; an empty list means the spec is valid.
 
@@ -208,6 +225,8 @@ def validate(spec: Spec) -> list[str]:
     probabilistic = isinstance(spec, SystemSpec)
     kind = "pmf" if probabilistic else "support"
     tables = spec.pmfs if probabilistic else spec.supports
+    if probabilistic:
+        scale, counts = _counts(spec)
     seen: set[Context] = set()
     for ctx in spec.contexts:
         if ctx in seen:
@@ -234,14 +253,15 @@ def validate(spec: Spec) -> list[str]:
             if not table:
                 violations.append(f"context {tuple(ctx)}: empty support")
             continue
-        for pair, p in table.items():
-            # The numerator carries the sign and is cheaper to compare.
-            if p.numerator < 0:
+        for pair, c in counts[ctx].items():
+            if c < 0:
                 violations.append(
-                    f"context {tuple(ctx)}: negative probability {p} at {pair}"
+                    f"context {tuple(ctx)}: negative probability {table[pair]} "
+                    f"at {pair}"
                 )
-        total = sum(table.values(), ZERO)
-        if total != 1:
+        total = sum(counts[ctx].values())
+        if total != scale:
+            total = Fraction(total, scale)
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
     for ctx in tables:
         if ctx not in seen:
@@ -274,8 +294,29 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     """None if every shared setting has context-independent marginals.
 
     Otherwise the first witness in canonical order: A-side settings before
-    B-side, settings and contexts in canonical label order.
+    B-side, settings and contexts in canonical label order.  One pass sums
+    the integer counts of every context into both marginals and compares
+    each with the first one seen for its setting; only a mismatch runs the
+    canonical scan that builds the witness.
     """
+    _, counts = _counts(system)
+    seen: dict[tuple[str, str], dict[Outcome, int]] = {}
+    for ctx in system.contexts:
+        a_marginal = dict.fromkeys(system.a_alphabet[ctx.x], 0)
+        b_marginal = dict.fromkeys(system.b_alphabet[ctx.y], 0)
+        for (a, b), c in counts[ctx].items():
+            a_marginal[a] += c
+            b_marginal[b] += c
+        if (
+            seen.setdefault(("A", ctx.x), a_marginal) != a_marginal
+            or seen.setdefault(("B", ctx.y), b_marginal) != b_marginal
+        ):
+            return _first_signaling_witness(system)
+    return None
+
+
+def _first_signaling_witness(system: SystemSpec) -> SignalingWitness | None:
+    """The first witness in canonical order, by comparing Fraction marginals."""
     ctxs = system.sorted_contexts()
     for side, setting_of in (("A", lambda c: c.x), ("B", lambda c: c.y)):
         settings = system.a_settings if side == "A" else system.b_settings
@@ -306,7 +347,7 @@ def support_of(system: SystemSpec) -> SupportSpec:
         b_alphabet=system.b_alphabet,
         contexts=system.contexts,
         supports={
-            ctx: frozenset(p for p, v in system.pmfs[ctx].items() if v > 0)
+            ctx: frozenset(p for p, v in system.pmfs[ctx].items() if v.numerator > 0)
             for ctx in system.contexts
         },
     )

@@ -364,6 +364,48 @@ class TestDecompositionReproduces:
         )
         assert not decomposition_reproduces(m, bad)
 
+    @staticmethod
+    def reference(system, decomposition):
+        """The definition over Fractions: one sum per (context, pair)."""
+        weights = [w for _, w in decomposition.components]
+        if sum(weights, Fraction(0)) != 1 or any(w <= 0 for w in weights):
+            return False
+        return all(
+            sum(
+                (w for r, w in decomposition.components if r.values[ctx] == pair),
+                Fraction(0),
+            )
+            == system.prob(ctx, pair)
+            for ctx in system.contexts
+            for pair in system.pairs(ctx)
+        )
+
+    def test_matches_fraction_sums_on_mutated_decompositions(self):
+        rng = random.Random(29)
+        mutated = reproduced = 0
+        for _ in range(150):
+            m = random_ns_mixture(rng)
+            comps = list(classify(m).decomposition.components)
+            i, j = rng.sample(range(len(comps)), 2) if len(comps) > 1 else (0, 0)
+            (ri, wi), (rj, wj) = comps[i], comps[j]
+            moved = wi * Fraction(rng.randint(1, 3), 4)
+            variants = [
+                comps,
+                comps[:i] + [(ri, Fraction(0))] + comps[i + 1:],
+                comps[:i] + [(ri, -wi)] + comps[i + 1:],
+            ]
+            if i != j:
+                shifted = list(comps)
+                shifted[i], shifted[j] = (ri, wi - moved), (rj, wj + moved)
+                variants.append(shifted)
+            for components in variants:
+                d = Decomposition(components=tuple(components))
+                expected = self.reference(m, d)
+                assert decomposition_reproduces(m, d) == expected
+                mutated += components is not comps
+                reproduced += expected
+        assert mutated > 350 and reproduced >= 150  # 410 and 150 here
+
     def test_hand_built(self):
         m = mix([(get("d1").system, HALF), (get("d2").system, HALF)])
         ns = enumerate_ns_realizations(support_of(m))

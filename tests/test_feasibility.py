@@ -177,6 +177,45 @@ def test_equals_dense_reference_on_random_problems(seed):
         assert verify(problem, outcome) and verify(problem, reference)
 
 
+def _assert_rhs_scaling_invariant(rows, rhs, num_cols):
+    # The solver multiplies the rhs by its common denominator; scaling it by
+    # c beforehand must change nothing but the solution, which scales by c.
+    outcome = solve_feasibility(rows, rhs, num_cols)
+    for c in (2, 60, 7919):
+        scaled = solve_feasibility(rows, [c * d for d in rhs], num_cols)
+        assert type(scaled) is type(outcome)
+        assert (scaled.pivots, scaled.degenerate_pivots) == (
+            outcome.pivots, outcome.degenerate_pivots
+        )
+        if isinstance(outcome, FeasibleSolution):
+            assert scaled.p == tuple(c * v for v in outcome.p)
+        else:
+            assert scaled.y == outcome.y
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_rhs_scaling_keeps_pivots_on_random_problems(seed):
+    # The problems of test_equals_dense_reference_on_random_problems.
+    rng = random.Random(seed)
+    for _ in range(500):
+        _assert_rhs_scaling_invariant(*sparse_rows(_random_problem(rng)))
+
+
+@pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
+def test_rhs_scaling_keeps_pivots_on_4x4_membership(columns_from):
+    # The LPs of test_equals_dense_reference_on_4x4_membership.
+    rng = random.Random(3)
+    alph = {str(i): ("0", "1") for i in range(1, 5)}
+    parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
+    system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
+    other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
+    columns = enumerate_ns_realizations(
+        support_of(system if columns_from == "own" else other)
+    )
+    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
+    _assert_rhs_scaling_invariant(rows, rhs, len(columns))
+
+
 def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
     # With the fallback taken from the first pivot, every pivot is Bland's:
     # the outcome is the reference's vertex or certificate exactly.
@@ -260,6 +299,19 @@ def _beale_problem():
 
 
 def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
+    # Were the fallback broken, the solve would cycle for ever: count the
+    # row updates and stop the test past 1,000, which both solves below stay
+    # well within (171 and 323 with a working fallback).
+    combine, calls = feasibility._combine, 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("over 1,000 row updates: the simplex cycles")
+        return combine(*args)
+
+    monkeypatch.setattr(feasibility, "_combine", counted)
     problem = _beale_problem()
     outcome = solve_feasibility(*sparse_rows(problem))
     assert verify(problem, outcome)

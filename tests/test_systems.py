@@ -6,6 +6,7 @@ import pytest
 from contextuality import (
     Context,
     Realization,
+    SignalingWitness,
     check_nonsignaling,
     count_assignments,
     expectation_product,
@@ -52,6 +53,34 @@ class TestValidate:
             {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
         )
         assert any("negative" in p for p in validate(s))
+
+    def test_messages_on_coprime_denominators(self):
+        # validate sums integer counts over one common denominator, here
+        # 2 * 7919 * 7907; its messages must be those of Fraction sums.
+        p, q = Fraction(1, 7919), Fraction(1, 7907)
+        s = binary_system(
+            "coprime",
+            {
+                ("1", "1"): {("0", "0"): p, ("1", "1"): q},
+                ("1", "2"): {("0", "0"): 1 - p, ("0", "1"): p},
+                ("2", "1"): {("0", "0"): p, ("0", "1"): q, ("1", "0"): 1 - p},
+                ("2", "2"): {("0", "0"): -q, ("1", "1"): Fraction(1, 2) + q,
+                             ("1", "0"): Fraction(1, 2)},
+            },
+        )
+        expected = []
+        for ctx in s.contexts:
+            pmf = s.pmfs[ctx]
+            expected += [
+                f"context {tuple(ctx)}: negative probability {v} at {pair}"
+                for pair, v in pmf.items()
+                if v < 0
+            ]
+            total = sum(pmf.values(), Fraction(0))
+            if total != 1:
+                expected.append(f"context {tuple(ctx)}: sum {total} != 1")
+        assert len(expected) == 3
+        assert validate(s) == expected
 
 
 class TestMarginal:
@@ -107,6 +136,49 @@ class TestNonsignaling:
     def test_single_context_vacuous(self):
         s = binary_system("one", {("1", "1"): {("0", "1"): Fraction(1)}})
         assert check_nonsignaling(s) is None
+
+    @staticmethod
+    def reference_witness(system):
+        """The first witness in canonical order, from Fraction marginals."""
+        contexts = system.sorted_contexts()
+        for side, settings in (("A", system.a_settings), ("B", system.b_settings)):
+            for s in settings:
+                sharing = [c for c in contexts if (c.x if side == "A" else c.y) == s]
+                for other in sharing[1:]:
+                    ref = marginal(system, sharing[0], side)
+                    m = marginal(system, other, side)
+                    if m != ref:
+                        return SignalingWitness(side, s, sharing[0], other, ref, m)
+        return None
+
+    @pytest.mark.parametrize("zeros", ["omitted", "explicit"])
+    def test_matches_fraction_marginals_on_perturbed_mixtures(self, zeros):
+        # Random mixtures up to 3x3 ternary, most of them made signaling by
+        # moving mass between two pairs of one context.
+        rng = random.Random(23)
+        signaling = 0
+        for _ in range(300):
+            base = random_ns_mixture(rng)
+            pmfs = {ctx: dict(base.pmfs[ctx]) for ctx in base.contexts}
+            if rng.random() < 0.8:
+                ctx = rng.choice(base.contexts)
+                pmf = pmfs[ctx]
+                source = rng.choice(sorted(pmf))
+                target = rng.choice(base.pairs(ctx))
+                share = pmf[source] * Fraction(rng.randint(1, 3), 4)
+                pmf[source] -= share
+                pmf[target] = pmf.get(target, Fraction(0)) + share
+            if zeros == "explicit":
+                for ctx, pmf in pmfs.items():
+                    for pair in base.pairs(ctx):
+                        pmf.setdefault(pair, Fraction(0))
+            else:
+                pmfs = {c: {k: v for k, v in pmf.items() if v} for c, pmf in pmfs.items()}
+            s = make_system("perturbed", base.a_alphabet, base.b_alphabet, pmfs)
+            expected = self.reference_witness(s)
+            assert check_nonsignaling(s) == expected
+            signaling += expected is not None
+        assert 100 < signaling < 250  # 148 of 300
 
 
 class TestSupport:
