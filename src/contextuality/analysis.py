@@ -292,37 +292,44 @@ def _local_bound(
     For each f over the A-settings the best g is picked setting by setting:
     B-setting y takes, of the outcomes b allowed with f in each of its
     contexts ctx = (x, y), the largest sum of the coefficients at
-    (ctx, f[x], b).  Sums run over integers, the coefficients times their
-    common denominator.
+    (ctx, f[x], b).  Each B-setting holds, per context, the position of x
+    and a table over outcome indices: table[a][b] is the coefficient times
+    the common denominator of all of them, or None where (a, b) is not
+    allowed; f runs over tuples of outcome indices.
     """
     scale = lcm(*(c.denominator for c in coefficients.values()))
     scaled = {
         key: c.numerator * (scale // c.denominator)
         for key, c in coefficients.items()
     }
-    contexts_of: dict[str, list[Context]] = {}
+    xs = system.a_settings
+    position = {x: i for i, x in enumerate(xs)}
+    tables: dict[str, list[tuple[int, list[list[int | None]]]]] = {}
     for ctx in system.sorted_contexts():
-        contexts_of.setdefault(ctx.y, []).append(ctx)
-
-    def best_score(f: dict[str, Outcome]) -> int | None:
-        total = 0
-        for y, contexts in contexts_of.items():
-            sums = [
-                sum(scaled.get((ctx, f[ctx.x], b), 0) for ctx in contexts)
-                for b in system.b_alphabet[y]
-                if allowed is None
-                or all((ctx, (f[ctx.x], b)) in allowed for ctx in contexts)
+        b_alphabet = system.b_alphabet[ctx.y]
+        table = [
+            [
+                scaled.get((ctx, a, b), 0)
+                if allowed is None or (ctx, (a, b)) in allowed
+                else None
+                for b in b_alphabet
             ]
+            for a in system.a_alphabet[ctx.x]
+        ]
+        tables.setdefault(ctx.y, []).append((position[ctx.x], table))
+
+    def best_score(f: tuple[int, ...]) -> int | None:
+        total = 0
+        for entries in tables.values():
+            # One column per outcome b of y, one entry per context of y.
+            columns = zip(*(table[f[i]] for i, table in entries))
+            sums = [sum(column) for column in columns if None not in column]
             if not sums:
                 return None  # no g goes with this f
             total += max(sums)
         return total
 
-    xs = system.a_settings
-    scores = (
-        best_score(dict(zip(xs, outcomes)))
-        for outcomes in product(*(system.a_alphabet[x] for x in xs))
-    )
+    scores = map(best_score, product(*(range(len(system.a_alphabet[x])) for x in xs)))
     return Fraction(max(s for s in scores if s is not None), scale)
 
 

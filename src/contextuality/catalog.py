@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .peres import build_ksp_support
+from . import peres
 from .serialize import loads_system
 from .systems import (
     Context,
@@ -71,24 +71,30 @@ def catalog_ids() -> tuple[str, ...]:
     return _FILE_IDS + ("conspiracy", "ksp_support")
 
 
+def provenance(id: str) -> str:
+    """Where a built-in system comes from, without building it."""
+    if id not in _PROVENANCE:
+        raise UnknownSystemError(
+            f"unknown system id {id!r}; known: {', '.join(catalog_ids())}"
+        )
+    return _PROVENANCE[id]
+
+
 def get(id: str) -> NamedSystem:
     """Look up a built-in system by its stable public id."""
+    description = provenance(id)
     if id in _FILE_IDS:
         system = _load_file(id)
     elif id == "conspiracy":
         system = conspiracy_system()
-    elif id == "ksp_support":
-        system = _ksp_support()
     else:
-        raise UnknownSystemError(
-            f"unknown system id {id!r}; known: {', '.join(catalog_ids())}"
-        )
-    return NamedSystem(id=id, system=system, provenance=_PROVENANCE[id])
+        system = _ksp_support()
+    return NamedSystem(id=id, system=system, provenance=description)
 
 
 @lru_cache(maxsize=1)
 def _ksp_support() -> SupportSpec:
-    return build_ksp_support()
+    return peres.build_ksp_support()
 
 
 @lru_cache(maxsize=1)

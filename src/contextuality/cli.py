@@ -209,7 +209,7 @@ def cmd_chsh(args) -> int:
 
 def cmd_catalog(args) -> int:
     for id in catalog.catalog_ids():
-        print(f"{id}: {catalog.get(id).provenance}")
+        print(f"{id}: {catalog.provenance(id)}")
     return EXIT_OK
 
 

@@ -1,14 +1,22 @@
 """Exact rational linear feasibility with Farkas certificates.
 
-Decides whether M p = d has a solution p >= 0, by an exact sparse
-fraction-free phase-one simplex.  M arrives as one sparse row
-{column: rational} per constraint.  Each tableau row is a dict of nonzero
-integers, a positive multiple of the rational row; a pivot on entry p of
-row r at column e sets every other row to p*row - row[e]*row_r and divides
-out its gcd (fraction-free elimination in the style of Edmonds 1967 and
-Bareiss 1968), and the ratio test cross-multiplies.  Positive row scales
-change no sign or ratio the pivoting rules read, so pivots and results are
-those of the rational tableau.
+Decides whether M p = d has a solution p >= 0, by an exact fraction-free
+phase-one simplex.  M arrives as one sparse row {column: rational} per
+constraint.  Each tableau row is a list of integers, a positive multiple
+of the rational row, with one slot per column: the n originals, the m
+artificials, the right-hand side, and a last slot that only the objective
+row fills (its scale).  A pivot on entry p of row r at column e lists the
+nonzero entries of row r once, then sets every other row with a nonzero at
+e to p*row - row[e]*row_r, after dividing p and row[e] by their gcd
+(fraction-free elimination in the style of Edmonds 1967 and Bareiss 1968),
+and divides out the row's gcd.  When p comes out 1, as it mostly does on
+small membership LPs, row - row[e]*row_r differs from row only where row r
+is nonzero, so just those entries are updated, in place; otherwise the row
+is rebuilt whole.  Zero entries change no gcd, so every stored integer,
+and with it every pivot and result, is what a tableau of sparse
+{column: int} rows would hold.  The ratio test cross-multiplies.  Positive
+row scales change no sign or ratio the pivoting rules read, so pivots and
+results are those of the rational tableau.
 
 The right-hand side d is first multiplied by D, the lcm of its
 denominators, and the solution divided by D at the end.  Scaling d by a
@@ -45,7 +53,7 @@ from math import gcd, lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-SCALE = -1  # column of the objective row that holds its denominator
+SCALE = -1  # slot of the objective row that holds its denominator
 # Degenerate pivots in a row after which pricing falls back from Dantzig's
 # rule to Bland's, until the next pivot that moves the point.
 DEGENERATE_RUN = 50
@@ -66,33 +74,36 @@ class FarkasCertificate:
     degenerate_pivots: int = field(default=0, compare=False)
 
 
-def _integer_row(entries) -> dict[int, int]:
-    """The (column, rational) entries as a sparse row {column: int}, scaled
-    by the positive factor that makes them coprime integers."""
+def _integer_row(entries, width: int) -> list[int]:
+    """The (column, rational) entries as a row of `width` ints, scaled by
+    the positive factor that makes them coprime integers."""
     scale = lcm(*(v.denominator for _, v in entries))
-    return _reduce({j: v.numerator * (scale // v.denominator) for j, v in entries})
+    row = [0] * width
+    for j, v in entries:
+        row[j] = v.numerator * (scale // v.denominator)
+    return _reduce(row)
 
 
-def _reduce(row: dict[int, int]) -> dict[int, int]:
-    g = gcd(*row.values())
+def _reduce(row: list[int]) -> list[int]:
+    g = gcd(*row)
     if g > 1:
-        return {j: v // g for j, v in row.items()}
+        return [v // g for v in row]
     return row
 
 
-def _combine(row: dict[int, int], a: int, pivot_row: dict[int, int], p: int):
+def _combine(row: list[int], a: int, pivot_row: list[int], p: int, nonzeros):
     """p*row - a*pivot_row over the smallest integers: p and a are divided
-    by their gcd, entries that cancel drop out, and the row by its gcd."""
+    by their gcd, and the row by its gcd.  `nonzeros` lists the (column,
+    entry) pairs of pivot_row's nonzero entries; when p comes out 1, only
+    those columns change, in place."""
     g = gcd(p, a)
     p, a = p // g, a // g
-    out = {j: p * v for j, v in row.items()} if p != 1 else dict(row)
-    for j, w in pivot_row.items():
-        v = out.get(j, 0) - a * w
-        if v:
-            out[j] = v
-        else:
-            del out[j]
-    return _reduce(out)
+    if p == 1:
+        for j, w in nonzeros:
+            row[j] -= a * w
+    else:
+        row = [p * v - a * w for v, w in zip(row, pivot_row)]
+    return _reduce(row)
 
 
 def solve_feasibility(
@@ -102,12 +113,12 @@ def solve_feasibility(
 
     Row i of M is rows[i], {column: entry} with columns in [0, num_cols)
     and absent entries zero; d is rhs.  Entries may be int or Fraction.
-    The tableau holds sparse integer rows.  Row i stands for the rational
-    row tab[i] / tab[i][basis[i]], which has 1 in its basic column; the
-    objective stands for obj / obj[SCALE].  Every stored row is a positive
-    multiple of the rational one, and every reduced cost shares the scale
-    obj[SCALE], so each sign, ratio and comparison the pricing reads, and
-    thus the whole pivot sequence, is that of the rational tableau.  The
+    The tableau holds integer rows of one width.  Row i stands for the
+    rational row tab[i] / tab[i][basis[i]], which has 1 in its basic column;
+    the objective stands for obj / obj[SCALE].  Every stored row is a
+    positive multiple of the rational one, and every reduced cost shares the
+    scale obj[SCALE], so each sign, ratio and comparison the pricing reads,
+    and thus the whole pivot sequence, is that of the rational tableau.  The
     outcome counts its pivots and the degenerate ones among them.
     """
     if len(rows) != len(rhs):
@@ -116,6 +127,7 @@ def solve_feasibility(
         raise ValueError(f"a column index outside [0, {num_cols})")
     m, n = len(rows), num_cols
     d_col = n + m  # column index of the right-hand side
+    width = d_col + 2  # and the objective's SCALE slot after it
 
     # Solve M p = D d, D the common denominator of d, so the rhs is integer;
     # the solution is divided by D at the end (module docstring).
@@ -124,15 +136,10 @@ def solve_feasibility(
     # Flip rows so the rhs is nonnegative; remember flips to map the
     # certificate back to original coordinates.
     flip = [(-1 if d < 0 else 1) for d in rhs]
-    # Tableau columns: n original variables, m artificials, then rhs.
     tab = []
     for i, (row, d) in enumerate(zip(rows, rhs)):
-        entries = [(j, v) for j, v in row.items() if v]
-        entries.append((n + i, flip[i]))
-        if d:
-            entries.append((d_col, d))
-        int_row = _integer_row(entries)
-        tab.append(int_row if flip[i] > 0 else {j: -v for j, v in int_row.items()})
+        int_row = _integer_row([*row.items(), (n + i, flip[i]), (d_col, d)], width)
+        tab.append(int_row if flip[i] > 0 else [-v for v in int_row])
     basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials.  Reduced costs start as
@@ -140,32 +147,34 @@ def solve_feasibility(
     # artificials.  The row holds them times obj[SCALE], a positive common
     # denominator, so pivoting updates it like any other row.
     scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
-    obj = {SCALE: scale}
+    obj = [0] * width
+    obj[SCALE] = scale
     for i, row in enumerate(tab):
         k = scale // row[n + i]
-        for j, v in row.items():
-            if j != n + i:
-                obj[j] = obj.get(j, 0) - k * v
-    obj = _reduce({j: v for j, v in obj.items() if v})
+        for j, v in enumerate(row):
+            if v and j != n + i:
+                obj[j] -= k * v
+    obj = _reduce(obj)
 
     pivots = degenerate = run = 0
     while True:
-        negative = [j for j, v in obj.items() if v < 0 and j != d_col]
-        if not negative:
+        costs = obj[:d_col]
+        lowest = min(costs, default=0)
+        if lowest >= 0:
             break
         if run < DEGENERATE_RUN:
             # Dantzig: the most negative reduced cost, ties to the lowest index.
-            enter = min(negative, key=lambda j: (obj[j], j))
+            enter = costs.index(lowest)
         else:
             # Bland: the lowest-index column with negative reduced cost.
-            enter = min(negative)
+            enter = next(j for j, v in enumerate(costs) if v < 0)
         # Ratio test by cross-multiplication; ties broken by lowest basic
         # variable index (Bland).
         leave = None
         for i, row in enumerate(tab):
-            e = row.get(enter, 0)
+            e = row[enter]
             if e > 0:
-                d = row.get(d_col, 0)
+                d = row[d_col]
                 if leave is None:
                     leave, num, den = i, d, e
                     continue
@@ -184,17 +193,18 @@ def solve_feasibility(
             run = 0
         pivot_row = tab[leave]
         p = pivot_row[enter]
+        nonzeros = [(j, w) for j, w in enumerate(pivot_row) if w]
         for i, row in enumerate(tab):
-            a = row.get(enter)
+            a = row[enter]
             if a and i != leave:
-                tab[i] = _combine(row, a, pivot_row, p)
-        obj = _combine(obj, obj[enter], pivot_row, p)
+                tab[i] = _combine(row, a, pivot_row, p, nonzeros)
+        obj = _combine(obj, obj[enter], pivot_row, p, nonzeros)
         basis[leave] = enter
 
-    if d_col not in obj:
+    if not obj[d_col]:
         solution = [ZERO] * n
         for row, b in zip(tab, basis):
-            if b < n and d_col in row:
+            if b < n and row[d_col]:
                 solution[b] = Fraction(row[d_col], row[b] * rhs_scale)
         return FeasibleSolution(
             p=tuple(solution), pivots=pivots, degenerate_pivots=degenerate
@@ -204,6 +214,6 @@ def solve_feasibility(
     # Artificial column j of the final tableau holds B^{-1} e_j, so the
     # dual value is y_j = c_j - obj[n + j] = 1 - obj[n + j]; undo row flips.
     y = tuple(
-        flip[i] * (ONE - Fraction(obj.get(n + i, 0), obj[SCALE])) for i in range(m)
+        flip[i] * (ONE - Fraction(obj[n + i], obj[SCALE])) for i in range(m)
     )
     return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

@@ -1,4 +1,5 @@
-"""Shared random generators, a dense reference LP and a 2xn oracle for tests.
+"""Shared random generators, dense and sparse reference LPs and a 2xn oracle
+for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -11,8 +12,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
-from contextuality import make_system, mix
+from contextuality import feasibility, make_system, mix
 from contextuality.feasibility import ONE, ZERO, FarkasCertificate, FeasibleSolution
 from contextuality.systems import SystemSpec
 
@@ -312,3 +314,107 @@ def dense_bland_solve(problem: FeasibilityProblem) -> FeasibleSolution | FarkasC
         return FeasibleSolution(p=tuple(p))
     # y_j = c_j - obj[n + j] on the artificial columns, rows flipped back.
     return FarkasCertificate(y=tuple(flip[i] * (ONE - obj[n + i]) for i in range(m)))
+
+
+def _dict_integer_row(entries) -> dict[int, int]:
+    scale = lcm(*(v.denominator for _, v in entries))
+    return _dict_reduce({j: v.numerator * (scale // v.denominator) for j, v in entries})
+
+
+def _dict_reduce(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {j: v // g for j, v in row.items()}
+    return row
+
+
+def _dict_combine(row: dict[int, int], a: int, pivot_row: dict[int, int], p: int):
+    g = gcd(p, a)
+    p, a = p // g, a // g
+    out = {j: p * v for j, v in row.items()} if p != 1 else dict(row)
+    for j, w in pivot_row.items():
+        v = out.get(j, 0) - a * w
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    return _dict_reduce(out)
+
+
+def sparse_reference_solve(rows, rhs, num_cols: int) -> FeasibleSolution | FarkasCertificate:
+    """Reference for `solve_feasibility` over dict rows {column: int}.
+
+    The same phase-one simplex, pricing rule and integer scaling, with each
+    tableau row a dict of its nonzero entries: the integers it stores are
+    those of the list rows, so tests require equal outcomes, pivot counts
+    and degenerate-pivot counts.  Reads DEGENERATE_RUN at call time.
+    """
+    m, n = len(rows), num_cols
+    d_col = n + m
+    rhs_scale = lcm(*(d.denominator for d in rhs))
+    rhs = [d.numerator * (rhs_scale // d.denominator) for d in rhs]
+    flip = [(-1 if d < 0 else 1) for d in rhs]
+    tab = []
+    for i, (row, d) in enumerate(zip(rows, rhs)):
+        entries = [(j, v) for j, v in row.items() if v]
+        entries.append((n + i, flip[i]))
+        if d:
+            entries.append((d_col, d))
+        int_row = _dict_integer_row(entries)
+        tab.append(int_row if flip[i] > 0 else {j: -v for j, v in int_row.items()})
+    basis = [n + i for i in range(m)]
+
+    scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
+    obj = {-1: scale}  # -1 holds the objective row's denominator
+    for i, row in enumerate(tab):
+        k = scale // row[n + i]
+        for j, v in row.items():
+            if j != n + i:
+                obj[j] = obj.get(j, 0) - k * v
+    obj = _dict_reduce({j: v for j, v in obj.items() if v})
+
+    pivots = degenerate = run = 0
+    while True:
+        negative = [j for j, v in obj.items() if v < 0 and j != d_col]
+        if not negative:
+            break
+        if run < feasibility.DEGENERATE_RUN:
+            enter = min(negative, key=lambda j: (obj[j], j))
+        else:
+            enter = min(negative)
+        leave = None
+        for i, row in enumerate(tab):
+            e = row.get(enter, 0)
+            if e > 0:
+                d = row.get(d_col, 0)
+                if leave is None:
+                    leave, num, den = i, d, e
+                    continue
+                left, right = d * den, num * e
+                if left < right or (left == right and basis[i] < basis[leave]):
+                    leave, num, den = i, d, e
+        if leave is None:
+            raise RuntimeError("phase-one simplex reported unbounded")
+        pivots += 1
+        if num == 0:
+            degenerate += 1
+            run += 1
+        else:
+            run = 0
+        pivot_row = tab[leave]
+        p = pivot_row[enter]
+        for i, row in enumerate(tab):
+            a = row.get(enter)
+            if a and i != leave:
+                tab[i] = _dict_combine(row, a, pivot_row, p)
+        obj = _dict_combine(obj, obj[enter], pivot_row, p)
+        basis[leave] = enter
+
+    if d_col not in obj:
+        solution = [ZERO] * n
+        for row, b in zip(tab, basis):
+            if b < n and d_col in row:
+                solution[b] = Fraction(row[d_col], row[b] * rhs_scale)
+        return FeasibleSolution(p=tuple(solution), pivots=pivots, degenerate_pivots=degenerate)
+    y = tuple(flip[i] * (ONE - Fraction(obj.get(n + i, 0), obj[-1])) for i in range(m))
+    return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 from contextuality import (
+    analysis,
     build_ksp_support,
     check_nonsignaling,
     chsh,
@@ -34,7 +35,14 @@ from contextuality.feasibility import FarkasCertificate, FeasibleSolution
 from contextuality.peres import collinear
 from contextuality.systems import Context
 
-from helpers import make_problem, random_ns_2x2, random_ns_mixture, sparse_rows, verify
+from helpers import (
+    make_problem,
+    noisy_mixture,
+    random_ns_2x2,
+    random_ns_mixture,
+    sparse_rows,
+    verify,
+)
 
 HALF = Fraction(1, 2)
 
@@ -149,6 +157,28 @@ def test_fine_oracle_equivalence():
         f"({contextual_seen} contextual)",
         ok,
     )
+
+
+def test_full_support_5x5_binary_within_budget(monkeypatch):
+    # The slow regime: a noisy mixture is interior to a degenerate LP, here
+    # 36 kept rows over all 1,024 realizations.  ROADMAP item 2's budget
+    # for 5x5 binary interior systems is 5 s.
+    alph = {str(i): ("0", "1") for i in range(1, 6)}
+    s = noisy_mixture(random.Random(7), alph, alph)
+    outcomes = []
+
+    def recorded(*args):
+        outcomes.append(solve_feasibility(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(analysis, "solve_feasibility", recorded)
+    start = time.monotonic()
+    v = classify(s)
+    elapsed = time.monotonic() - start
+    ok = v.kind == "noncontextual" and v.realization_count == 1024
+    ok &= [(o.pivots, o.degenerate_pivots) for o in outcomes] == [(124, 19)]
+    ok &= elapsed < 5.0
+    report(f"Full-support 5x5 binary: noncontextual in {elapsed:.2f} s, 124 pivots", ok)
 
 
 def test_signaling_detection():

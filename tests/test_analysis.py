@@ -572,6 +572,74 @@ class TestWitness:
             )
             assert analysis._local_bound(w.coefficients, s, allowed) == best
 
+        # Context subsets, mixed alphabet sizes, and allowed sets that leave
+        # some f with no g, each against every (f, g) listed outright.
+        a_alph = {"1": ("0", "1"), "2": ("0", "1", "2"), "3": ("0", "1", "2", "3")}
+        b_alph = {"1": ("0", "1", "2"), "2": ("0", "1"), "3": ("0", "1")}
+        mixed = _mixture_of(rng, a_alph, b_alph)
+        # A-setting 3 and B-setting 3 in no context
+        subsets = [[c for c in mixed.contexts if "3" not in c]]
+        subsets += [
+            rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts)))
+            for _ in range(12)
+        ]
+        without_g = 0
+        for contexts in [list(mixed.contexts)] + subsets:
+            s = restrict(mixed, contexts)
+            keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
+            coefficients = {
+                key: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for key in rng.sample(keys, rng.randint(0, len(keys)))
+            }
+            assert analysis._local_bound(coefficients, s) == _brute_local_bound(
+                coefficients, s
+            )
+            for _ in range(5):
+                allowed = {
+                    (ctx, pair) for ctx in s.contexts for pair in s.pairs(ctx)
+                    if rng.random() < 0.7
+                }
+                best = _brute_local_bound(coefficients, s, allowed)
+                if best is None:
+                    continue  # no (f, g) at all
+                without_g += _some_f_has_no_g(s, allowed)
+                assert analysis._local_bound(coefficients, s, allowed) == best
+        assert without_g > 0
+
+
+def _mixture_of(rng, a_alph, b_alph):
+    parts = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(4)]
+    return mix([(p, Fraction(1, 4)) for p in parts])
+
+
+def _assignments(alphabets):
+    settings = sorted(alphabets)
+    for outcomes in itertools.product(*(alphabets[s] for s in settings)):
+        yield dict(zip(settings, outcomes))
+
+
+def _allows(s, f, g, allowed) -> bool:
+    return allowed is None or all((ctx, (f[ctx.x], g[ctx.y])) in allowed for ctx in s.contexts)
+
+
+def _brute_local_bound(coefficients, s, allowed=None):
+    """Best score of the coefficients over every (f, g) on the full
+    alphabets whose pairs are allowed, listed outright; None if none is."""
+    scores = [
+        sum(c for (ctx, a, b), c in coefficients.items() if (f[ctx.x], g[ctx.y]) == (a, b))
+        for f in _assignments(s.a_alphabet)
+        for g in _assignments(s.b_alphabet)
+        if _allows(s, f, g, allowed)
+    ]
+    return max(scores, default=None)
+
+
+def _some_f_has_no_g(s, allowed) -> bool:
+    return any(
+        not any(_allows(s, f, g, allowed) for g in _assignments(s.b_alphabet))
+        for f in _assignments(s.a_alphabet)
+    )
+
 
 class TestHiddenVariableModel:
     def test_model_reproduces_pmfs(self):

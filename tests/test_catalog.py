@@ -13,7 +13,7 @@ from contextuality import (
     marginal,
     pair_as_mixture,
 )
-from contextuality.catalog import UnknownSystemError, catalog_ids
+from contextuality.catalog import UnknownSystemError, catalog_ids, provenance
 from contextuality.serialize import dumps_system, loads_system
 
 ONE = Fraction(1)
@@ -71,6 +71,8 @@ class TestGet:
     def test_unknown_id(self):
         with pytest.raises(UnknownSystemError):
             get("nope")
+        with pytest.raises(UnknownSystemError):
+            provenance("nope")
 
     def test_ids_stable(self):
         assert set(catalog_ids()) == {
@@ -86,7 +88,7 @@ class TestGet:
         }
         for id in catalog_ids():
             named = get(id)
-            assert named.id == id and named.provenance
+            assert named.id == id and named.provenance == provenance(id)
 
     def test_ksp_is_support_spec(self):
         assert isinstance(get("ksp_support").system, SupportSpec)

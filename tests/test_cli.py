@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import contextuality
-from contextuality import get, witness_score
+from contextuality import catalog, get, peres, witness_score
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
@@ -279,6 +279,20 @@ class TestCatalogCmd:
         assert code == 0
         for id in ("d_eprb", "conspiracy", "ksp_support"):
             assert id in out
+
+    def test_builds_no_system(self, capsys, monkeypatch):
+        # Listing provenance needs no system: with the KS support unbuildable
+        # and its cache empty, the command still prints the golden lines.
+        def unbuildable():
+            raise RuntimeError("catalog built the KS support")
+
+        monkeypatch.setattr(peres, "build_ksp_support", unbuildable)
+        catalog._ksp_support.cache_clear()
+        code, out, err = run(capsys, "catalog")
+        assert code == 0
+        golden = Path(__file__).parent / "golden" / "catalog.out"
+        assert out.encode("utf-8") == golden.read_bytes()
+        assert len(out.splitlines()) == 9
 
 
 def test_byte_identical_reruns(capsys):

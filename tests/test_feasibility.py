@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -24,9 +25,37 @@ from helpers import (
     make_problem,
     noisy_mixture,
     random_deterministic_ns,
+    sparse_reference_solve,
     sparse_rows,
     verify,
 )
+
+
+def _solve_as_sparse_reference(rows, rhs, num_cols):
+    """The solver's outcome, required to equal the dict-row reference's, with
+    the same pivot and degenerate-pivot counts.
+
+    A pivot updates at most every other row and the objective, so a solve
+    that makes more row updates than the reference's pivots allow has gone
+    astray: it is stopped, since a wrong tableau can cycle for ever.
+    """
+    reference = sparse_reference_solve(rows, rhs, num_cols)
+    combine, calls, cap = feasibility._combine, 0, reference.pivots * len(rows)
+
+    def capped(*args):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise RuntimeError(f"over {cap} row updates: more pivots than the reference")
+        return combine(*args)
+
+    with mock.patch.object(feasibility, "_combine", capped):
+        outcome = solve_feasibility(rows, rhs, num_cols)
+    assert outcome == reference
+    assert (outcome.pivots, outcome.degenerate_pivots) == (
+        reference.pivots, reference.degenerate_pivots
+    )
+    return outcome
 
 
 def test_normalization_only_is_feasible():
@@ -168,10 +197,11 @@ def test_mutual_exclusion():
 def test_equals_dense_reference_on_random_problems(seed):
     # Dantzig pricing may stop at another vertex than Bland's rule, so the
     # outcomes agree in kind, and each one holds on its own.
+    # Against the dict-row reference they agree pivot for pivot.
     rng = random.Random(seed)
     for _ in range(500):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(*sparse_rows(problem))
+        outcome = _solve_as_sparse_reference(*sparse_rows(problem))
         reference = dense_bland_solve(problem)
         assert type(outcome) is type(reference)
         assert verify(problem, outcome) and verify(problem, reference)
@@ -251,7 +281,7 @@ def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
 )
 def test_equals_dense_reference_on_edge_cases(matrix, rhs):
     problem = make_problem(matrix, rhs)
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = _solve_as_sparse_reference(*sparse_rows(problem))
     assert outcome == dense_bland_solve(problem)
     assert verify(problem, outcome)
 
@@ -269,7 +299,7 @@ def test_equals_dense_reference_on_4x4_membership(columns_from):
     rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
     assert len(rows) == 25  # of 65: 16 contexts x 1 pair, 4 + 4 marginals, normalization
     problem = dense_problem(rows, rhs, len(columns))
-    outcome = solve_feasibility(rows, rhs, len(columns))
+    outcome = _solve_as_sparse_reference(rows, rhs, len(columns))
     reference = dense_bland_solve(problem)
     kind = FeasibleSolution if columns_from == "own" else FarkasCertificate
     assert isinstance(outcome, kind) and isinstance(reference, kind)
@@ -333,7 +363,7 @@ def test_degenerate_pivots_stay_bounded_on_an_interior_point():
     system = noisy_mixture(rng, alph, alph)
     columns = enumerate_ns_realizations(full_support(system))
     rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
-    outcome = solve_feasibility(rows, rhs, len(columns))
+    outcome = _solve_as_sparse_reference(rows, rhs, len(columns))
     assert isinstance(outcome, FeasibleSolution)
     assert 0 < outcome.degenerate_pivots <= 50
     assert outcome.pivots <= 100
