@@ -84,9 +84,13 @@ class CertificateError(Exception):
 
 
 def _require_valid(spec: SystemSpec | SupportSpec) -> None:
+    """Raise on a spec `validate` rejects, or a signaling system."""
     violations = validate(spec)
     if violations:
         raise InvalidSystemError(spec.name, violations)
+    sw = check_nonsignaling(spec) if isinstance(spec, SystemSpec) else None
+    if sw is not None:
+        raise SignalingSystemError(sw)
 
 
 @dataclass(frozen=True)
@@ -191,17 +195,6 @@ def witness_score(
     return score
 
 
-def full_support(system: SystemSpec) -> SupportSpec:
-    """The system's shape with every alphabet pair allowed in every context."""
-    return SupportSpec(
-        name=system.name,
-        a_alphabet=system.a_alphabet,
-        b_alphabet=system.b_alphabet,
-        contexts=system.contexts,
-        supports={ctx: frozenset(system.pairs(ctx)) for ctx in system.contexts},
-    )
-
-
 def _membership_problem(
     system: SystemSpec,
     realizations: tuple[Realization, ...],
@@ -256,12 +249,11 @@ def _witness_from_certificate(
     # supported pairs: the LP columns are exactly those realizations, so the
     # Farkas inequalities guarantee the system still scores strictly above.
     bound = _local_bound(coefficients, system, supported)
-    # A realization outside the columns uses some pair that is unsupported:
-    # on the support path, a pair of probability zero.  On the supported
-    # pairs it scores at most the sum over contexts of max(0, largest
-    # coefficient), so charging each unsupported pair -K, K that sum less
-    # the bound, holds it to the bound as well, and leaves the system's
-    # score as it was.
+    # A realization outside the columns uses some pair of probability zero.
+    # On the supported pairs it scores at most the sum over contexts of
+    # max(0, largest coefficient), so charging each unsupported pair -K, K
+    # that sum less the bound, holds it to the bound as well, and leaves
+    # the system's score as it was.
     best: dict[Context, Fraction] = {}
     for (ctx, _), y in zip(keys, certificate.y):
         best[ctx] = max(best.get(ctx, ZERO), y)
@@ -271,11 +263,23 @@ def _witness_from_certificate(
             for a, b in system.pairs(ctx):
                 if (ctx, (a, b)) not in supported:
                     coefficients[(ctx, a, b)] = -k
+    return _checked_witness(coefficients, system, bound)
+
+
+def _checked_witness(
+    coefficients: dict[tuple[Context, Outcome, Outcome], Fraction],
+    system: SystemSpec,
+    bound: Fraction | None = None,
+) -> BellWitness:
+    """The witness, once the system beats its bound and no (f, g) over the
+    full alphabets does; the bound defaults to the best such (f, g)'s score."""
+    best = _local_bound(coefficients, system)
+    if bound is None:
+        bound = best
     witness = BellWitness(coefficients=coefficients, bound=bound)
     if not witness_score(witness, system) > bound:
         raise CertificateError("the system does not beat the witness bound")
-    # The columns bound only the realizations they list; check all of them.
-    if _local_bound(coefficients, system) > bound:
+    if best > bound:
         raise CertificateError("a realization beats the witness bound")
     return witness
 
@@ -339,9 +343,12 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     Candidate mixture components are the support-restricted non-signaling
     realizations; positive weight in a decomposition forces support
     membership, so nothing is lost by excluding zero-probability pairs.
-    When that set is empty the system is immediately contextual, and the
-    separating witness is built over the alphabet-wide non-signaling
-    assignment set instead (so it is never vacuous).
+    `limit` caps their number, the LP's columns.  With none, the support is
+    the witness: coefficient 1 on each supported (context, pair).  The
+    system scores N, its number of contexts; an (f, g) over the full
+    alphabets misses the support in some context, so scores at most N - 1.
+    The bound is the best such score, from the local-bound oracle, and no
+    LP is solved.
 
     Raises InvalidSystemError on a system `validate` rejects, and
     SignalingSystemError on signaling input; contextuality is only defined
@@ -351,40 +358,27 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     while no realization over the full alphabets does.
     """
     _require_valid(system)
-    sw = check_nonsignaling(system)
-    if sw is not None:
-        raise SignalingSystemError(sw)
 
     support = support_of(system)
     realizations = enumerate_ns_realizations(support, limit)
-    if realizations:
-        columns = realizations
-        pairs_of = lambda ctx: sorted(support.supports[ctx])
-    else:
-        # No support-restricted ns realization: no decomposition can exist.
-        # Certify against the alphabet-wide set, never empty for a valid system.
-        columns = enumerate_ns_realizations(full_support(system), limit)
-        pairs_of = system.pairs
-    supported = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
-    rows, rhs, keys = _membership_problem(system, columns, supported)
-    outcome = solve_feasibility(rows, rhs, len(columns))
+    supported = [
+        (ctx, pair) for ctx in system.sorted_contexts() for pair in sorted(support.supports[ctx])
+    ]
+    if not realizations:
+        coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
+        return Verdict("contextual", witness=_checked_witness(coefficients, system))
+    rows, rhs, keys = _membership_problem(system, realizations, supported)
+    outcome = solve_feasibility(rows, rhs, len(realizations))
     if isinstance(outcome, FeasibleSolution):
         # Keep every nonzero weight: a negative one must fail the check, not vanish.
         decomposition = Decomposition(
-            components=tuple((r, w) for r, w in zip(columns, outcome.p) if w != 0)
+            components=tuple((r, w) for r, w in zip(realizations, outcome.p) if w != 0)
         )
         if not decomposition_reproduces(system, decomposition):
             raise CertificateError("the decomposition does not reproduce the system")
-        return Verdict(
-            kind="noncontextual",
-            decomposition=decomposition,
-            realization_count=len(realizations),
-        )
-    return Verdict(
-        kind="contextual",
-        witness=_witness_from_certificate(keys, outcome, system, set(supported)),
-        realization_count=len(realizations),
-    )
+        return Verdict("noncontextual", decomposition, realization_count=len(realizations))
+    witness = _witness_from_certificate(keys, outcome, system, set(supported))
+    return Verdict("contextual", witness=witness, realization_count=len(realizations))
 
 
 def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -479,9 +473,6 @@ def fine_oracle(system: SystemSpec) -> str:
     SignalingSystemError on signaling input.
     """
     _require_valid(system)
-    sw = check_nonsignaling(system)
-    if sw is not None:
-        raise SignalingSystemError(sw)
     return "noncontextual" if chsh(system) <= 2 else "contextual"
 
 

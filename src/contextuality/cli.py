@@ -157,8 +157,6 @@ def cmd_realizations(args) -> int:
             )
         else:
             report["value"] = str(count.value)
-        if not args.count_only:
-            raise InputError("--mode all supports --count-only listings only")
     else:
         realizations = enumerate_ns_realizations(support, args.limit)
         report["count"] = str(len(realizations))
@@ -275,6 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     if getattr(args, "limit", 0) < 0:
         print("error: --limit must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
+    if getattr(args, "mode", None) == "all" and not args.count_only:
+        print("error: --mode all needs --count-only", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

@@ -210,8 +210,8 @@ def validate(spec: Spec) -> list[str]:
 
     Holds for both kinds of spec: every alphabet is non-empty and
     duplicate-free, contexts are unique and use declared settings, and each
-    context's pmf or support lies inside its alphabet product.  A pmf is
-    non-negative and sums to 1; a support is non-empty.
+    context's pmf or support lies inside its alphabet product.  A pmf holds
+    ints or Fractions, non-negative, summing to 1; a support is non-empty.
     """
     violations: list[str] = []
     for side, alphabets in (("A", spec.a_alphabet), ("B", spec.b_alphabet)):
@@ -225,8 +225,17 @@ def validate(spec: Spec) -> list[str]:
     probabilistic = isinstance(spec, SystemSpec)
     kind = "pmf" if probabilistic else "support"
     tables = spec.pmfs if probabilistic else spec.supports
+    counts = None
     if probabilistic:
-        scale, counts = _counts(spec)
+        try:
+            scale, counts = _counts(spec)
+        except (AttributeError, TypeError):  # a probability with no exact counts
+            violations += [
+                f"context {tuple(ctx)}: probability {p!r} at {pair} is not an int or Fraction"
+                for ctx, pmf in tables.items()
+                for pair, p in pmf.items()
+                if not isinstance(p, (int, Fraction))
+            ]
     seen: set[Context] = set()
     for ctx in spec.contexts:
         if ctx in seen:
@@ -249,9 +258,9 @@ def validate(spec: Spec) -> list[str]:
                 for pair in table
                 if pair not in allowed
             ]
-        if not probabilistic:
-            if not table:
-                violations.append(f"context {tuple(ctx)}: empty support")
+        if not (probabilistic or table):
+            violations.append(f"context {tuple(ctx)}: empty support")
+        if counts is None:
             continue
         for pair, c in counts[ctx].items():
             if c < 0:

@@ -8,15 +8,17 @@ non-signaling holds by construction with no tolerance.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from pathlib import Path
 
 from contextuality import feasibility, make_system, mix
 from contextuality.feasibility import ONE, ZERO, FarkasCertificate, FeasibleSolution
-from contextuality.systems import SystemSpec
+from contextuality.systems import SupportSpec, SystemSpec
 
 BIN = ("0", "1")
 
@@ -120,6 +122,38 @@ def chained_box(a_alph, b_alph, k: int, shifts) -> SystemSpec:
                 (str(a), str((a + shift) % k)): Fraction(1, k) for a in range(k)
             }
     return make_system(f"chained-{k}", a_alph, b_alph, pmfs)
+
+
+def full_support(system: SystemSpec) -> SupportSpec:
+    """The system's shape with every alphabet pair allowed in every context."""
+    return SupportSpec(
+        name=system.name,
+        a_alphabet=system.a_alphabet,
+        b_alphabet=system.b_alphabet,
+        contexts=system.contexts,
+        supports={ctx: frozenset(system.pairs(ctx)) for ctx in system.contexts},
+    )
+
+
+def perfect_chained_box(settings: int, outcomes: int) -> SystemSpec:
+    """Settings "1".."n" per side, and b = a in every context but (1, 2),
+    where b = a + 1 mod `outcomes`: no (f, g) fits its support."""
+    alph = {str(i): tuple(map(str, range(outcomes))) for i in range(1, settings + 1)}
+    return chained_box(alph, alph, outcomes, {("1", "2"): 1})
+
+
+def checker_accepts(system: SystemSpec, coefficients, bound) -> bool:
+    """Whether `check_witness` of perfbench/checker.py, which imports nothing
+    from the library, accepts a witness of the system by brute force; the
+    coefficients are keyed (context, a, b) as in `BellWitness`."""
+    path = Path(__file__).parents[1] / "perfbench" / "checker.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
+    checker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checker)
+    pmfs = {tuple(ctx): dict(system.pmfs[ctx]) for ctx in system.contexts}
+    terms = {(ctx.x, ctx.y, a, b): c for (ctx, a, b), c in coefficients.items()}
+    problem = checker.check_witness(system.a_alphabet, system.b_alphabet, pmfs, terms, bound)
+    return problem is None
 
 
 def every_pair(system: SystemSpec) -> list:

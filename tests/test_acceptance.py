@@ -20,7 +20,6 @@ from contextuality import (
     enumerate_ns_realizations,
     expectation_product,
     fine_oracle,
-    full_support,
     get,
     ks_search,
     marginal,
@@ -36,8 +35,10 @@ from contextuality.peres import collinear
 from contextuality.systems import Context
 
 from helpers import (
+    full_support,
     make_problem,
     noisy_mixture,
+    perfect_chained_box,
     random_ns_2x2,
     random_ns_mixture,
     sparse_rows,
@@ -179,6 +180,26 @@ def test_full_support_5x5_binary_within_budget(monkeypatch):
     ok &= [(o.pivots, o.degenerate_pivots) for o in outcomes] == [(124, 19)]
     ok &= elapsed < 5.0
     report(f"Full-support 5x5 binary: noncontextual in {elapsed:.2f} s, 124 pivots", ok)
+
+
+def test_perfect_chained_boxes_within_budget(monkeypatch):
+    # No (f, g) fits the support of a perfect chained box, so the support
+    # decides it: no LP, and a second of budget per shape.
+    def no_solver(*args):
+        raise AssertionError("the support decides these systems")
+
+    monkeypatch.setattr(analysis, "solve_feasibility", no_solver)
+    ok = True
+    timings = []
+    for settings, outcomes in ((7, 2), (4, 3), (10, 2)):
+        s = perfect_chained_box(settings, outcomes)
+        start = time.monotonic()
+        v = classify(s)
+        elapsed = time.monotonic() - start
+        timings.append(f"{settings}x{settings}/{outcomes}: {elapsed:.3f} s")
+        ok &= v.kind == "contextual" and v.witness.bound == len(s.contexts) - 1
+        ok &= elapsed < 1.0
+    report(f"Perfect chained boxes contextual from the support ({', '.join(timings)})", ok)
 
 
 def test_signaling_detection():

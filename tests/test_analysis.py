@@ -16,7 +16,6 @@ from contextuality import (
     decomposition_reproduces,
     enumerate_ns_realizations,
     fine_oracle,
-    full_support,
     get,
     hidden_variable_model,
     make_support,
@@ -36,10 +35,13 @@ from contextuality.systems import Context
 
 from helpers import (
     chained_box,
+    checker_accepts,
     chsh_2xn_oracle,
     dense_problem,
     every_pair,
+    full_support,
     full_membership_problem,
+    perfect_chained_box,
     random_deterministic_ns,
     random_ns_2x2,
     random_ns_mixture,
@@ -232,7 +234,11 @@ class TestCertificateChecks:
         "system, wrong",
         [
             (get("d_eprb").system, lambda rows, rhs, n: FeasibleSolution(p=(Fraction(2),) * n)),
-            (conspiracy_system(), lambda rows, rhs, n: FarkasCertificate(y=(Fraction(0),) * len(rows))),
+            (
+                # contextual, and its full support admits all 16 realizations
+                mix([(conspiracy_system(), Fraction(3, 4)), (uniform_system(BIN, BIN), Fraction(1, 4))]),
+                lambda rows, rhs, n: FarkasCertificate(y=(Fraction(0),) * len(rows)),
+            ),
         ],
         ids=["feasible", "farkas"],
     )
@@ -266,6 +272,50 @@ class TestCertificateChecks:
         )
         with pytest.raises(CertificateError):
             classify(mix([(get("d1").system, HALF), (get("d2").system, HALF)]))
+
+
+def _no_solver(rows, rhs, num_cols):
+    raise AssertionError("the support decides this system; no LP is needed")
+
+
+class TestSupportWitness:
+    """With no realization fitting the support, the support is the witness."""
+
+    def test_conspiracy_within_small_limit(self, monkeypatch):
+        # Nothing is enumerated beyond the support's realizations, of which
+        # the PR box has none, so a limit of 3 is never reached.
+        monkeypatch.setattr(analysis, "solve_feasibility", _no_solver)
+        s = conspiracy_system()
+        v = classify(s, limit=3)
+        assert v.kind == "contextual" and v.realization_count == 0
+        assert v.witness.bound == 3
+        assert v.witness.coefficients == {
+            (ctx, a, b): 1 for ctx in s.contexts for a, b in s.pmfs[ctx]
+        }
+
+    @pytest.mark.parametrize(
+        "settings, outcomes, bound",
+        [(4, 3, 15), (7, 2, 48)],
+        ids=["4x4-ternary", "7x7-binary"],
+    )
+    def test_perfect_chained_box_passes_checker(self, monkeypatch, settings, outcomes, bound):
+        monkeypatch.setattr(analysis, "solve_feasibility", _no_solver)
+        s = perfect_chained_box(settings, outcomes)
+        v = classify(s)
+        assert v.kind == "contextual"
+        # N contexts, each scoring 1 on the system; the best (f, g) misses one.
+        assert v.witness.bound == bound == len(s.contexts) - 1
+        assert checker_accepts(s, v.witness.coefficients, v.witness.bound)
+
+    def test_forged_bound_raises(self, monkeypatch):
+        # An oracle that lets some (f, g) score N, as much as the system.
+        monkeypatch.setattr(
+            analysis,
+            "_local_bound",
+            lambda coefficients, system, allowed=None: Fraction(len(system.contexts)),
+        )
+        with pytest.raises(CertificateError):
+            classify(conspiracy_system())
 
 
 def _kept_rows_case(rng: random.Random):

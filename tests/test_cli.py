@@ -150,9 +150,9 @@ class TestAnalyze:
         assert out == ""
 
     def test_limit_exceeded_exit_2(self, capsys):
-        code, out, err = run(
-            capsys, "analyze", "--builtin", "conspiracy", "--limit", "3"
-        )
+        # the example system has 5 support realizations
+        system = str(Path(__file__).parent / "golden" / "system.json")
+        code, out, err = run(capsys, "analyze", system, "--limit", "3")
         assert code == 2
         assert "3" in err
 
@@ -209,6 +209,15 @@ class TestRealizations:
     def test_ns_listing(self, capsys):
         report = run_json(capsys, "realizations", "--builtin", "eprb_shape")
         assert len(report["realizations"]) == 16
+
+    @pytest.mark.parametrize("source", [["--builtin", "eprb_shape"], ["missing.json"]])
+    def test_all_listing_usage_error(self, capsys, source):
+        # a flag combination is refused before any system is loaded, so a
+        # missing file makes no input error
+        code, out, err = run(capsys, "realizations", *source, "--mode", "all")
+        assert code == 1
+        assert out == ""
+        assert "--count-only" in err
 
 
 class TestPeres:

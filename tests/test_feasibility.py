@@ -12,7 +12,6 @@ from contextuality import (
     decomposition_reproduces,
     enumerate_ns_realizations,
     feasibility,
-    full_support,
     mix,
     solve_feasibility,
     support_of,
@@ -22,6 +21,7 @@ from helpers import (
     dense_bland_solve,
     dense_problem,
     every_pair,
+    full_support,
     make_problem,
     noisy_mixture,
     random_deterministic_ns,

@@ -6,7 +6,6 @@ fixture files in `golden/` (`system.json` stands in for the README's
 `path/to/system.json`).
 """
 
-import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +14,9 @@ import pytest
 
 from contextuality import conspiracy_system
 from contextuality.cli import main
+from contextuality.systems import Context
+
+from helpers import checker_accepts
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
@@ -29,33 +31,38 @@ def test_readme_command_bytes(command, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{command['name']}.out").read_bytes()
 
 
-def _benchmark_checker():
-    """perfbench/checker.py, which imports nothing from the library."""
-    path = Path(__file__).parents[1] / "perfbench" / "checker.py"
-    spec = importlib.util.spec_from_file_location("perfbench_checker", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_benchmark_checker_accepts_old_and_new_conspiracy_witness():
-    # The kept-row LP changed the pinned conspiracy witness from 16 terms
-    # with bound -1 to 6 terms with bound 0; both hold to the contract.
+    # The pinned conspiracy witness was 16 terms with bound -1, then 6 terms
+    # with bound 0 from the kept-row LP; its support, which no realization
+    # fits, now gives it outright: coefficient 1 on each of the 8 supported
+    # pairs, bound 3.  All three hold to the contract.
     system = conspiracy_system()
-    pmfs = {tuple(ctx): dict(system.pmfs[ctx]) for ctx in system.contexts}
     old = {
-        (x, y, a, b): Fraction(1 if (a == b) != ((x, y) == ("1", "2")) else -4)
-        for x, y in pmfs
+        (ctx, a, b): Fraction(1 if (a == b) != (tuple(ctx) == ("1", "2")) else -4)
+        for ctx in system.contexts
         for a in "01"
         for b in "01"
     }
+    kept_rows = {
+        (Context(x, y), a, b): Fraction(c)
+        for x, y, a, b, c in [
+            ("1", "1", "0", "0", -1),
+            ("1", "1", "1", "0", -2),
+            ("1", "2", "0", "0", -1),
+            ("2", "1", "0", "0", 1),
+            ("2", "1", "0", "1", -1),
+            ("2", "2", "0", "0", 1),
+        ]
+    }
     report = json.loads((GOLDEN / "analyze-conspiracy.out").read_text(encoding="utf-8"))
     new = {
-        (t["x"], t["y"], t["a"], t["b"]): Fraction(t["coefficient"])
+        (Context(t["x"], t["y"]), t["a"], t["b"]): Fraction(t["coefficient"])
         for t in report["witness"]["terms"]
     }
-    checker = _benchmark_checker()
-    for coefficients, bound in ((old, Fraction(-1)), (new, Fraction(report["witness"]["bound"]))):
-        assert checker.check_witness(
-            system.a_alphabet, system.b_alphabet, pmfs, coefficients, bound
-        ) is None
+    assert len(new) == 8 and set(new.values()) == {1}
+    for coefficients, bound in (
+        (old, Fraction(-1)),
+        (kept_rows, Fraction(0)),
+        (new, Fraction(report["witness"]["bound"])),
+    ):
+        assert checker_accepts(system, coefficients, bound)

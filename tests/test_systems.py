@@ -5,9 +5,12 @@ import pytest
 
 from contextuality import (
     Context,
+    InvalidSystemError,
     Realization,
     SignalingWitness,
+    SystemSpec,
     check_nonsignaling,
+    classify,
     count_assignments,
     expectation_product,
     get,
@@ -81,6 +84,24 @@ class TestValidate:
                 expected.append(f"context {tuple(ctx)}: sum {total} != 1")
         assert len(expected) == 3
         assert validate(s) == expected
+
+
+    def test_inexact_probability_reported(self):
+        # Built directly, a spec keeps what it is given; a float has no
+        # exact counts, so validate must report it, not crash reading them.
+        ctx = Context("1", "1")
+        s = SystemSpec(
+            name="float",
+            a_alphabet={"1": ("0", "1")},
+            b_alphabet={"1": ("0", "1")},
+            contexts=(ctx,),
+            pmfs={ctx: {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)}},
+        )
+        violations = ["context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"]
+        assert validate(s) == violations
+        with pytest.raises(InvalidSystemError) as exc:
+            classify(s)
+        assert exc.value.violations == violations
 
 
 class TestMarginal:
