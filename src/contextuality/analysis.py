@@ -47,7 +47,6 @@ from .systems import (
     SignalingWitness,
     SupportSpec,
     SystemSpec,
-    _counts,
     check_nonsignaling,
     expectation_product,
     support_of,
@@ -172,12 +171,11 @@ def enumerate_ns_realizations(
 
     search(domains, list(range(len(alphabets))))
     found.sort()
-    contexts = support.sorted_contexts()
     realizations = []
     for values in found:
         f = dict(zip(a_settings, values))
         g = dict(zip(b_settings, values[len(a_settings):]))
-        values_of = {ctx: (f[ctx.x], g[ctx.y]) for ctx in contexts}
+        values_of = {ctx: (f[ctx.x], g[ctx.y]) for ctx in support.contexts}
         realizations.append(Realization(f=f, g=g, values=values_of))
     return tuple(realizations)
 
@@ -210,7 +208,7 @@ def _membership_problem(
     """
     first_with_x: dict[str, Context] = {}
     first_with_y: dict[str, Context] = {}
-    for ctx in system.sorted_contexts():
+    for ctx in system.contexts:
         first_with_x.setdefault(ctx.x, ctx)
         first_with_y.setdefault(ctx.y, ctx)
     keys = []
@@ -309,7 +307,7 @@ def _local_bound(
     xs = system.a_settings
     position = {x: i for i, x in enumerate(xs)}
     tables: dict[str, list[tuple[int, list[list[int | None]]]]] = {}
-    for ctx in system.sorted_contexts():
+    for ctx in system.contexts:
         b_alphabet = system.b_alphabet[ctx.y]
         table = [
             [
@@ -362,7 +360,7 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     support = support_of(system)
     realizations = enumerate_ns_realizations(support, limit)
     supported = [
-        (ctx, pair) for ctx in system.sorted_contexts() for pair in sorted(support.supports[ctx])
+        (ctx, pair) for ctx in system.contexts for pair in sorted(support.supports[ctx])
     ]
     if not realizations:
         coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
@@ -404,9 +402,10 @@ def decomposition_reproduces(
     """Exact context-wise equality of the weighted mixture and the system.
 
     The weights are read as integers over their common denominator W and
-    the system as counts over its own, D (`systems._counts`); the mixture
-    matches where its sum times D equals the system's count times W.  One
-    pass over the components sums their weights into every context.
+    the system as counts over its own, D (`SystemSpec._counts`, built once
+    per system and shared with `validate` and `check_nonsignaling`); the
+    mixture matches where its sum times D equals the system's count times
+    W.  One pass over the components sums their weights into every context.
     """
     weights = [w for _, w in decomposition.components]
     scale = lcm(*(w.denominator for w in weights))
@@ -418,7 +417,7 @@ def decomposition_reproduces(
         for ctx, sums in mixed.items():
             pair = r.values[ctx]
             sums[pair] = sums.get(pair, 0) + w
-    system_scale, counts = _counts(system)
+    system_scale, counts = system._counts
     for ctx, sums in mixed.items():
         for pair in system.pairs(ctx):
             if sums.get(pair, 0) * system_scale != counts[ctx].get(pair, 0) * scale:

@@ -214,6 +214,9 @@ def cmd_catalog(args) -> int:
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("path", nargs="?", help="system file (JSON)")
     p.add_argument("--builtin", help="built-in system id (see 'catalog')")
+
+
+def _add_limit_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--limit",
         type=int,
@@ -231,6 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="decide contextuality, with certificate")
     _add_input_args(p)
+    _add_limit_arg(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("nonsignaling", help="check marginal context-independence")
@@ -239,6 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("realizations", help="list or count realizations")
     _add_input_args(p)
+    _add_limit_arg(p)
     p.add_argument("--mode", choices=["ns", "all"], default="ns")
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_realizations)

@@ -58,6 +58,8 @@ def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[s
     raw = _require(doc, key, dict, "system file")
     if not all(isinstance(s, str) for s in settings) or set(raw) != set(settings):
         raise SystemFileError(f"{key} keys do not match the declared settings")
+    if len(set(settings)) != len(settings):
+        raise SystemFileError(f"{key[0]}_settings declares a setting twice")
     out = {}
     for s, labels in raw.items():
         if not isinstance(labels, list) or not all(
@@ -146,7 +148,7 @@ def system_to_doc(system: SystemSpec | SupportSpec) -> dict:
         "b_alphabet": {y: list(system.b_alphabet[y]) for y in b_settings},
         "contexts": [],
     }
-    for ctx in system.sorted_contexts():
+    for ctx in system.contexts:
         entry: dict = {"x": ctx.x, "y": ctx.y}
         pair_order = {pair: i for i, pair in enumerate(system.pairs(ctx))}
         if isinstance(system, SystemSpec):

@@ -5,16 +5,18 @@ one per side -- a joint probability mass function over the outcome pair
 alphabet of that context.  All probabilities are `fractions.Fraction`;
 nothing in this module touches floating point.  Fractions stay at the
 boundary: a system holds them, and every function takes and returns them.
-Inside, `validate`, `check_nonsignaling` and
-`analysis.decomposition_reproduces` each read the pmfs once as integer
-counts over one common denominator (`_counts`), so their sums and
-comparisons run over ints.
+A spec holds its contexts as `Context`s in canonical order, fixed when it
+is built.  Inside, `validate`, `check_nonsignaling` and
+`analysis.decomposition_reproduces` read the pmfs as integer counts over
+one common denominator, built once per system (`SystemSpec._counts`), so
+their sums and comparisons run over ints.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -59,7 +61,10 @@ class Spec:
     `a_alphabet` is keyed by the A-side setting, `b_alphabet` by the B-side
     setting; a context's outcome pairs range over the product of the two.
     Every mapping field is stored as a read-only copy, since specs (catalog
-    systems in particular) are shared between callers.
+    systems in particular) are shared between callers.  `contexts` is
+    stored as `Context`s in canonical order (`context_key`), whatever order
+    it is given in; the per-context tables are looked up by context, which
+    equals its plain (x, y) tuple.
     """
 
     name: str
@@ -71,6 +76,8 @@ class Spec:
         for name, value in list(vars(self).items()):
             if isinstance(value, Mapping):
                 object.__setattr__(self, name, _read_only(value))
+        contexts = sorted(map(Context._make, self.contexts), key=context_key)
+        object.__setattr__(self, "contexts", tuple(contexts))
 
     def __hash__(self) -> int:
         # Read-only mappings cannot be hashed; equal specs share these fields.
@@ -83,9 +90,6 @@ class Spec:
     @property
     def b_settings(self) -> tuple[str, ...]:
         return tuple(sorted(self.b_alphabet, key=setting_key))
-
-    def sorted_contexts(self) -> tuple[Context, ...]:
-        return tuple(sorted(self.contexts, key=context_key))
 
     def pairs(self, ctx: Context) -> list[Pair]:
         return list(product(self.a_alphabet[ctx.x], self.b_alphabet[ctx.y]))
@@ -106,6 +110,19 @@ class SystemSpec(Spec):
 
     def prob(self, ctx: Context, pair: Pair) -> Fraction:
         return self.pmfs[ctx].get(pair, ZERO)
+
+    @cached_property
+    def _counts(self) -> tuple[int, dict[Context, dict[Pair, int]]]:
+        """The pmfs as integer counts over D, the lcm of every denominator:
+        (D, {context: {pair: probability * D}}), for every context with a pmf.
+        Built once, since the pmfs are read-only; `cached_property` writes
+        the instance `__dict__` directly, which a frozen dataclass allows."""
+        pmfs = self.pmfs
+        scale = lcm(*[p.denominator for pmf in pmfs.values() for p in pmf.values()])
+        return scale, {
+            ctx: {pair: p.numerator * (scale // p.denominator) for pair, p in pmf.items()}
+            for ctx, pmf in pmfs.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -161,18 +178,15 @@ def make_system(
     pmfs: Mapping[tuple[str, str], Mapping[Pair, Fraction | int]],
 ) -> SystemSpec:
     """Build a SystemSpec from plain dicts, coercing probabilities to Fraction."""
-    contexts = tuple(sorted((Context(*c) for c in pmfs), key=context_key))
-    coerced: dict[Context, dict[Pair, Fraction]] = {}
-    for ctx in contexts:
-        coerced[ctx] = {
-            pair: Fraction(p) for pair, p in pmfs[(ctx.x, ctx.y)].items()
-        }
     return SystemSpec(
         name=name,
         a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
         b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        contexts=contexts,
-        pmfs=coerced,
+        contexts=tuple(pmfs),
+        pmfs={
+            ctx: {pair: Fraction(p) for pair, p in pmf.items()}
+            for ctx, pmf in pmfs.items()
+        },
     )
 
 
@@ -182,27 +196,13 @@ def make_support(
     b_alphabet: Mapping[str, Iterable[Outcome]],
     supports: Mapping[tuple[str, str], Iterable[Pair]],
 ) -> SupportSpec:
-    contexts = tuple(sorted((Context(*c) for c in supports), key=context_key))
     return SupportSpec(
         name=name,
         a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
         b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        contexts=contexts,
-        supports={
-            ctx: frozenset(supports[(ctx.x, ctx.y)]) for ctx in contexts
-        },
+        contexts=tuple(supports),
+        supports={ctx: frozenset(pairs) for ctx, pairs in supports.items()},
     )
-
-
-def _counts(system: SystemSpec) -> tuple[int, dict[Context, dict[Pair, int]]]:
-    """The pmfs as integer counts over D, the lcm of every denominator:
-    (D, {context: {pair: probability * D}}), for every context with a pmf."""
-    pmfs = system.pmfs
-    scale = lcm(*[p.denominator for pmf in pmfs.values() for p in pmf.values()])
-    return scale, {
-        ctx: {pair: p.numerator * (scale // p.denominator) for pair, p in pmf.items()}
-        for ctx, pmf in pmfs.items()
-    }
 
 
 def validate(spec: Spec) -> list[str]:
@@ -228,7 +228,7 @@ def validate(spec: Spec) -> list[str]:
     counts = None
     if probabilistic:
         try:
-            scale, counts = _counts(spec)
+            scale, counts = spec._counts
         except (AttributeError, TypeError):  # a probability with no exact counts
             violations += [
                 f"context {tuple(ctx)}: probability {p!r} at {pair} is not an int or Fraction"
@@ -303,48 +303,34 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     """None if every shared setting has context-independent marginals.
 
     Otherwise the first witness in canonical order: A-side settings before
-    B-side, settings and contexts in canonical label order.  One pass sums
-    the integer counts of every context into both marginals and compares
-    each with the first one seen for its setting; only a mismatch runs the
-    canonical scan that builds the witness.
+    B-side, settings and contexts in canonical label order.  Each side is
+    one scan over the integer counts: A in the stored (canonical) order, B
+    in that order stably sorted by its setting.  Each context's marginal is
+    compared with that of the first context holding its setting; only a
+    mismatch reads the two as Fractions.
     """
-    _, counts = _counts(system)
-    seen: dict[tuple[str, str], dict[Outcome, int]] = {}
-    for ctx in system.contexts:
-        a_marginal = dict.fromkeys(system.a_alphabet[ctx.x], 0)
-        b_marginal = dict.fromkeys(system.b_alphabet[ctx.y], 0)
-        for (a, b), c in counts[ctx].items():
-            a_marginal[a] += c
-            b_marginal[b] += c
-        if (
-            seen.setdefault(("A", ctx.x), a_marginal) != a_marginal
-            or seen.setdefault(("B", ctx.y), b_marginal) != b_marginal
-        ):
-            return _first_signaling_witness(system)
-    return None
-
-
-def _first_signaling_witness(system: SystemSpec) -> SignalingWitness | None:
-    """The first witness in canonical order, by comparing Fraction marginals."""
-    ctxs = system.sorted_contexts()
-    for side, setting_of in (("A", lambda c: c.x), ("B", lambda c: c.y)):
-        settings = system.a_settings if side == "A" else system.b_settings
-        for s in settings:
-            sharing = [c for c in ctxs if setting_of(c) == s]
-            if len(sharing) < 2:
-                continue
-            ref = marginal(system, sharing[0], side)
-            for other in sharing[1:]:
-                m = marginal(system, other, side)
-                if m != ref:
-                    return SignalingWitness(
-                        side=side,
-                        setting=s,
-                        context1=sharing[0],
-                        context2=other,
-                        marginal1=ref,
-                        marginal2=m,
-                    )
+    scale, counts = system._counts
+    by_y = sorted(system.contexts, key=lambda ctx: setting_key(ctx.y))
+    for side, index, alphabets, contexts in (
+        ("A", 0, system.a_alphabet, system.contexts),
+        ("B", 1, system.b_alphabet, by_y),
+    ):
+        first: dict[str, tuple[Context, dict[Outcome, int]]] = {}
+        for ctx in contexts:
+            setting = ctx[index]
+            sums = dict.fromkeys(alphabets[setting], 0)
+            for pair, c in counts[ctx].items():
+                sums[pair[index]] += c
+            ref_ctx, ref = first.setdefault(setting, (ctx, sums))
+            if ref != sums:
+                return SignalingWitness(
+                    side=side,
+                    setting=setting,
+                    context1=ref_ctx,
+                    context2=ctx,
+                    marginal1={o: Fraction(c, scale) for o, c in ref.items()},
+                    marginal2={o: Fraction(c, scale) for o, c in sums.items()},
+                )
     return None
 
 
@@ -421,13 +407,12 @@ def mix_context_dependent(
     """
     if not rule:
         raise ValueError("empty rule")
-    contexts = tuple(sorted((Context(*c) for c in rule), key=context_key))
-    base = rule[contexts[0]][0][0]
+    base = next(iter(rule.values()))[0][0]
     pmfs: dict[Context, dict[Pair, Fraction]] = {}
-    for ctx in contexts:
+    for ctx, components in rule.items():
         total = ZERO
         acc: dict[Pair, Fraction] = {}
-        for sys_i, w in rule[ctx]:
+        for sys_i, w in components:
             _check_same_shape(base, sys_i)
             if w < 0:
                 raise ValueError(f"negative weight {w} at context {tuple(ctx)}")
@@ -444,7 +429,7 @@ def mix_context_dependent(
         name=name,
         a_alphabet=base.a_alphabet,
         b_alphabet=base.b_alphabet,
-        contexts=contexts,
+        contexts=tuple(pmfs),
         pmfs=pmfs,
     )
 
@@ -483,6 +468,6 @@ def realization_system(
         name=name,
         a_alphabet=shape.a_alphabet,
         b_alphabet=shape.b_alphabet,
-        contexts=tuple(sorted(pmfs, key=context_key)),
+        contexts=tuple(pmfs),
         pmfs=pmfs,
     )

@@ -158,7 +158,7 @@ def checker_accepts(system: SystemSpec, coefficients, bound) -> bool:
 
 def every_pair(system: SystemSpec) -> list:
     """Every (context, pair) of the system, contexts in sorted order."""
-    return [(ctx, pair) for ctx in system.sorted_contexts() for pair in system.pairs(ctx)]
+    return [(ctx, pair) for ctx in system.contexts for pair in system.pairs(ctx)]
 
 
 def restrict(system: SystemSpec, contexts) -> SystemSpec:

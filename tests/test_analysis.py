@@ -361,7 +361,7 @@ class TestKeptRows:
             if not columns:
                 columns = enumerate_ns_realizations(full_support(system))
                 pairs_of = system.pairs
-            supported = [(ctx, pair) for ctx in system.sorted_contexts() for pair in pairs_of(ctx)]
+            supported = [(ctx, pair) for ctx in system.contexts for pair in pairs_of(ctx)]
             rows, rhs, keys = analysis._membership_problem(system, columns, supported)
             full_rows, full_rhs, _ = full_membership_problem(system, columns, supported)
             assert len(rows) <= len(full_rows)

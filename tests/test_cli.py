@@ -119,6 +119,7 @@ class TestAnalyze:
             pmf_file("1" * 5000),
             pmf_file("1/1" + "0" * 4999),
             b'{"name": ' + b"1" * 5000 + b"}",
+            pmf_file("1").replace(b'"a_settings": ["1"]', b'"a_settings": ["1", "1"]'),
         ],
         ids=[
             "not-utf8",
@@ -127,6 +128,7 @@ class TestAnalyze:
             "p-5000-digits",
             "denominator-5000-digits",
             "json-number-5000-digits",
+            "duplicate-a-setting",
         ],
     )
     def test_malformed_file_exit_2(self, capsys, tmp_path, content):
@@ -155,6 +157,20 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", system, "--limit", "3")
         assert code == 2
         assert "3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chsh", "--builtin", "conspiracy", "--limit", "5"],
+        ["nonsignaling", "--builtin", "d_eprb", "--limit", "0"],
+    ],
+)
+def test_limit_only_where_realizations_are_enumerated(capsys, argv):
+    # --limit belongs to analyze and realizations; elsewhere it is a usage error.
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
 
 
 class TestNonsignaling:

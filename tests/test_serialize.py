@@ -109,6 +109,13 @@ class TestErrors:
         with pytest.raises(SystemFileError):
             loads_system(json.dumps(doc))
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_duplicate_setting(self, side):
+        doc = self.base_doc()
+        doc[f"{side}_settings"] = ["1", "1"]
+        with pytest.raises(SystemFileError, match=f"{side}_settings"):
+            loads_system(json.dumps(doc))
+
     def test_mixed_pmf_and_support(self):
         doc = self.base_doc()
         doc["contexts"].append({"x": "1", "y": "1", "support": [["0", "0"]]})

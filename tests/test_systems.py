@@ -21,7 +21,8 @@ from contextuality import (
     support_of,
     validate,
 )
-from contextuality.systems import realization_system
+from contextuality import systems
+from contextuality.systems import context_key, realization_system
 
 from helpers import random_deterministic_ns, random_ns_mixture, random_shape
 
@@ -161,7 +162,7 @@ class TestNonsignaling:
     @staticmethod
     def reference_witness(system):
         """The first witness in canonical order, from Fraction marginals."""
-        contexts = system.sorted_contexts()
+        contexts = system.contexts
         for side, settings in (("A", system.a_settings), ("B", system.b_settings)):
             for s in settings:
                 sharing = [c for c in contexts if (c.x if side == "A" else c.y) == s]
@@ -175,8 +176,10 @@ class TestNonsignaling:
     @pytest.mark.parametrize("zeros", ["omitted", "explicit"])
     def test_matches_fraction_marginals_on_perturbed_mixtures(self, zeros):
         # Random mixtures up to 3x3 ternary, most of them made signaling by
-        # moving mass between two pairs of one context.
+        # moving mass between two pairs of one context.  Each is also built
+        # directly with its contexts shuffled, and must be scanned canonically.
         rng = random.Random(23)
+        shuffler = random.Random(5)
         signaling = 0
         for _ in range(300):
             base = random_ns_mixture(rng)
@@ -198,8 +201,48 @@ class TestNonsignaling:
             s = make_system("perturbed", base.a_alphabet, base.b_alphabet, pmfs)
             expected = self.reference_witness(s)
             assert check_nonsignaling(s) == expected
+            contexts = list(pmfs)
+            shuffler.shuffle(contexts)
+            direct = SystemSpec(
+                "perturbed", base.a_alphabet, base.b_alphabet, tuple(contexts), pmfs
+            )
+            assert check_nonsignaling(direct) == expected
             signaling += expected is not None
         assert 100 < signaling < 250  # 148 of 300
+
+
+def test_direct_spec_stores_contexts_in_canonical_order():
+    # Labels "10" and "9" sort differently as numbers and as strings.
+    alphabet = {"9": ("0", "1"), "10": ("0", "1")}
+    pmfs = {
+        (x, y): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)}
+        for x in ("9", "10")
+        for y in ("9", "10")
+    }
+    built = make_system("s", alphabet, alphabet, pmfs)
+    direct = SystemSpec("s", alphabet, alphabet, tuple(reversed(list(pmfs))), pmfs)
+    assert direct.contexts == tuple(sorted(direct.contexts, key=context_key))
+    assert direct.contexts[0] == ("9", "9")
+    assert all(type(ctx) is Context for ctx in direct.contexts)
+    assert direct == built
+    assert hash(direct) == hash(built)
+
+
+def test_counts_built_once_per_system(monkeypatch):
+    # validate, check_nonsignaling and decomposition_reproduces all read
+    # the integer counts; one lcm call means they are built only once.
+    calls = []
+    real_lcm = systems.lcm
+
+    def counting_lcm(*args):
+        calls.append(args)
+        return real_lcm(*args)
+
+    monkeypatch.setattr(systems, "lcm", counting_lcm)
+    s = mix([(get(f"d{i}").system, Fraction(1, 4)) for i in range(1, 5)])
+    assert validate(s) == []
+    assert classify(s).kind == "noncontextual"
+    assert len(calls) == 1
 
 
 class TestSupport:
