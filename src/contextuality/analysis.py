@@ -30,11 +30,10 @@ binary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .feasibility import FarkasCertificate, FeasibleSolution, solve_feasibility
 from .systems import (
@@ -92,15 +91,13 @@ def _require_valid(spec: SystemSpec | SupportSpec) -> None:
         raise SignalingSystemError(sw)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Positive-weight mixture of ns realizations reproducing a system."""
 
     components: tuple[tuple[Realization, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class BellWitness:
+class BellWitness(NamedTuple):
     """Linear functional separating a system from all its ns realizations.
 
     Every non-signaling realization over the full alphabets scores <= bound,
@@ -111,8 +108,7 @@ class BellWitness:
     bound: Fraction
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # "noncontextual" | "contextual" | "no_ns_realizations"
     decomposition: Decomposition | None = None
     witness: BellWitness | None = None

@@ -9,10 +9,10 @@ documentation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from . import peres
 from .serialize import loads_system
@@ -48,8 +48,7 @@ _PROVENANCE = {
 }
 
 
-@dataclass(frozen=True)
-class NamedSystem:
+class NamedSystem(NamedTuple):
     id: str
     system: SystemSpec | SupportSpec
     provenance: str
@@ -114,8 +113,7 @@ def conspiracy_system() -> SystemSpec:
     return mix_context_dependent(rule, name="conspiracy")
 
 
-@dataclass(frozen=True)
-class PairMixture:
+class PairMixture(NamedTuple):
     """One AB-pair written as a two-component mixture.
 
     Components are pmfs over the pairs (1,1) and (1,0); the mixing weight q

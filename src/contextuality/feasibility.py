@@ -47,9 +47,9 @@ extracted from the final tableau.  Callers check the outcomes they use:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,19 +59,35 @@ SCALE = -1  # slot of the objective row that holds its denominator
 DEGENERATE_RUN = 50
 
 
-@dataclass(frozen=True)
-class FeasibleSolution:
+# The outcomes' equality and hash read only the vector: the pivot counts
+# say how the solve went, not what it found.  An outcome equals only an
+# outcome of its own type.
+def _same_vector(self, other) -> bool:
+    return type(other) is type(self) and self[0] == other[0]
+
+
+def _other_vector(self, other) -> bool:
+    return not _same_vector(self, other)
+
+
+def _vector_hash(self) -> int:
+    return hash(self[0])
+
+
+class FeasibleSolution(NamedTuple):
     p: tuple[Fraction, ...]
-    # How the solve went, not what it found: equality ignores them.
-    pivots: int = field(default=0, compare=False)
-    degenerate_pivots: int = field(default=0, compare=False)
+    pivots: int = 0
+    degenerate_pivots: int = 0
+
+    __eq__, __ne__, __hash__ = _same_vector, _other_vector, _vector_hash
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(NamedTuple):
     y: tuple[Fraction, ...]
-    pivots: int = field(default=0, compare=False)
-    degenerate_pivots: int = field(default=0, compare=False)
+    pivots: int = 0
+    degenerate_pivots: int = 0
+
+    __eq__, __ne__, __hash__ = _same_vector, _other_vector, _vector_hash
 
 
 def _integer_row(entries, width: int) -> list[int]:

@@ -9,13 +9,12 @@ numerical tolerance at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from math import gcd
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Zr2:
+class Zr2(NamedTuple):
     """The ring element a + b*sqrt(2)."""
 
     a: int
@@ -65,15 +64,12 @@ Z1 = Zr2(1, 0)
 SQRT2 = Zr2(0, 1)
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A direction in Z[sqrt(2)]^3, canonical up to Z[sqrt(2)] scaling and sign."""
+class Ray(NamedTuple):
+    """A direction in Z[sqrt(2)]^3, canonical up to Z[sqrt(2)] scaling and sign.
+
+    Built by `canonical_ray`, which rejects the zero vector."""
 
     coords: tuple[Zr2, Zr2, Zr2]
-
-    def __post_init__(self):
-        if all(c.is_zero() for c in self.coords):
-            raise ValueError("zero vector is not a ray")
 
     def key(self):
         return tuple((c.a, c.b) for c in self.coords)
@@ -105,8 +101,7 @@ def canonical_ray(coords: tuple[Zr2, Zr2, Zr2]) -> Ray:
     return Ray(coords=tuple(cs))
 
 
-@dataclass(frozen=True)
-class Triad:
+class Triad(NamedTuple):
     """Three pairwise-orthogonal rays, in canonical ray order."""
 
     rays: tuple[Ray, Ray, Ray]
@@ -188,8 +183,7 @@ def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
     return triads
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     coloring: dict | None
     nodes: int
     feasible: bool

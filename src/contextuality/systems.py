@@ -15,7 +15,6 @@ their sums and comparisons run over ints.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
@@ -54,7 +53,6 @@ def _read_only(mapping: Mapping) -> Mapping:
     )
 
 
-@dataclass(frozen=True)
 class Spec:
     """The shape of a compound system: settings, alphabets and contexts.
 
@@ -64,24 +62,44 @@ class Spec:
     systems in particular) are shared between callers.  `contexts` is
     stored as `Context`s in canonical order (`context_key`), whatever order
     it is given in; the per-context tables are looked up by context, which
-    equals its plain (x, y) tuple.
+    equals its plain (x, y) tuple.  A spec is immutable: assigning or
+    deleting an attribute raises `AttributeError`.  Specs of one type with
+    equal fields are equal.
     """
 
     name: str
     a_alphabet: Mapping[str, tuple[Outcome, ...]]
     b_alphabet: Mapping[str, tuple[Outcome, ...]]
     contexts: tuple[Context, ...]
+    _fields = ("name", "a_alphabet", "b_alphabet", "contexts")
 
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            if isinstance(value, Mapping):
-                object.__setattr__(self, name, _read_only(value))
-        contexts = sorted(map(Context._make, self.contexts), key=context_key)
-        object.__setattr__(self, "contexts", tuple(contexts))
+    def __init__(self, name, a_alphabet, b_alphabet, contexts):
+        contexts = sorted(map(Context._make, contexts), key=context_key)
+        self._store(name=name, a_alphabet=a_alphabet, b_alphabet=b_alphabet)
+        self._store(contexts=tuple(contexts))
+
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            self.__dict__[name] = _read_only(value) if isinstance(value, Mapping) else value
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
 
     def __hash__(self) -> int:
         # Read-only mappings cannot be hashed; equal specs share these fields.
         return hash((type(self), self.name, self.contexts))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
 
     @property
     def a_settings(self) -> tuple[str, ...]:
@@ -95,13 +113,15 @@ class Spec:
         return list(product(self.a_alphabet[ctx.x], self.b_alphabet[ctx.y]))
 
 
-@dataclass(frozen=True)
 class SystemSpec(Spec):
     """A compound system: contexts with exact joint pmfs."""
 
     pmfs: Mapping[Context, Mapping[Pair, Fraction]]
+    _fields = Spec._fields + ("pmfs",)
 
-    __hash__ = Spec.__hash__
+    def __init__(self, name, a_alphabet, b_alphabet, contexts, pmfs):
+        super().__init__(name, a_alphabet, b_alphabet, contexts)
+        self._store(pmfs=pmfs)
 
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
         if ctx not in self.pmfs:
@@ -116,7 +136,7 @@ class SystemSpec(Spec):
         """The pmfs as integer counts over D, the lcm of every denominator:
         (D, {context: {pair: probability * D}}), for every context with a pmf.
         Built once, since the pmfs are read-only; `cached_property` writes
-        the instance `__dict__` directly, which a frozen dataclass allows."""
+        the instance `__dict__` directly, past the spec's `__setattr__`."""
         pmfs = self.pmfs
         scale = lcm(*[p.denominator for pmf in pmfs.values() for p in pmf.values()])
         return scale, {
@@ -125,17 +145,18 @@ class SystemSpec(Spec):
         }
 
 
-@dataclass(frozen=True)
 class SupportSpec(Spec):
     """Possibilistic counterpart of `SystemSpec`: per-context supports only."""
 
     supports: Mapping[Context, frozenset[Pair]]
+    _fields = Spec._fields + ("supports",)
 
-    __hash__ = Spec.__hash__
+    def __init__(self, name, a_alphabet, b_alphabet, contexts, supports):
+        super().__init__(name, a_alphabet, b_alphabet, contexts)
+        self._store(supports=supports)
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(NamedTuple):
     """A non-signaling deterministic realization: one function per side.
 
     `f` maps each A-setting to Alice's outcome and `g` each B-setting to
@@ -153,8 +174,7 @@ class Realization:
         return self
 
 
-@dataclass(frozen=True)
-class SignalingWitness:
+class SignalingWitness(NamedTuple):
     """Two contexts sharing a setting whose one-sided marginals differ."""
 
     side: str  # "A" or "B"
@@ -307,7 +327,9 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     one scan over the integer counts: A in the stored (canonical) order, B
     in that order stably sorted by its setting.  Each context's marginal is
     compared with that of the first context holding its setting; only a
-    mismatch reads the two as Fractions.
+    mismatch reads the two as Fractions.  A system whose contexts, pmfs and
+    alphabets do not fit together raises `ValueError` with what `validate`
+    reports.
     """
     scale, counts = system._counts
     by_y = sorted(system.contexts, key=lambda ctx: setting_key(ctx.y))
@@ -318,9 +340,12 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
         first: dict[str, tuple[Context, dict[Outcome, int]]] = {}
         for ctx in contexts:
             setting = ctx[index]
-            sums = dict.fromkeys(alphabets[setting], 0)
-            for pair, c in counts[ctx].items():
-                sums[pair[index]] += c
+            try:
+                sums = dict.fromkeys(alphabets[setting], 0)
+                for pair, c in counts[ctx].items():
+                    sums[pair[index]] += c
+            except KeyError:  # an undeclared setting, a missing pmf, a stray outcome
+                raise ValueError(f"{system.name}: " + "; ".join(validate(system))) from None
             ref_ctx, ref = first.setdefault(setting, (ctx, sums))
             if ref != sums:
                 return SignalingWitness(
@@ -348,8 +373,7 @@ def support_of(system: SystemSpec) -> SupportSpec:
     )
 
 
-@dataclass(frozen=True)
-class AssignmentCount:
+class AssignmentCount(NamedTuple):
     """Exact assignment count, with a factored base^exponent display when uniform."""
 
     value: int

@@ -134,6 +134,15 @@ class TestClassify:
         assert v.kind == "contextual"
         assert v.witness is not None
 
+    def test_verdict_is_immutable(self):
+        v = classify(get("d_eprb").system)
+        for field in ("kind", "decomposition", "witness", "realization_count"):
+            with pytest.raises(AttributeError):
+                setattr(v, field, None)
+        with pytest.raises(AttributeError):
+            v.decomposition.components = ()
+        assert v.kind == "noncontextual"
+
     def test_quarter_mix_noncontextual(self):
         m = mix([(get(f"d{i}").system, Fraction(1, 4)) for i in range(1, 5)])
         v = classify(m)

@@ -374,3 +374,11 @@ def test_pivot_counts_do_not_change_equality():
     assert FeasibleSolution(p=p, pivots=3, degenerate_pivots=1) == FeasibleSolution(p=p)
     assert FarkasCertificate(y=p, pivots=2) == FarkasCertificate(y=p, degenerate_pivots=2)
     assert FeasibleSolution(p=p, pivots=3) != FeasibleSolution(p=(Fraction(2),), pivots=3)
+    assert hash(FeasibleSolution(p=p, pivots=3)) == hash(FeasibleSolution(p=p))
+    assert not FeasibleSolution(p=p, pivots=3) != FeasibleSolution(p=p)
+    # Only an outcome of the same type is equal, not one holding the same vector.
+    assert FeasibleSolution(p=p) != FarkasCertificate(y=p)
+    assert not FeasibleSolution(p=p) == FarkasCertificate(y=p)
+    assert FeasibleSolution(p=p) != (p, 0, 0)
+    with pytest.raises(AttributeError):
+        FeasibleSolution(p=p).pivots = 1

@@ -8,6 +8,7 @@ from contextuality import (
     InvalidSystemError,
     Realization,
     SignalingWitness,
+    SupportSpec,
     SystemSpec,
     check_nonsignaling,
     classify,
@@ -159,6 +160,27 @@ class TestNonsignaling:
         s = binary_system("one", {("1", "1"): {("0", "1"): Fraction(1)}})
         assert check_nonsignaling(s) is None
 
+    @pytest.mark.parametrize(
+        "pmfs, message",
+        [
+            (
+                {("1", "1"): {("0", "2"): 1}},
+                "x: context ('1', '1'): pair ('0', '2') outside alphabet product",
+            ),
+            (
+                {("2", "1"): {("0", "0"): 1}},
+                "x: context ('2', '1'): unknown A-setting '2'",
+            ),
+        ],
+        ids=["outcome-outside-alphabet", "undeclared-setting"],
+    )
+    def test_invalid_system_raises_value_error(self, pmfs, message):
+        # A spec validate rejects gets validate's message, not a bare KeyError.
+        s = make_system("x", {"1": ("0", "1")}, {"1": ("0", "1")}, pmfs)
+        with pytest.raises(ValueError) as exc:
+            check_nonsignaling(s)
+        assert str(exc.value) == message
+
     @staticmethod
     def reference_witness(system):
         """The first witness in canonical order, from Fraction marginals."""
@@ -226,6 +248,33 @@ def test_direct_spec_stores_contexts_in_canonical_order():
     assert all(type(ctx) is Context for ctx in direct.contexts)
     assert direct == built
     assert hash(direct) == hash(built)
+    keyword = SystemSpec(
+        name="s", a_alphabet=alphabet, b_alphabet=alphabet, contexts=tuple(pmfs), pmfs=pmfs
+    )
+    assert keyword == direct
+    assert hash(keyword) == hash(direct)
+
+
+def test_spec_is_immutable_and_compares_within_its_type():
+    s = binary_system("one", {("1", "1"): {("0", "1"): Fraction(1)}})
+    for field in ("name", "a_alphabet", "contexts", "pmfs", "_counts"):
+        with pytest.raises(AttributeError):
+            setattr(s, field, None)
+        with pytest.raises(AttributeError):
+            delattr(s, field)
+    assert s.name == "one" and s.contexts == (("1", "1"),)
+    support = support_of(s)
+    with pytest.raises(AttributeError):
+        support.supports = {}
+    # Equal fields of another spec type do not make an equal spec.
+    twin = SupportSpec(s.name, s.a_alphabet, s.b_alphabet, s.contexts, s.pmfs)
+    assert twin != s and not twin == s
+    assert repr(s) == (
+        "SystemSpec(name='one', a_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
+        "b_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
+        "contexts=(Context(x='1', y='1'),), "
+        "pmfs=mappingproxy({('1', '1'): mappingproxy({('0', '1'): Fraction(1, 1)})}))"
+    )
 
 
 def test_counts_built_once_per_system(monkeypatch):
