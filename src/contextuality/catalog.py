@@ -9,9 +9,9 @@ documentation.
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from typing import NamedTuple
 
 from . import peres
@@ -60,10 +60,11 @@ class UnknownSystemError(KeyError):
 
 @lru_cache(maxsize=None)
 def _load_file(id: str) -> SystemSpec | SupportSpec:
-    text = (
-        resources.files("contextuality.data").joinpath(f"{id}.json").read_text()
-    )
-    return loads_system(text)
+    # A plain path next to this module: `importlib.resources` would cost
+    # every CLI process its imports (zipfile, tempfile, pathlib) at start-up.
+    path = os.path.join(os.path.dirname(__file__), "data", f"{id}.json")
+    with open(path, encoding="utf-8") as file:
+        return loads_system(file.read())
 
 
 def catalog_ids() -> tuple[str, ...]:

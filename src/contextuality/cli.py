@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Exit codes encode process health, not verdicts: 0 for a completed analysis
-(whatever the verdict), 1 for usage errors, 2 for invalid input or blown
-enumeration limits.  Reports go to stdout as JSON with stable key order;
-diagnostics go to stderr.
+(whatever the verdict), 1 for usage errors or a stdout closed by its reader,
+2 for invalid input or blown enumeration limits.  Reports go to stdout as
+JSON with stable key order; diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, catalog
@@ -283,10 +284,17 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --mode all needs --count-only", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (InputError, RealizationLimitExceeded, SignalingSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader left (say, `| head -1`).  Point stdout at devnull so the
+        # interpreter's flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ from .systems import (
     validate,
 )
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+# ASCII digits only, and `\Z`, not `$`, so a trailing newline is rejected.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 
 
 class SystemFileError(ValueError):

@@ -5,11 +5,11 @@ one per side -- a joint probability mass function over the outcome pair
 alphabet of that context.  All probabilities are `fractions.Fraction`;
 nothing in this module touches floating point.  Fractions stay at the
 boundary: a system holds them, and every function takes and returns them.
-A spec holds its contexts as `Context`s in canonical order, fixed when it
-is built.  Inside, `validate`, `check_nonsignaling` and
-`analysis.decomposition_reproduces` read the pmfs as integer counts over
-one common denominator, built once per system (`SystemSpec._counts`), so
-their sums and comparisons run over ints.
+A spec's contexts are the keys of its pmf or support table, held as
+`Context`s in canonical order, fixed when it is built.  Inside, `validate`,
+`check_nonsignaling` and `analysis.decomposition_reproduces` read the pmfs
+as integer counts over one common denominator, built once per system
+(`SystemSpec._counts`), so their sums and comparisons run over ints.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ class Spec:
     `a_alphabet` is keyed by the A-side setting, `b_alphabet` by the B-side
     setting; a context's outcome pairs range over the product of the two.
     Every mapping field is stored as a read-only copy, since specs (catalog
-    systems in particular) are shared between callers.  `contexts` is
-    stored as `Context`s in canonical order (`context_key`), whatever order
-    it is given in; the per-context tables are looked up by context, which
-    equals its plain (x, y) tuple.  A spec is immutable: assigning or
-    deleting an attribute raises `AttributeError`.  Specs of one type with
-    equal fields are equal.
+    systems in particular) are shared between callers.  `contexts` holds
+    the keys of the per-context table as `Context`s in canonical order
+    (`context_key`), whatever order the table has; the table is looked up
+    by context, which equals its plain (x, y) tuple.  A spec is immutable:
+    assigning or deleting an attribute raises `AttributeError`.  Specs of
+    one type with equal fields are equal.
     """
 
     name: str
@@ -73,8 +73,8 @@ class Spec:
     contexts: tuple[Context, ...]
     _fields = ("name", "a_alphabet", "b_alphabet", "contexts")
 
-    def __init__(self, name, a_alphabet, b_alphabet, contexts):
-        contexts = sorted(map(Context._make, contexts), key=context_key)
+    def __init__(self, name, a_alphabet, b_alphabet, table):
+        contexts = sorted(map(Context._make, table), key=context_key)
         self._store(name=name, a_alphabet=a_alphabet, b_alphabet=b_alphabet)
         self._store(contexts=tuple(contexts))
 
@@ -119,8 +119,8 @@ class SystemSpec(Spec):
     pmfs: Mapping[Context, Mapping[Pair, Fraction]]
     _fields = Spec._fields + ("pmfs",)
 
-    def __init__(self, name, a_alphabet, b_alphabet, contexts, pmfs):
-        super().__init__(name, a_alphabet, b_alphabet, contexts)
+    def __init__(self, name, a_alphabet, b_alphabet, pmfs):
+        super().__init__(name, a_alphabet, b_alphabet, pmfs)
         self._store(pmfs=pmfs)
 
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
@@ -151,8 +151,8 @@ class SupportSpec(Spec):
     supports: Mapping[Context, frozenset[Pair]]
     _fields = Spec._fields + ("supports",)
 
-    def __init__(self, name, a_alphabet, b_alphabet, contexts, supports):
-        super().__init__(name, a_alphabet, b_alphabet, contexts)
+    def __init__(self, name, a_alphabet, b_alphabet, supports):
+        super().__init__(name, a_alphabet, b_alphabet, supports)
         self._store(supports=supports)
 
 
@@ -202,7 +202,6 @@ def make_system(
         name=name,
         a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
         b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        contexts=tuple(pmfs),
         pmfs={
             ctx: {pair: Fraction(p) for pair, p in pmf.items()}
             for ctx, pmf in pmfs.items()
@@ -220,7 +219,6 @@ def make_support(
         name=name,
         a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
         b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        contexts=tuple(supports),
         supports={ctx: frozenset(pairs) for ctx, pairs in supports.items()},
     )
 
@@ -229,9 +227,9 @@ def validate(spec: Spec) -> list[str]:
     """Return every invariant violation; an empty list means the spec is valid.
 
     Holds for both kinds of spec: every alphabet is non-empty and
-    duplicate-free, contexts are unique and use declared settings, and each
-    context's pmf or support lies inside its alphabet product.  A pmf holds
-    ints or Fractions, non-negative, summing to 1; a support is non-empty.
+    duplicate-free, contexts use declared settings, and each context's pmf
+    or support lies inside its alphabet product.  A pmf holds ints or
+    Fractions, non-negative, summing to 1; a support is non-empty.
     """
     violations: list[str] = []
     for side, alphabets in (("A", spec.a_alphabet), ("B", spec.b_alphabet)):
@@ -243,7 +241,6 @@ def validate(spec: Spec) -> list[str]:
     if not spec.contexts:
         violations.append("no contexts")
     probabilistic = isinstance(spec, SystemSpec)
-    kind = "pmf" if probabilistic else "support"
     tables = spec.pmfs if probabilistic else spec.supports
     counts = None
     if probabilistic:
@@ -256,19 +253,12 @@ def validate(spec: Spec) -> list[str]:
                 for pair, p in pmf.items()
                 if not isinstance(p, (int, Fraction))
             ]
-    seen: set[Context] = set()
     for ctx in spec.contexts:
-        if ctx in seen:
-            violations.append(f"duplicate context {tuple(ctx)}")
-        seen.add(ctx)
         if ctx.x not in spec.a_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown A-setting {ctx.x!r}")
             continue
         if ctx.y not in spec.b_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {ctx.y!r}")
-            continue
-        if ctx not in tables:
-            violations.append(f"context {tuple(ctx)}: missing {kind}")
             continue
         table = tables[ctx]
         allowed = set(spec.pairs(ctx))
@@ -292,9 +282,6 @@ def validate(spec: Spec) -> list[str]:
         if total != scale:
             total = Fraction(total, scale)
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
-    for ctx in tables:
-        if ctx not in seen:
-            violations.append(f"{kind} for undeclared context {tuple(ctx)}")
     return violations
 
 
@@ -344,7 +331,7 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
                 sums = dict.fromkeys(alphabets[setting], 0)
                 for pair, c in counts[ctx].items():
                     sums[pair[index]] += c
-            except KeyError:  # an undeclared setting, a missing pmf, a stray outcome
+            except KeyError:  # an undeclared setting or a stray outcome
                 raise ValueError(f"{system.name}: " + "; ".join(validate(system))) from None
             ref_ctx, ref = first.setdefault(setting, (ctx, sums))
             if ref != sums:
@@ -365,7 +352,6 @@ def support_of(system: SystemSpec) -> SupportSpec:
         name=system.name,
         a_alphabet=system.a_alphabet,
         b_alphabet=system.b_alphabet,
-        contexts=system.contexts,
         supports={
             ctx: frozenset(p for p, v in system.pmfs[ctx].items() if v.numerator > 0)
             for ctx in system.contexts
@@ -453,7 +439,6 @@ def mix_context_dependent(
         name=name,
         a_alphabet=base.a_alphabet,
         b_alphabet=base.b_alphabet,
-        contexts=tuple(pmfs),
         pmfs=pmfs,
     )
 
@@ -492,6 +477,5 @@ def realization_system(
         name=name,
         a_alphabet=shape.a_alphabet,
         b_alphabet=shape.b_alphabet,
-        contexts=tuple(pmfs),
         pmfs=pmfs,
     )

@@ -130,7 +130,6 @@ def full_support(system: SystemSpec) -> SupportSpec:
         name=system.name,
         a_alphabet=system.a_alphabet,
         b_alphabet=system.b_alphabet,
-        contexts=system.contexts,
         supports={ctx: frozenset(system.pairs(ctx)) for ctx in system.contexts},
     )
 
@@ -185,8 +184,11 @@ def chsh_2xn_oracle(system: SystemSpec) -> str:
     inequalities are the CHSH inequalities of that sub-box.  For n = 2
     this is Fine's theorem (Phys. Rev. Lett. 48 (1982) 291).
 
-    Written from the pmfs alone, with no call into the decider: outcomes
-    are coded -1 and +1 by their place in the alphabet.
+    Written from the pmfs alone, with no call into the library: outcomes
+    are coded -1 and +1 by their place in the alphabet.  That is why it
+    stays a test reference for `classify` rather than a widened
+    `analysis.fine_oracle`, which reads the correlators through
+    `expectation_product` and checks its input with `_require_valid`.
     """
     xs, ys = system.a_settings, system.b_settings
     alphabets = list(system.a_alphabet.values()) + list(system.b_alphabet.values())

@@ -539,7 +539,7 @@ class TestFineOracle:
 
 
 class TestTwoByNOracle:
-    """`classify` against the CHSH criterion on 2x3 and 2x4 binary systems."""
+    """`classify` against the CHSH criterion on 2x3 through 2x6 binary systems."""
 
     def _case(self, rng: random.Random, n: int):
         a_alph = {"1": ("0", "1"), "2": ("0", "1")}
@@ -559,7 +559,7 @@ class TestTwoByNOracle:
     def test_agrees_with_classify(self):
         rng = random.Random(2718)
         kinds = []
-        for n in (3, 4):
+        for n in (3, 4, 5, 6):
             for _ in range(200):
                 system = self._case(rng, n)
                 kind = classify(system).kind

@@ -326,6 +326,12 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
+def child_env() -> dict[str, str]:
+    """The environment, with this package importable by a child interpreter."""
+    paths = [str(Path(contextuality.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_runtime_imports_only_stdlib():
     # Every top-level module that importing the package and its CLI loads,
     # beyond what the interpreter loaded at start-up, is stdlib or our own.
@@ -339,9 +345,45 @@ def test_runtime_imports_only_stdlib():
         # dataclasses module and the class builds it runs.
         "print('dataclasses' in sys.modules)\n"
     )
-    paths = [str(Path(contextuality.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    env = child_env()
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "[]\nFalse\n"
+    # The catalog reads its JSON by path, without `importlib.resources` and
+    # its imports.  Under -S, since `site` may load that module itself
+    # through a `.pth` file.
+    script = (
+        "import sys\n"
+        "import contextuality, contextuality.cli\n"
+        "contextuality.get('d_eprb')\n"
+        "print('importlib.resources' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["catalog"], ["analyze", "--builtin", "d_eprb"], ["peres", "--emit", "triads"]],
+    ids=["catalog", "analyze", "peres"],
+)
+def test_closed_stdout_exits_1_without_traceback(argv, unbuffered):
+    # As under `contextuality peres --emit triads | head -1`, but with the
+    # reader gone before the child starts, so every write fails.
+    env = {**child_env(), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "contextuality.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")

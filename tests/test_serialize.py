@@ -20,7 +20,8 @@ class TestRationals:
         assert parse_rational("2/4") == Fraction(1, 2)
 
     def test_floats_rejected(self):
-        for bad in ("0.5", "5e-1", 0.5, 1, None, "1/0"):
+        # "1/2\n" would pass a `$` anchor; "١/2" would pass `\d` (Arabic-Indic one).
+        for bad in ("0.5", "5e-1", 0.5, 1, None, "1/0", "1/2\n", "\u0661/2"):
             with pytest.raises(SystemFileError):
                 parse_rational(bad)
 

@@ -96,7 +96,6 @@ class TestValidate:
             name="float",
             a_alphabet={"1": ("0", "1")},
             b_alphabet={"1": ("0", "1")},
-            contexts=(ctx,),
             pmfs={ctx: {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)}},
         )
         violations = ["context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"]
@@ -225,9 +224,8 @@ class TestNonsignaling:
             assert check_nonsignaling(s) == expected
             contexts = list(pmfs)
             shuffler.shuffle(contexts)
-            direct = SystemSpec(
-                "perturbed", base.a_alphabet, base.b_alphabet, tuple(contexts), pmfs
-            )
+            shuffled = {ctx: pmfs[ctx] for ctx in contexts}
+            direct = SystemSpec("perturbed", base.a_alphabet, base.b_alphabet, shuffled)
             assert check_nonsignaling(direct) == expected
             signaling += expected is not None
         assert 100 < signaling < 250  # 148 of 300
@@ -242,15 +240,13 @@ def test_direct_spec_stores_contexts_in_canonical_order():
         for y in ("9", "10")
     }
     built = make_system("s", alphabet, alphabet, pmfs)
-    direct = SystemSpec("s", alphabet, alphabet, tuple(reversed(list(pmfs))), pmfs)
+    direct = SystemSpec("s", alphabet, alphabet, dict(reversed(pmfs.items())))
     assert direct.contexts == tuple(sorted(direct.contexts, key=context_key))
     assert direct.contexts[0] == ("9", "9")
     assert all(type(ctx) is Context for ctx in direct.contexts)
     assert direct == built
     assert hash(direct) == hash(built)
-    keyword = SystemSpec(
-        name="s", a_alphabet=alphabet, b_alphabet=alphabet, contexts=tuple(pmfs), pmfs=pmfs
-    )
+    keyword = SystemSpec(name="s", a_alphabet=alphabet, b_alphabet=alphabet, pmfs=pmfs)
     assert keyword == direct
     assert hash(keyword) == hash(direct)
 
@@ -267,7 +263,7 @@ def test_spec_is_immutable_and_compares_within_its_type():
     with pytest.raises(AttributeError):
         support.supports = {}
     # Equal fields of another spec type do not make an equal spec.
-    twin = SupportSpec(s.name, s.a_alphabet, s.b_alphabet, s.contexts, s.pmfs)
+    twin = SupportSpec(s.name, s.a_alphabet, s.b_alphabet, s.pmfs)
     assert twin != s and not twin == s
     assert repr(s) == (
         "SystemSpec(name='one', a_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
