@@ -26,6 +26,10 @@ two LPs have the same solutions, and a Farkas y on the kept rows, zero on
 the dropped ones, certifies the full LP.  At full support this takes 65
 rows to 25 at 4x4 binary, 82 to 49 at 3x3 ternary and 101 to 36 at 5x5
 binary.
+
+Inside `classify` a realization is the search's outcome tuple, A-settings
+first; the LP reads its columns from these, and only returned components
+become `Realization`s.  The witness arithmetic runs over integers.
 """
 
 from __future__ import annotations
@@ -118,7 +122,21 @@ class Verdict(NamedTuple):
 def enumerate_ns_realizations(
     support: SupportSpec, limit: int = DEFAULT_LIMIT
 ) -> tuple[Realization, ...]:
-    """All non-signaling realizations of a support, in canonical order.
+    """All non-signaling realizations of a support, in `_ns_outcomes` order."""
+    return tuple(_realization(support, values) for values in _ns_outcomes(support, limit))
+
+
+def _realization(spec: SupportSpec | SystemSpec, values: tuple[Outcome, ...]) -> Realization:
+    """The realization whose outcome tuple, A-settings first, is `values`."""
+    a_settings = spec.a_settings
+    f = dict(zip(a_settings, values))
+    g = dict(zip(spec.b_settings, values[len(a_settings):]))
+    return Realization(f=f, g=g, values={ctx: (f[ctx.x], g[ctx.y]) for ctx in spec.contexts})
+
+
+def _ns_outcomes(support: SupportSpec, limit: int) -> list[tuple[Outcome, ...]]:
+    """The outcome tuple of every non-signaling realization of a support,
+    one outcome per setting, A-settings first, in sorted order.
 
     Every setting of either side is one variable, A-settings first; its
     domain holds the outcomes still possible, one outcome once assigned.
@@ -167,40 +185,42 @@ def enumerate_ns_realizations(
 
     search(domains, list(range(len(alphabets))))
     found.sort()
-    realizations = []
-    for values in found:
-        f = dict(zip(a_settings, values))
-        g = dict(zip(b_settings, values[len(a_settings):]))
-        values_of = {ctx: (f[ctx.x], g[ctx.y]) for ctx in support.contexts}
-        realizations.append(Realization(f=f, g=g, values=values_of))
-    return tuple(realizations)
+    return found
 
 
 def witness_score(
     witness: BellWitness, target: SystemSpec | Realization
 ) -> Fraction:
-    """Sum of coefficients times probabilities (realizations read as 0/1 pmfs)."""
-    score = ZERO
-    for (ctx, a, b), coeff in witness.coefficients.items():
-        if isinstance(target, SystemSpec):
-            score += coeff * target.prob(ctx, (a, b))
-        elif target.values[ctx] == (a, b):
-            score += coeff
-    return score
+    """Sum of coefficients times probabilities (realizations read as 0/1 pmfs);
+    on a system, over ints: coefficients and counts (`SystemSpec._counts`)
+    each over their common denominator."""
+    coefficients = witness.coefficients
+    if isinstance(target, SystemSpec):
+        system_scale, counts = target._counts
+        scale = lcm(*(c.denominator for c in coefficients.values()))
+        total = sum(
+            c.numerator * (scale // c.denominator) * counts[ctx].get((a, b), 0)
+            for (ctx, a, b), c in coefficients.items()
+        )
+        return Fraction(total, scale * system_scale)
+    values = target.values
+    return sum((c for (ctx, a, b), c in coefficients.items() if values[ctx] == (a, b)), ZERO)
 
 
 def _membership_problem(
     system: SystemSpec,
-    realizations: tuple[Realization, ...],
+    outcomes: list[tuple[Outcome, ...]],
     supported: list[tuple[Context, Pair]],
 ) -> tuple[list[dict[int, int]], list[Fraction], list[tuple[Context, Pair]]]:
     """One row per supported (context, pair) the Collins-Gisin rule keeps
-    (module docstring), one column per realization, plus normalization;
-    feasibility of M p = d, p >= 0 is exactly decomposability.
+    (module docstring), one column per realization, given by its outcome
+    tuple (`_ns_outcomes`), plus normalization; feasibility of M p = d,
+    p >= 0 is exactly decomposability.
 
     Returns M as sparse rows, d, and the (context, pair) of each row but the
-    last.  Column j has a 1 in the row of each kept pair realization j
-    gives, and in the normalization row.
+    last.  Column j has a 1 in the row of each kept pair outcome tuple j
+    gives, and in the normalization row: each context with kept rows holds
+    the tuple positions of its x and y and a {pair: row} table.
     """
     first_with_x: dict[str, Context] = {}
     first_with_y: dict[str, Context] = {}
@@ -208,6 +228,7 @@ def _membership_problem(
         first_with_x.setdefault(ctx.x, ctx)
         first_with_y.setdefault(ctx.y, ctx)
     keys = []
+    kept: dict[Context, dict[Pair, int]] = {}  # each context's {pair: row}
     for ctx, (a, b) in supported:
         a_last = a == system.a_alphabet[ctx.x][-1]
         b_last = b == system.b_alphabet[ctx.y][-1]
@@ -215,15 +236,18 @@ def _membership_problem(
             continue
         if b_last and ctx != first_with_x[ctx.x]:
             continue
+        kept.setdefault(ctx, {})[(a, b)] = len(keys)
         keys.append((ctx, (a, b)))
-    index = {key: i for i, key in enumerate(keys)}
+    a_position = {x: i for i, x in enumerate(system.a_settings)}
+    b_position = {y: i for i, y in enumerate(system.b_settings, len(a_position))}
+    tables = [(a_position[ctx.x], b_position[ctx.y], row_of) for ctx, row_of in kept.items()]
     rows: list[dict[int, int]] = [{} for _ in keys]
-    for j, r in enumerate(realizations):
-        for key in r.values.items():
-            i = index.get(key)
+    for j, values in enumerate(outcomes):
+        for x, y, row_of in tables:
+            i = row_of.get((values[x], values[y]))
             if i is not None:
                 rows[i][j] = 1
-    rows.append(dict.fromkeys(range(len(realizations)), 1))
+    rows.append(dict.fromkeys(range(len(outcomes)), 1))
     rhs = [system.prob(ctx, pair) for ctx, pair in keys] + [ONE]
     return rows, rhs, keys
 
@@ -247,16 +271,19 @@ def _witness_from_certificate(
     # On the supported pairs it scores at most the sum over contexts of
     # max(0, largest coefficient), so charging each unsupported pair -K, K
     # that sum less the bound, holds it to the bound as well, and leaves
-    # the system's score as it was.
-    best: dict[Context, Fraction] = {}
+    # the system's score as it was.  The maxima and K run over y times
+    # their common denominator, which the bound's divides.
+    scale = lcm(*(y.denominator for y in certificate.y))
+    best: dict[Context, int] = {}
     for (ctx, _), y in zip(keys, certificate.y):
-        best[ctx] = max(best.get(ctx, ZERO), y)
-    k = sum(best.values(), ZERO) - bound
+        best[ctx] = max(best.get(ctx, 0), y.numerator * (scale // y.denominator))
+    k = sum(best.values()) - bound.numerator * (scale // bound.denominator)
     if k > 0:
+        charge = Fraction(-k, scale)
         for ctx in system.contexts:
             for a, b in system.pairs(ctx):
                 if (ctx, (a, b)) not in supported:
-                    coefficients[(ctx, a, b)] = -k
+                    coefficients[(ctx, a, b)] = charge
     return _checked_witness(coefficients, system, bound)
 
 
@@ -354,25 +381,25 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     _require_valid(system)
 
     support = support_of(system)
-    realizations = enumerate_ns_realizations(support, limit)
+    columns = _ns_outcomes(support, limit)
     supported = [
         (ctx, pair) for ctx in system.contexts for pair in sorted(support.supports[ctx])
     ]
-    if not realizations:
+    if not columns:
         coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
         return Verdict("contextual", witness=_checked_witness(coefficients, system))
-    rows, rhs, keys = _membership_problem(system, realizations, supported)
-    outcome = solve_feasibility(rows, rhs, len(realizations))
+    rows, rhs, keys = _membership_problem(system, columns, supported)
+    outcome = solve_feasibility(rows, rhs, len(columns))
     if isinstance(outcome, FeasibleSolution):
         # Keep every nonzero weight: a negative one must fail the check, not vanish.
         decomposition = Decomposition(
-            components=tuple((r, w) for r, w in zip(realizations, outcome.p) if w != 0)
+            tuple((_realization(system, c), w) for c, w in zip(columns, outcome.p) if w != 0)
         )
         if not decomposition_reproduces(system, decomposition):
             raise CertificateError("the decomposition does not reproduce the system")
-        return Verdict("noncontextual", decomposition, realization_count=len(realizations))
+        return Verdict("noncontextual", decomposition, realization_count=len(columns))
     witness = _witness_from_certificate(keys, outcome, system, set(supported))
-    return Verdict("contextual", witness=witness, realization_count=len(realizations))
+    return Verdict("contextual", witness=witness, realization_count=len(columns))
 
 
 def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -383,11 +410,11 @@ def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdic
     probabilities their mixtures cannot be compared to the system.
     """
     _require_valid(support)
-    realizations = enumerate_ns_realizations(support, limit)
-    if len(realizations) == 0:
+    count = len(_ns_outcomes(support, limit))
+    if count == 0:
         return Verdict(kind="no_ns_realizations", realization_count=0)
     raise ValueError(
-        f"{support.name}: {len(realizations)} non-signaling realizations "
+        f"{support.name}: {count} non-signaling realizations "
         "exist; probabilities are required to decide contextuality"
     )
 

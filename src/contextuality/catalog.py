@@ -55,7 +55,8 @@ class NamedSystem(NamedTuple):
 
 
 class UnknownSystemError(KeyError):
-    pass
+    def __str__(self) -> str:  # the message, not the repr KeyError gives
+        return self.args[0]
 
 
 @lru_cache(maxsize=None)

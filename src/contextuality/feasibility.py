@@ -2,10 +2,11 @@
 
 Decides whether M p = d has a solution p >= 0, by an exact fraction-free
 phase-one simplex.  M arrives as one sparse row {column: rational} per
-constraint.  Each tableau row is a list of integers, a positive multiple
-of the rational row, with one slot per column: the n originals, the m
-artificials, the right-hand side, and a last slot that only the objective
-row fills (its scale).  A pivot on entry p of row r at column e lists the
+constraint, and the tableau is assembled from those entries alone.  Each
+tableau row is a list of integers, a positive multiple of the rational
+row, with one slot per column: the n originals, the m artificials, the
+right-hand side, and a last slot that only the objective row fills (its
+scale).  A pivot on entry p of row r at column e lists the
 nonzero entries of row r once, then sets every other row with a nonzero at
 e to p*row - row[e]*row_r, after dividing p and row[e] by their gcd
 (fraction-free elimination in the style of Edmonds 1967 and Bareiss 1968),
@@ -38,7 +39,10 @@ basic index.  This terminates: a non-degenerate pivot strictly lowers the
 phase-one objective, so no basis recurs across one, and there are finitely
 many bases; between two of them Dantzig's rule makes at most DEGENERATE_RUN
 degenerate pivots, and the Bland stretch that follows cannot cycle (Bland
-1977), so it ends in a non-degenerate pivot or at the optimum.
+1977), so it ends in a non-degenerate pivot or at the optimum.  A tableau
+that breaks either fact raises RuntimeError instead of cycling: each pivot
+checks that the phase-one objective stays >= 0 and falls exactly when the
+point moves, and that no basis recurs within a Bland stretch.
 
 Infeasible problems yield a dual vector y with y^T M <= 0 and y^T d > 0,
 extracted from the final tableau.  Callers check the outcomes they use:
@@ -88,16 +92,6 @@ class FarkasCertificate(NamedTuple):
     degenerate_pivots: int = 0
 
     __eq__, __ne__, __hash__ = _same_vector, _other_vector, _vector_hash
-
-
-def _integer_row(entries, width: int) -> list[int]:
-    """The (column, rational) entries as a row of `width` ints, scaled by
-    the positive factor that makes them coprime integers."""
-    scale = lcm(*(v.denominator for _, v in entries))
-    row = [0] * width
-    for j, v in entries:
-        row[j] = v.numerator * (scale // v.denominator)
-    return _reduce(row)
 
 
 def _reduce(row: list[int]) -> list[int]:
@@ -152,10 +146,17 @@ def solve_feasibility(
     # Flip rows so the rhs is nonnegative; remember flips to map the
     # certificate back to original coordinates.
     flip = [(-1 if d < 0 else 1) for d in rhs]
+    # Row i is s * D * (row, e_i, d), D the lcm of the row's denominators
+    # and s its flip.  Its gcd is 1, as its artificial entry is D and each
+    # prime's highest power in D is some entry's whole denominator.
     tab = []
     for i, (row, d) in enumerate(zip(rows, rhs)):
-        int_row = _integer_row([*row.items(), (n + i, flip[i]), (d_col, d)], width)
-        tab.append(int_row if flip[i] > 0 else [-v for v in int_row])
+        s, row_scale = flip[i], lcm(*(v.denominator for v in row.values()))
+        int_row = [0] * width
+        for j, v in row.items():
+            int_row[j] = s * v.numerator * (row_scale // v.denominator)
+        int_row[n + i], int_row[d_col] = row_scale, s * d * row_scale
+        tab.append(int_row)
     basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials.  Reduced costs start as
@@ -165,14 +166,14 @@ def solve_feasibility(
     scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
     obj = [0] * width
     obj[SCALE] = scale
-    for i, row in enumerate(tab):
-        k = scale // row[n + i]
-        for j, v in enumerate(row):
-            if v and j != n + i:
-                obj[j] -= k * v
+    for i, (row, int_row) in enumerate(zip(rows, tab)):
+        k = scale // int_row[n + i]
+        for j in (*row, d_col):
+            obj[j] -= k * int_row[j]
     obj = _reduce(obj)
 
     pivots = degenerate = run = 0
+    stretch: set[tuple[int, ...]] = set()  # the bases of this Bland stretch
     while True:
         costs = obj[:d_col]
         lowest = min(costs, default=0)
@@ -184,6 +185,10 @@ def solve_feasibility(
         else:
             # Bland: the lowest-index column with negative reduced cost.
             enter = next(j for j, v in enumerate(costs) if v < 0)
+            key = tuple(sorted(basis))
+            if key in stretch:
+                raise RuntimeError("a basis recurred under Bland's rule: corrupt tableau")
+            stretch.add(key)
         # Ratio test by cross-multiplication; ties broken by lowest basic
         # variable index (Bland).
         leave = None
@@ -207,6 +212,7 @@ def solve_feasibility(
             run += 1
         else:
             run = 0
+            stretch.clear()
         pivot_row = tab[leave]
         p = pivot_row[enter]
         nonzeros = [(j, w) for j, w in enumerate(pivot_row) if w]
@@ -214,8 +220,14 @@ def solve_feasibility(
             a = row[enter]
             if a and i != leave:
                 tab[i] = _combine(row, a, pivot_row, p, nonzeros)
+        # The phase-one objective -obj[d_col] / obj[SCALE] stays >= 0 and
+        # falls exactly when the point moves; `drop` has the sign of its fall.
+        w_num, w_scale = obj[d_col], obj[SCALE]
         obj = _combine(obj, obj[enter], pivot_row, p, nonzeros)
         basis[leave] = enter
+        drop = obj[d_col] * w_scale - w_num * obj[SCALE]
+        if obj[SCALE] <= 0 or obj[d_col] > 0 or drop < 0 or (drop > 0) != (num != 0):
+            raise RuntimeError(f"pivot {pivots}: phase-one objective below 0 or off its step: corrupt tableau")
 
     if not obj[d_col]:
         solution = [ZERO] * n

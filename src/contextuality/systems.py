@@ -101,11 +101,11 @@ class Spec:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
 
-    @property
+    @cached_property
     def a_settings(self) -> tuple[str, ...]:
         return tuple(sorted(self.a_alphabet, key=setting_key))
 
-    @property
+    @cached_property
     def b_settings(self) -> tuple[str, ...]:
         return tuple(sorted(self.b_alphabet, key=setting_key))
 

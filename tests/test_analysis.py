@@ -273,10 +273,10 @@ class TestCertificateChecks:
     def test_missing_column_raises(self, monkeypatch):
         # Without one of its realizations the noncontextual half mix gets a
         # Farkas certificate whose witness the dropped realization beats.
-        enumerate_all = analysis.enumerate_ns_realizations
+        enumerate_all = analysis._ns_outcomes
         monkeypatch.setattr(
             analysis,
-            "enumerate_ns_realizations",
+            "_ns_outcomes",
             lambda support, limit: enumerate_all(support, limit)[1:],
         )
         with pytest.raises(CertificateError):
@@ -365,13 +365,16 @@ class TestKeptRows:
         for _ in range(400):
             system = _kept_rows_case(rng)
             support = support_of(system)
-            columns = enumerate_ns_realizations(support)
+            columns_from = support
             pairs_of = lambda ctx: sorted(support.supports[ctx])
-            if not columns:
-                columns = enumerate_ns_realizations(full_support(system))
+            if not enumerate_ns_realizations(support):
+                columns_from = full_support(system)
                 pairs_of = system.pairs
+            # The same columns, as realizations and as their outcome tuples.
+            columns = enumerate_ns_realizations(columns_from)
+            outcomes = analysis._ns_outcomes(columns_from, analysis.DEFAULT_LIMIT)
             supported = [(ctx, pair) for ctx in system.contexts for pair in pairs_of(ctx)]
-            rows, rhs, keys = analysis._membership_problem(system, columns, supported)
+            rows, rhs, keys = analysis._membership_problem(system, outcomes, supported)
             full_rows, full_rhs, _ = full_membership_problem(system, columns, supported)
             assert len(rows) <= len(full_rows)
             reduced = solve_feasibility(rows, rhs, len(columns))
@@ -401,6 +404,82 @@ class TestKeptRows:
         alph = {str(i): tuple(map(str, range(outcomes))) for i in range(1, settings + 1)}
         system = uniform_system(alph, alph)
         assert len(analysis._membership_problem(system, (), every_pair(system))[0]) == rows
+
+
+def _column_cases():
+    """Random systems up to 3x3 ternary (those of TestKeptRows) and 2x3 and
+    2x4 binary, contextual and not."""
+    rng = random.Random(1414)
+    for _ in range(150):
+        yield _kept_rows_case(rng)
+    for n in (3, 4):
+        for _ in range(40):
+            yield _two_by_n_case(rng, n)
+
+
+class TestColumnsAsOutcomes:
+    """`classify` solves over outcome tuples and builds a `Realization` only
+    for each component of the decomposition it returns."""
+
+    def test_components_are_enumerated_realizations(self):
+        kinds = set()
+        for system in _column_cases():
+            ns = enumerate_ns_realizations(support_of(system))
+            v = classify(system)
+            kinds.add(v.kind)
+            assert v.realization_count == len(ns)
+            if v.decomposition is not None:
+                assert all(r in ns for r, _ in v.decomposition.components)
+        assert kinds == {"contextual", "noncontextual"}
+
+    def test_builds_one_realization_per_component(self, monkeypatch):
+        built, realization = 0, analysis.Realization
+
+        def counted(*args, **kwargs):
+            nonlocal built
+            built += 1
+            return realization(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "Realization", counted)
+        zero_weight_columns = 0
+        for system in _column_cases():
+            built = 0
+            v = classify(system)
+            components = len(v.decomposition.components) if v.decomposition else 0
+            assert built == components
+            if v.decomposition is not None:
+                zero_weight_columns += v.realization_count - components
+        assert zero_weight_columns > 0
+
+    def test_witness_score_is_the_fraction_sum(self):
+        # Coefficients on every pair of every context: pairs missing from the
+        # pmf dict, pairs held at probability 0, and pairs of the support.
+        rng = random.Random(99)
+        held_zero = missing = 0
+        for _ in range(200):
+            system = random_ns_mixture(rng)
+            pmfs = {ctx: dict(pmf) for ctx, pmf in system.pmfs.items()}
+            for ctx in system.contexts:
+                for pair in system.pairs(ctx):
+                    if pair not in pmfs[ctx] and rng.random() < 0.5:
+                        pmfs[ctx][pair] = Fraction(0)
+            system = make_system(system.name, system.a_alphabet, system.b_alphabet, pmfs)
+            coefficients = {
+                (ctx, a, b): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                for ctx in system.contexts
+                for a, b in system.pairs(ctx)
+            }
+            reference = sum(
+                (c * pmfs[ctx].get((a, b), 0) for (ctx, a, b), c in coefficients.items()),
+                Fraction(0),
+            )
+            score = witness_score(BellWitness(coefficients, Fraction(0)), system)
+            assert type(score) is Fraction and score == reference
+            held_zero += sum(p == 0 for pmf in pmfs.values() for p in pmf.values())
+            missing += sum(
+                pair not in pmfs[ctx] for ctx in system.contexts for pair in system.pairs(ctx)
+            )
+        assert held_zero > 0 and missing > 0
 
 
 class TestDecompositionReproduces:
@@ -538,30 +617,32 @@ class TestFineOracle:
         assert kinds == {"noncontextual", "contextual"}
 
 
+def _two_by_n_case(rng: random.Random, n: int):
+    """A random 2xn binary system: deterministic parts and PR boxes."""
+    a_alph = {"1": ("0", "1"), "2": ("0", "1")}
+    b_alph = {str(j): ("0", "1") for j in range(1, n + 1)}
+    parts = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 2)):
+        # a PR box on B-settings y, y2: b = a, except b = a + 1 in one
+        # of their contexts; every other context copies a or flips it
+        y, y2 = rng.sample(sorted(b_alph), 2)
+        shifts = {(x, yy): rng.randint(0, 1) for x in a_alph for yy in b_alph}
+        shifts.update({(x, yy): 0 for x in a_alph for yy in (y, y2)})
+        shifts[(rng.choice("12"), rng.choice((y, y2)))] = 1
+        parts.append(chained_box(a_alph, b_alph, 2, shifts))
+    weights = [rng.randint(1, 6) for _ in parts]
+    return mix([(p, Fraction(w, sum(weights))) for p, w in zip(parts, weights)])
+
+
 class TestTwoByNOracle:
     """`classify` against the CHSH criterion on 2x3 through 2x6 binary systems."""
-
-    def _case(self, rng: random.Random, n: int):
-        a_alph = {"1": ("0", "1"), "2": ("0", "1")}
-        b_alph = {str(j): ("0", "1") for j in range(1, n + 1)}
-        parts = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(rng.randint(1, 3))]
-        for _ in range(rng.randint(0, 2)):
-            # a PR box on B-settings y, y2: b = a, except b = a + 1 in one
-            # of their contexts; every other context copies a or flips it
-            y, y2 = rng.sample(sorted(b_alph), 2)
-            shifts = {(x, yy): rng.randint(0, 1) for x in a_alph for yy in b_alph}
-            shifts.update({(x, yy): 0 for x in a_alph for yy in (y, y2)})
-            shifts[(rng.choice("12"), rng.choice((y, y2)))] = 1
-            parts.append(chained_box(a_alph, b_alph, 2, shifts))
-        weights = [rng.randint(1, 6) for _ in parts]
-        return mix([(p, Fraction(w, sum(weights))) for p, w in zip(parts, weights)])
 
     def test_agrees_with_classify(self):
         rng = random.Random(2718)
         kinds = []
         for n in (3, 4, 5, 6):
             for _ in range(200):
-                system = self._case(rng, n)
+                system = _two_by_n_case(rng, n)
                 kind = classify(system).kind
                 assert kind == chsh_2xn_oracle(system)
                 kinds.append(kind)

@@ -73,6 +73,10 @@ class TestGet:
             get("nope")
         with pytest.raises(UnknownSystemError):
             provenance("nope")
+        # Still a KeyError, whose str() is the message itself, unquoted.
+        with pytest.raises(KeyError) as info:
+            get("nope")
+        assert str(info.value).startswith("unknown system id 'nope'; known: d_eprb,")
 
     def test_ids_stable(self):
         assert set(catalog_ids()) == {

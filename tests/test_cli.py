@@ -53,6 +53,15 @@ class TestAnalyze:
         report = run_json(capsys, "analyze", "--builtin", "ksp_support")
         assert report["verdict"] == "no_ns_realizations"
 
+    def test_unknown_builtin_exit_2_with_plain_message(self, capsys):
+        # The message is printed as it is, not as the repr a KeyError gives.
+        code, out, err = run(capsys, "analyze", "--builtin", "nope")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: unknown system id 'nope'; known: d_eprb, d_prime_eprb, d1, "
+            "d2, d3, d4, eprb_shape, conspiracy, ksp_support\n"
+        )
+
     def test_missing_file_exit_2(self, capsys):
         code, out, err = run(capsys, "analyze", "missing.json")
         assert code == 2

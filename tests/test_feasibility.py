@@ -239,11 +239,10 @@ def test_rhs_scaling_keeps_pivots_on_4x4_membership(columns_from):
     parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
     system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
     other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
-    columns = enumerate_ns_realizations(
-        support_of(system if columns_from == "own" else other)
-    )
-    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
-    _assert_rhs_scaling_invariant(rows, rhs, len(columns))
+    support = support_of(system if columns_from == "own" else other)
+    outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
+    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
+    _assert_rhs_scaling_invariant(rows, rhs, len(outcomes))
 
 
 def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
@@ -293,10 +292,10 @@ def test_equals_dense_reference_on_4x4_membership(columns_from):
     parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
     system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
     other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
-    columns = enumerate_ns_realizations(
-        support_of(system if columns_from == "own" else other)
-    )
-    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
+    support = support_of(system if columns_from == "own" else other)
+    columns = enumerate_ns_realizations(support)
+    outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
+    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
     assert len(rows) == 25  # of 65: 16 contexts x 1 pair, 4 + 4 marginals, normalization
     problem = dense_problem(rows, rhs, len(columns))
     outcome = _solve_as_sparse_reference(rows, rhs, len(columns))
@@ -355,18 +354,79 @@ def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
     assert solve_feasibility(*sparse_rows(problem)).degenerate_pivots >= 100
 
 
-def test_degenerate_pivots_stay_bounded_on_an_interior_point():
-    # A full-support 4x4 binary noisy mixture, interior to a degenerate LP:
-    # Bland's rule alone makes 461 pivots here, 353 of them degenerate.
+def _interior_point_lp():
+    """The membership LP of a full-support 4x4 binary noisy mixture."""
     rng = random.Random(0)
     alph = {str(i): ("0", "1") for i in range(1, 5)}
     system = noisy_mixture(rng, alph, alph)
-    columns = enumerate_ns_realizations(full_support(system))
-    rows, rhs, _ = analysis._membership_problem(system, columns, every_pair(system))
-    outcome = _solve_as_sparse_reference(rows, rhs, len(columns))
+    outcomes = analysis._ns_outcomes(full_support(system), analysis.DEFAULT_LIMIT)
+    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
+    return rows, rhs, len(outcomes)
+
+
+def test_degenerate_pivots_stay_bounded_on_an_interior_point():
+    # A full-support 4x4 binary noisy mixture, interior to a degenerate LP:
+    # Bland's rule alone makes 461 pivots here, 353 of them degenerate.
+    outcome = _solve_as_sparse_reference(*_interior_point_lp())
     assert isinstance(outcome, FeasibleSolution)
     assert 0 < outcome.degenerate_pivots <= 50
     assert outcome.pivots <= 100
+
+
+def _corrupting(mutation: str):
+    """A `_combine` that corrupts the tableau, for the solver's own checks to
+    catch.  A solve that runs past 20,000 row updates fails the test: it
+    cycles where it should have raised.
+
+    - stale-nonzeros: every pivot updates rows by the first pivot row's
+      nonzero entries, so the other entries keep stale values.
+    - frozen-objective: from the fifth update on, the objective row is left
+      as it was.
+    - rising-objective: from the fifth update on, the objective's rhs slot
+      loses one whole scale, so the sum of the artificials rises by 1.
+    """
+    combine, calls, first = feasibility._combine, 0, None
+
+    def corrupt(row, a, pivot_row, p, nonzeros):
+        nonlocal calls, first
+        calls += 1
+        if calls > 20_000:
+            pytest.fail(f"{mutation}: over 20,000 row updates without an error")
+        objective = row[feasibility.SCALE] != 0
+        if mutation == "stale-nonzeros":
+            first = first or nonzeros
+            return combine(row, a, pivot_row, p, first)
+        if mutation == "frozen-objective" and objective and calls >= 5:
+            return list(row)
+        row = combine(row, a, pivot_row, p, nonzeros)
+        if mutation == "rising-objective" and objective and calls >= 5:
+            row[-2] -= row[feasibility.SCALE]
+        return row
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "mutation, problem, check",
+    [
+        ("stale-nonzeros", "beale", "recurred"),
+        ("stale-nonzeros", "interior-point", "objective"),
+        ("frozen-objective", "beale", "recurred"),
+        ("frozen-objective", "interior-point", "objective"),
+        ("rising-objective", "beale", "objective"),
+        ("rising-objective", "interior-point", "objective"),
+    ],
+)
+def test_corrupt_tableau_raises(monkeypatch, mutation, problem, check):
+    # The solver checks that no basis recurs within a Bland stretch, and
+    # that the phase-one objective falls exactly on the pivots that move the
+    # point.  Without them the first two mutations cycle for as long as the
+    # solve is let run, and the third returns an outcome.  The checks raise
+    # RuntimeError, not AssertionError, so they hold under `python -O` too.
+    lp = sparse_rows(_beale_problem()) if problem == "beale" else _interior_point_lp()
+    monkeypatch.setattr(feasibility, "_combine", _corrupting(mutation))
+    with pytest.raises(RuntimeError, match=check):
+        solve_feasibility(*lp)
 
 
 def test_pivot_counts_do_not_change_equality():
