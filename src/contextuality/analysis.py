@@ -52,7 +52,6 @@ from .systems import (
     SystemSpec,
     check_nonsignaling,
     expectation_product,
-    support_of,
     validate,
 )
 
@@ -120,10 +119,11 @@ class Verdict(NamedTuple):
 
 
 def enumerate_ns_realizations(
-    support: SupportSpec, limit: int = DEFAULT_LIMIT
+    spec: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT
 ) -> tuple[Realization, ...]:
-    """All non-signaling realizations of a support, in `_ns_outcomes` order."""
-    return tuple(_realization(support, values) for values in _ns_outcomes(support, limit))
+    """All non-signaling realizations of a spec's support, in `_ns_outcomes`
+    order; a system gives the same ones as its `support_of`."""
+    return tuple(_realization(spec, values) for values in _ns_outcomes(spec, limit))
 
 
 def _realization(spec: SupportSpec | SystemSpec, values: tuple[Outcome, ...]) -> Realization:
@@ -134,9 +134,9 @@ def _realization(spec: SupportSpec | SystemSpec, values: tuple[Outcome, ...]) ->
     return Realization(f=f, g=g, values={ctx: (f[ctx.x], g[ctx.y]) for ctx in spec.contexts})
 
 
-def _ns_outcomes(support: SupportSpec, limit: int) -> list[tuple[Outcome, ...]]:
-    """The outcome tuple of every non-signaling realization of a support,
-    one outcome per setting, A-settings first, in sorted order.
+def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outcome, ...]]:
+    """The outcome tuple of every non-signaling realization of a spec's
+    `supports`, one outcome per setting, A-settings first, in sorted order.
 
     Every setting of either side is one variable, A-settings first; its
     domain holds the outcomes still possible, one outcome once assigned.
@@ -145,16 +145,16 @@ def _ns_outcomes(support: SupportSpec, limit: int) -> list[tuple[Outcome, ...]]:
     intersects every neighbour's domain with one table entry.  Backtracking
     assigns the smallest domain first, ties to the earlier variable.
     """
-    a_settings, b_settings = support.a_settings, support.b_settings
-    alphabets = [support.a_alphabet[x] for x in a_settings]
-    alphabets += [support.b_alphabet[y] for y in b_settings]
+    a_settings, b_settings = spec.a_settings, spec.b_settings
+    alphabets = [spec.a_alphabet[x] for x in a_settings]
+    alphabets += [spec.b_alphabet[y] for y in b_settings]
     a_index = {x: i for i, x in enumerate(a_settings)}
     b_index = {y: len(a_settings) + j for j, y in enumerate(b_settings)}
     tables: list[dict[int, dict[Outcome, set[Outcome]]]] = [{} for _ in alphabets]
-    for ctx in support.contexts:
+    for ctx in spec.contexts:
         i, j = a_index[ctx.x], b_index[ctx.y]
         forward, backward = tables[i].setdefault(j, {}), tables[j].setdefault(i, {})
-        for a, b in support.supports[ctx]:
+        for a, b in spec.supports[ctx]:
             forward.setdefault(a, set()).add(b)
             backward.setdefault(b, set()).add(a)
     # An outcome with no supported pair in some context is out from the start.
@@ -361,9 +361,10 @@ def _local_bound(
 def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     """Decide contextuality of a non-signaling system, with certificate.
 
-    Candidate mixture components are the support-restricted non-signaling
-    realizations; positive weight in a decomposition forces support
-    membership, so nothing is lost by excluding zero-probability pairs.
+    Candidate mixture components are the non-signaling realizations of the
+    system's own `supports`; positive weight in a decomposition forces
+    support membership, so nothing is lost by excluding zero-probability
+    pairs.
     `limit` caps their number, the LP's columns.  With none, the support is
     the witness: coefficient 1 on each supported (context, pair).  The
     system scores N, its number of contexts; an (f, g) over the full
@@ -380,11 +381,8 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     """
     _require_valid(system)
 
-    support = support_of(system)
-    columns = _ns_outcomes(support, limit)
-    supported = [
-        (ctx, pair) for ctx in system.contexts for pair in sorted(support.supports[ctx])
-    ]
+    columns = _ns_outcomes(system, limit)
+    supported = [(ctx, pair) for ctx, pairs in system.supports.items() for pair in sorted(pairs)]
     if not columns:
         coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
         return Verdict("contextual", witness=_checked_witness(coefficients, system))

@@ -25,16 +25,7 @@ from .systems import (
 
 HALF = Fraction(1, 2)
 
-_FILE_IDS = (
-    "d_eprb",
-    "d_prime_eprb",
-    "d1",
-    "d2",
-    "d3",
-    "d4",
-    "eprb_shape",
-)
-
+# Every id in listing order; all but the last two are `data/<id>.json`.
 _PROVENANCE = {
     "d_eprb": "non-signaling deterministic EPR/Bohm table",
     "d_prime_eprb": "signaling deterministic EPR/Bohm table",
@@ -69,7 +60,7 @@ def _load_file(id: str) -> SystemSpec | SupportSpec:
 
 
 def catalog_ids() -> tuple[str, ...]:
-    return _FILE_IDS + ("conspiracy", "ksp_support")
+    return tuple(_PROVENANCE)
 
 
 def provenance(id: str) -> str:
@@ -84,12 +75,12 @@ def provenance(id: str) -> str:
 def get(id: str) -> NamedSystem:
     """Look up a built-in system by its stable public id."""
     description = provenance(id)
-    if id in _FILE_IDS:
-        system = _load_file(id)
-    elif id == "conspiracy":
+    if id == "conspiracy":
         system = conspiracy_system()
-    else:
+    elif id == "ksp_support":
         system = _ksp_support()
+    else:
+        system = _load_file(id)
     return NamedSystem(id=id, system=system, provenance=description)
 
 

@@ -30,7 +30,6 @@ from .systems import (
     check_nonsignaling,
     context_key,
     count_assignments,
-    support_of,
 )
 
 EXIT_OK = 0
@@ -109,18 +108,14 @@ def cmd_analyze(args) -> int:
             verdict = analysis.classify_support(system, limit=args.limit)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        report["nonsignaling"] = True
-        report["verdict"] = verdict.kind
-        report["stats"] = {"ns_realizations": verdict.realization_count}
-        _emit(report)
-        return EXIT_OK
-    try:
-        verdict = classify(system, limit=args.limit)
-    except SignalingSystemError as exc:
-        report["nonsignaling"] = _witness_doc(exc.witness)
-        report["verdict"] = "signaling"
-        _emit(report)
-        return EXIT_OK
+    else:
+        try:
+            verdict = classify(system, limit=args.limit)
+        except SignalingSystemError as exc:
+            report["nonsignaling"] = _witness_doc(exc.witness)
+            report["verdict"] = "signaling"
+            _emit(report)
+            return EXIT_OK
     report["nonsignaling"] = True
     report["verdict"] = verdict.kind
     if verdict.decomposition is not None:
@@ -147,7 +142,6 @@ def cmd_nonsignaling(args) -> int:
 
 def cmd_realizations(args) -> int:
     system = _load(args)
-    support = support_of(system) if isinstance(system, SystemSpec) else system
     report: dict = {"system": system.name, "mode": args.mode}
     if args.mode == "all":
         count = count_assignments(system)
@@ -159,7 +153,7 @@ def cmd_realizations(args) -> int:
         else:
             report["value"] = str(count.value)
     else:
-        realizations = enumerate_ns_realizations(support, args.limit)
+        realizations = enumerate_ns_realizations(system, args.limit)
         report["count"] = str(len(realizations))
         if not args.count_only:
             report["realizations"] = [_values_doc(r) for r in realizations]
@@ -287,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (InputError, RealizationLimitExceeded, SignalingSystemError) as exc:
+    except (InputError, RealizationLimitExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:

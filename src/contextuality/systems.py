@@ -9,7 +9,8 @@ A spec's contexts are the keys of its pmf or support table, held as
 `Context`s in canonical order, fixed when it is built.  Inside, `validate`,
 `check_nonsignaling` and `analysis.decomposition_reproduces` read the pmfs
 as integer counts over one common denominator, built once per system
-(`SystemSpec._counts`), so their sums and comparisons run over ints.
+(`SystemSpec._counts`), so their sums and comparisons run over ints.  The
+support of a system is built once the same way (`SystemSpec.supports`).
 """
 
 from __future__ import annotations
@@ -62,9 +63,11 @@ class Spec:
     systems in particular) are shared between callers.  `contexts` holds
     the keys of the per-context table as `Context`s in canonical order
     (`context_key`), whatever order the table has; the table is looked up
-    by context, which equals its plain (x, y) tuple.  A spec is immutable:
-    assigning or deleting an attribute raises `AttributeError`.  Specs of
-    one type with equal fields are equal.
+    by context, which equals its plain (x, y) tuple.  Every spec answers
+    `supports`, a read-only {context: frozenset of pairs} of the pairs each
+    context allows: a `SupportSpec` stores it, a `SystemSpec` reads it off
+    its pmfs.  A spec is immutable: assigning or deleting an attribute
+    raises `AttributeError`.  Specs of one type with equal fields are equal.
     """
 
     name: str
@@ -143,6 +146,15 @@ class SystemSpec(Spec):
             ctx: {pair: p.numerator * (scale // p.denominator) for pair, p in pmf.items()}
             for ctx, pmf in pmfs.items()
         }
+
+    @cached_property
+    def supports(self) -> Mapping[Context, frozenset[Pair]]:
+        """The pairs of probability > 0 in each context, read-only and keyed
+        in canonical context order; built once, as `_counts` is."""
+        return MappingProxyType({
+            ctx: frozenset(pair for pair, p in self.pmfs[ctx].items() if p.numerator > 0)
+            for ctx in self.contexts
+        })
 
 
 class SupportSpec(Spec):
@@ -347,16 +359,8 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
 
 
 def support_of(system: SystemSpec) -> SupportSpec:
-    """Drop probabilities, keeping the pairs with probability > 0."""
-    return SupportSpec(
-        name=system.name,
-        a_alphabet=system.a_alphabet,
-        b_alphabet=system.b_alphabet,
-        supports={
-            ctx: frozenset(p for p, v in system.pmfs[ctx].items() if v.numerator > 0)
-            for ctx in system.contexts
-        },
-    )
+    """The system as a `SupportSpec`: its shape and `supports`, no pmfs."""
+    return SupportSpec(system.name, system.a_alphabet, system.b_alphabet, system.supports)
 
 
 class AssignmentCount(NamedTuple):

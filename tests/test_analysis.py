@@ -110,6 +110,15 @@ class TestEnumerate:
     def test_ksp_empty(self):
         assert len(enumerate_ns_realizations(get("ksp_support").system)) == 0
 
+    def test_system_enumerates_as_its_support(self):
+        # A system is searched through its own `supports`: the same
+        # realizations, in the same order, as its `support_of`.
+        rng = random.Random(16)
+        systems = [random_ns_mixture(rng) for _ in range(100)]
+        systems += [get(id).system for id in ("d_prime_eprb", "conspiracy", "eprb_shape")]
+        for s in systems:
+            assert enumerate_ns_realizations(s) == enumerate_ns_realizations(support_of(s))
+
     def test_single_context_full_support(self):
         supp = make_support(
             "one",
@@ -325,6 +334,16 @@ class TestSupportWitness:
         )
         with pytest.raises(CertificateError):
             classify(conspiracy_system())
+
+    def test_realization_beating_bound_raises(self):
+        # The PR box scores 4 on its support witness and the best (f, g) 3:
+        # a bound of 5/2 still lies below the system, but not above every
+        # realization.
+        s = conspiracy_system()
+        coefficients = dict(classify(s).witness.coefficients)
+        assert analysis._checked_witness(coefficients, s).bound == 3
+        with pytest.raises(CertificateError, match="a realization beats the witness bound"):
+            analysis._checked_witness(coefficients, s, Fraction(5, 2))
 
 
 def _kept_rows_case(rng: random.Random):

@@ -14,6 +14,8 @@ from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
 from contextuality.systems import Context
 
+from helpers import uniform_system
+
 
 def pmf_file(p: str) -> bytes:
     """A one-context system file whose single pmf entry has probability p."""
@@ -27,6 +29,17 @@ def pmf_file(p: str) -> bytes:
         "b_alphabet": alphabet,
         "contexts": [context],
     }
+    return json.dumps(doc).encode()
+
+
+CONTEXT = {"x": "1", "y": "1"}
+PMF = [{"a": "0", "b": "0", "p": "1"}]
+
+
+def doc_file(**fields) -> bytes:
+    """`pmf_file("1")` with some top-level fields replaced."""
+    doc = json.loads(pmf_file("1"))
+    doc.update(fields)
     return json.dumps(doc).encode()
 
 
@@ -129,6 +142,24 @@ class TestAnalyze:
             pmf_file("1/1" + "0" * 4999),
             b'{"name": ' + b"1" * 5000 + b"}",
             pmf_file("1").replace(b'"a_settings": ["1"]', b'"a_settings": ["1", "1"]'),
+            doc_file(name=1),
+            doc_file(a_alphabet={"1": [0]}),
+            b"[" + pmf_file("1") + b"]",
+            doc_file(contexts=[1]),
+            doc_file(contexts=[{**CONTEXT, "pmf": PMF, "support": [["0", "0"]]}]),
+            doc_file(contexts=[{**CONTEXT, "pmf": PMF * 2}]),
+            doc_file(contexts=[{**CONTEXT, "support": [["0"]]}]),
+            doc_file(contexts=[CONTEXT]),
+            doc_file(
+                a_settings=["1", "2"],
+                a_alphabet={"1": ["0"], "2": ["0"]},
+                contexts=[
+                    {**CONTEXT, "pmf": PMF},
+                    {"x": "2", "y": "1", "support": [["0", "0"]]},
+                ],
+            ),
+            doc_file(contexts=[{**CONTEXT, "pmf": [["0", "0", "1"]]}]),
+            doc_file(contexts=[{"x": "1", "y": "2", "pmf": PMF}]),
         ],
         ids=[
             "not-utf8",
@@ -138,6 +169,17 @@ class TestAnalyze:
             "denominator-5000-digits",
             "json-number-5000-digits",
             "duplicate-a-setting",
+            "name-not-a-string",
+            "alphabet-not-strings",
+            "top-level-array",
+            "context-not-an-object",
+            "pmf-and-support",
+            "duplicate-pmf-entry",
+            "support-entry-not-a-pair",
+            "neither-pmf-nor-support",
+            "pmf-and-support-contexts",
+            "pmf-entry-not-an-object",
+            "unknown-b-setting",
         ],
     )
     def test_malformed_file_exit_2(self, capsys, tmp_path, content):
@@ -180,6 +222,14 @@ def test_limit_only_where_realizations_are_enumerated(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("command", ["nonsignaling", "chsh"])
+def test_support_input_refused(capsys, command):
+    code, out, err = run(capsys, command, "--builtin", "ksp_support")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {command} needs probabilistic input\n"
 
 
 class TestNonsignaling:
@@ -263,6 +313,10 @@ class TestPeres:
         assert "nodes:" in out
 
 
+BIN = {"1": ("0", "1"), "2": ("0", "1")}
+TERNARY = {"1": ("0", "1", "2"), "2": ("0", "1", "2")}
+
+
 class TestChsh:
     def test_conspiracy_4(self, capsys):
         code, out, err = run(capsys, "chsh", "--builtin", "conspiracy")
@@ -305,6 +359,23 @@ class TestChsh:
         code, out, err = run(capsys, "chsh", str(path))
         assert code == 0
         assert out.strip() == "2"
+
+    @pytest.mark.parametrize(
+        "a_alphabet, b_alphabet, message",
+        [
+            (BIN, {**BIN, "3": ("0", "1")}, "CHSH needs exactly 2 settings per side"),
+            (TERNARY, TERNARY, "CHSH needs binary A-alphabets"),
+            (BIN, TERNARY, "CHSH needs binary B-alphabets"),
+        ],
+        ids=["2x3", "ternary", "ternary-b"],
+    )
+    def test_not_2x2_binary_exit_2(self, capsys, tmp_path, a_alphabet, b_alphabet, message):
+        path = tmp_path / "s.json"
+        path.write_text(dumps_system(uniform_system(a_alphabet, b_alphabet)))
+        code, out, err = run(capsys, "chsh", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCatalogCmd:

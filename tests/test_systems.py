@@ -232,17 +232,23 @@ class TestNonsignaling:
 
 
 def test_direct_spec_stores_contexts_in_canonical_order():
-    # Labels "10" and "9" sort differently as numbers and as strings.
-    alphabet = {"9": ("0", "1"), "10": ("0", "1")}
+    # Labels "10" and "9" sort differently as numbers and as strings; "b"
+    # and "a" are not numbers, so they follow every numeric label.
+    labels = ("b", "a", "10", "9")
+    alphabet = {label: ("0", "1") for label in labels}
     pmfs = {
         (x, y): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)}
-        for x in ("9", "10")
-        for y in ("9", "10")
+        for x in labels
+        for y in labels
     }
     built = make_system("s", alphabet, alphabet, pmfs)
     direct = SystemSpec("s", alphabet, alphabet, dict(reversed(pmfs.items())))
     assert direct.contexts == tuple(sorted(direct.contexts, key=context_key))
-    assert direct.contexts[0] == ("9", "9")
+    assert direct.a_settings == direct.b_settings == ("9", "10", "a", "b")
+    assert direct.contexts[:5] == (
+        ("9", "9"), ("9", "10"), ("9", "a"), ("9", "b"), ("10", "9")
+    )
+    assert direct.contexts[-1] == ("b", "b")
     assert all(type(ctx) is Context for ctx in direct.contexts)
     assert direct == built
     assert hash(direct) == hash(built)
@@ -253,12 +259,18 @@ def test_direct_spec_stores_contexts_in_canonical_order():
 
 def test_spec_is_immutable_and_compares_within_its_type():
     s = binary_system("one", {("1", "1"): {("0", "1"): Fraction(1)}})
-    for field in ("name", "a_alphabet", "contexts", "pmfs", "_counts"):
+    assert s.supports == {("1", "1"): frozenset({("0", "1")})}
+    for field in ("name", "a_alphabet", "contexts", "pmfs", "_counts", "supports"):
         with pytest.raises(AttributeError):
             setattr(s, field, None)
         with pytest.raises(AttributeError):
             delattr(s, field)
+    with pytest.raises(TypeError):
+        s.supports[Context("1", "1")] = frozenset()
+    with pytest.raises(TypeError):
+        del s.supports[Context("1", "1")]
     assert s.name == "one" and s.contexts == (("1", "1"),)
+    assert s.supports == {("1", "1"): frozenset({("0", "1")})}
     support = support_of(s)
     with pytest.raises(AttributeError):
         support.supports = {}
@@ -290,7 +302,44 @@ def test_counts_built_once_per_system(monkeypatch):
     assert len(calls) == 1
 
 
+def test_classify_builds_no_support_spec(monkeypatch):
+    # classify searches the system's own `supports`; it copies the system
+    # into no second spec.
+    built = []
+    real_init = SupportSpec.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SupportSpec, "__init__", counting_init)
+    mixture = mix([(get(f"d{i}").system, Fraction(1, 4)) for i in range(1, 5)])
+    assert classify(mixture).kind == "noncontextual"
+    assert classify(get("conspiracy").system).kind == "contextual"
+    assert built == []
+    support_of(mixture)  # the counter does see a SupportSpec being built
+    assert len(built) == 1
+
+
 class TestSupport:
+    def test_system_supports_match_support_of(self):
+        # Half the draws list every pair of the alphabet product, those of
+        # probability zero included; `supports` must leave those out.
+        rng = random.Random(15)
+        for trial in range(200):
+            s = random_ns_mixture(rng)
+            if trial % 2:
+                s = make_system(s.name, s.a_alphabet, s.b_alphabet, {
+                    ctx: {pair: s.prob(ctx, pair) for pair in s.pairs(ctx)}
+                    for ctx in s.contexts
+                })
+            assert s.supports == support_of(s).supports
+            assert tuple(s.supports) == s.contexts
+            for ctx in s.contexts:
+                assert s.supports[ctx] == {
+                    pair for pair in s.pairs(ctx) if s.prob(ctx, pair) > 0
+                }
+
     def test_deterministic_singletons(self):
         for id in ("d_eprb", "d1", "d2", "d3", "d4"):
             supp = support_of(get(id).system)
