@@ -10,17 +10,14 @@ from .analysis import (
     BellWitness,
     CertificateError,
     Decomposition,
-    InvalidSystemError,
     RealizationLimitExceeded,
     SignalingSystemError,
     Verdict,
     chsh,
     classify,
-    classify_support,
     decomposition_reproduces,
     enumerate_ns_realizations,
     fine_oracle,
-    hidden_variable_model,
     witness_score,
 )
 from .catalog import NamedSystem, PairMixture, conspiracy_system, get, pair_as_mixture
@@ -38,6 +35,7 @@ from .peres import (
 )
 from .systems import (
     Context,
+    InvalidSystemError,
     Realization,
     SignalingWitness,
     SupportSpec,
@@ -79,7 +77,6 @@ __all__ = [
     "check_nonsignaling",
     "chsh",
     "classify",
-    "classify_support",
     "conspiracy_system",
     "count_assignments",
     "decomposition_reproduces",
@@ -88,7 +85,6 @@ __all__ = [
     "expectation_product",
     "fine_oracle",
     "get",
-    "hidden_variable_model",
     "ks_search",
     "make_support",
     "make_system",

@@ -52,7 +52,6 @@ from .systems import (
     SystemSpec,
     check_nonsignaling,
     expectation_product,
-    validate,
 )
 
 DEFAULT_LIMIT = 10**6
@@ -72,26 +71,14 @@ class SignalingSystemError(Exception):
         self.witness = witness
 
 
-class InvalidSystemError(ValueError):
-    """Raised when a system breaks an invariant `validate` checks."""
-
-    def __init__(self, name: str, violations: list[str]):
-        super().__init__(f"{name}: " + "; ".join(violations))
-        self.violations = violations
-
-
 class CertificateError(Exception):
     """Raised when a certificate fails its independent check (a solver bug)."""
 
 
-def _require_valid(spec: SystemSpec | SupportSpec) -> None:
-    """Raise on a spec `validate` rejects, or a signaling system."""
-    violations = validate(spec)
-    if violations:
-        raise InvalidSystemError(spec.name, violations)
-    sw = check_nonsignaling(spec) if isinstance(spec, SystemSpec) else None
-    if sw is not None:
-        raise SignalingSystemError(sw)
+def _require_nonsignaling(system: SystemSpec) -> None:
+    witness = check_nonsignaling(system)
+    if witness is not None:
+        raise SignalingSystemError(witness)
 
 
 class Decomposition(NamedTuple):
@@ -358,7 +345,7 @@ def _local_bound(
     return Fraction(max(s for s in scores if s is not None), scale)
 
 
-def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
+def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     """Decide contextuality of a non-signaling system, with certificate.
 
     Candidate mixture components are the non-signaling realizations of the
@@ -372,15 +359,26 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
     The bound is the best such score, from the local-bound oracle, and no
     LP is solved.
 
-    Raises InvalidSystemError on a system `validate` rejects, and
-    SignalingSystemError on signaling input; contextuality is only defined
-    here for non-signaling systems.  Raises CertificateError if the returned
-    decomposition or witness fails the check a reader would run on it:
-    `decomposition_reproduces`, or the system beating the witness bound
+    A `SupportSpec` has no probabilities, so only its empty case is
+    decidable: with no realizations the verdict is `no_ns_realizations`, and
+    otherwise ValueError is raised, since their mixtures cannot be compared
+    to the system.
+
+    Raises SignalingSystemError on signaling input; contextuality is only
+    defined here for non-signaling systems.  Raises CertificateError if the
+    returned decomposition or witness fails the check a reader would run on
+    it: `decomposition_reproduces`, or the system beating the witness bound
     while no realization over the full alphabets does.
     """
-    _require_valid(system)
-
+    if isinstance(system, SupportSpec):
+        count = len(_ns_outcomes(system, limit))
+        if count:
+            raise ValueError(
+                f"{system.name}: {count} non-signaling realizations "
+                "exist; probabilities are required to decide contextuality"
+            )
+        return Verdict("no_ns_realizations")
+    _require_nonsignaling(system)
     columns = _ns_outcomes(system, limit)
     supported = [(ctx, pair) for ctx, pairs in system.supports.items() for pair in sorted(pairs)]
     if not columns:
@@ -398,23 +396,6 @@ def classify(system: SystemSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
         return Verdict("noncontextual", decomposition, realization_count=len(columns))
     witness = _witness_from_certificate(keys, outcome, system, set(supported))
     return Verdict("contextual", witness=witness, realization_count=len(columns))
-
-
-def classify_support(support: SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
-    """Possibilistic classification: only the empty case is decidable.
-
-    Raises InvalidSystemError on a support `validate` rejects, and
-    ValueError when non-signaling realizations exist, since without
-    probabilities their mixtures cannot be compared to the system.
-    """
-    _require_valid(support)
-    count = len(_ns_outcomes(support, limit))
-    if count == 0:
-        return Verdict(kind="no_ns_realizations", realization_count=0)
-    raise ValueError(
-        f"{support.name}: {count} non-signaling realizations "
-        "exist; probabilities are required to decide contextuality"
-    )
 
 
 def decomposition_reproduces(
@@ -489,16 +470,7 @@ def chsh(system: SystemSpec) -> Fraction:
 def fine_oracle(system: SystemSpec) -> str:
     """Independent 2x2-binary oracle: noncontextual iff all CHSH values <= 2.
 
-    Raises InvalidSystemError on a system `validate` rejects, and
-    SignalingSystemError on signaling input.
+    Raises SignalingSystemError on signaling input.
     """
-    _require_valid(system)
+    _require_nonsignaling(system)
     return "noncontextual" if chsh(system) <= 2 else "contextual"
-
-
-def hidden_variable_model(
-    decomposition: Decomposition,
-) -> list[tuple[Fraction, dict[str, Outcome], dict[str, Outcome]]]:
-    """The decomposition as a local model: weight and per-side functions per
-    hidden-state value."""
-    return [(w, dict(r.f), dict(r.g)) for r, w in decomposition.components]

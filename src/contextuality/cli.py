@@ -103,19 +103,15 @@ def _bell_witness_doc(w: analysis.BellWitness) -> dict:
 def cmd_analyze(args) -> int:
     system = _load(args)
     report: dict = {"system": system.name}
-    if isinstance(system, SupportSpec):
-        try:
-            verdict = analysis.classify_support(system, limit=args.limit)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    else:
-        try:
-            verdict = classify(system, limit=args.limit)
-        except SignalingSystemError as exc:
-            report["nonsignaling"] = _witness_doc(exc.witness)
-            report["verdict"] = "signaling"
-            _emit(report)
-            return EXIT_OK
+    try:
+        verdict = classify(system, limit=args.limit)
+    except SignalingSystemError as exc:
+        report["nonsignaling"] = _witness_doc(exc.witness)
+        report["verdict"] = "signaling"
+        _emit(report)
+        return EXIT_OK
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report["nonsignaling"] = True
     report["verdict"] = verdict.kind
     if verdict.decomposition is not None:

@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Any
 
 from .systems import (
+    InvalidSystemError,
     SupportSpec,
     SystemSpec,
     make_support,
     make_system,
-    validate,
 )
 
 # ASCII digits only, and `\Z`, not `$`, so a trailing newline is rejected.
@@ -119,14 +119,12 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
 
     if pmfs and supports:
         raise SystemFileError("mixing pmf and support contexts is not allowed")
-    if pmfs:
-        system = make_system(name, a_alphabet, b_alphabet, pmfs)
-    else:
-        system = make_support(name, a_alphabet, b_alphabet, supports)
-    problems = validate(system)
-    if problems:
-        raise SystemFileError("; ".join(problems))
-    return system
+    try:
+        if pmfs:
+            return make_system(name, a_alphabet, b_alphabet, pmfs)
+        return make_support(name, a_alphabet, b_alphabet, supports)
+    except InvalidSystemError as exc:
+        raise SystemFileError("; ".join(exc.violations)) from exc
 
 
 def _pmf_row(row: Any) -> tuple[str, str, Fraction]:

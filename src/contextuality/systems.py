@@ -6,11 +6,15 @@ alphabet of that context.  All probabilities are `fractions.Fraction`;
 nothing in this module touches floating point.  Fractions stay at the
 boundary: a system holds them, and every function takes and returns them.
 A spec's contexts are the keys of its pmf or support table, held as
-`Context`s in canonical order, fixed when it is built.  Inside, `validate`,
-`check_nonsignaling` and `analysis.decomposition_reproduces` read the pmfs
-as integer counts over one common denominator, built once per system
-(`SystemSpec._counts`), so their sums and comparisons run over ints.  The
-support of a system is built once the same way (`SystemSpec.supports`).
+`Context`s in canonical order, fixed when it is built.  A spec that exists
+is valid: its constructor runs `validate` and raises `InvalidSystemError`
+with every violation, so no function taking a spec checks it again.  A
+signaling system is a valid spec; `check_nonsignaling` tells it apart.
+Inside, `validate`, `check_nonsignaling` and
+`analysis.decomposition_reproduces` read the pmfs as integer counts over
+one common denominator, built once per system (`SystemSpec._counts`), so
+their sums and comparisons run over ints.  The support of a system is built
+once the same way (`SystemSpec.supports`).
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ def context_key(ctx: Context):
     return (setting_key(ctx.x), setting_key(ctx.y))
 
 
+class InvalidSystemError(ValueError):
+    """Raised when a spec is built that breaks an invariant `validate` checks."""
+
+    def __init__(self, name: str, violations: list[str]):
+        super().__init__(f"{name}: " + "; ".join(violations))
+        self.violations = violations
+
+
 def _read_only(mapping: Mapping) -> Mapping:
     """A read-only copy of a mapping; nested dicts are copied the same way."""
     return MappingProxyType(
@@ -66,8 +78,10 @@ class Spec:
     by context, which equals its plain (x, y) tuple.  Every spec answers
     `supports`, a read-only {context: frozenset of pairs} of the pairs each
     context allows: a `SupportSpec` stores it, a `SystemSpec` reads it off
-    its pmfs.  A spec is immutable: assigning or deleting an attribute
-    raises `AttributeError`.  Specs of one type with equal fields are equal.
+    its pmfs.  Building a spec checks it: one `validate` rejects raises
+    `InvalidSystemError`.  A spec is immutable: assigning or deleting an
+    attribute raises `AttributeError`.  Specs of one type with equal fields
+    are equal.
     """
 
     name: str
@@ -79,7 +93,11 @@ class Spec:
     def __init__(self, name, a_alphabet, b_alphabet, table):
         contexts = sorted(map(Context._make, table), key=context_key)
         self._store(name=name, a_alphabet=a_alphabet, b_alphabet=b_alphabet)
-        self._store(contexts=tuple(contexts))
+        # A subclass's last field names its table: `pmfs` or `supports`.
+        self._store(contexts=tuple(contexts), **{self._fields[-1]: table})
+        violations = validate(self)
+        if violations:
+            raise InvalidSystemError(name, violations)
 
     def _store(self, **fields) -> None:
         for name, value in fields.items():
@@ -124,7 +142,6 @@ class SystemSpec(Spec):
 
     def __init__(self, name, a_alphabet, b_alphabet, pmfs):
         super().__init__(name, a_alphabet, b_alphabet, pmfs)
-        self._store(pmfs=pmfs)
 
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
         if ctx not in self.pmfs:
@@ -165,7 +182,6 @@ class SupportSpec(Spec):
 
     def __init__(self, name, a_alphabet, b_alphabet, supports):
         super().__init__(name, a_alphabet, b_alphabet, supports)
-        self._store(supports=supports)
 
 
 class Realization(NamedTuple):
@@ -241,7 +257,9 @@ def validate(spec: Spec) -> list[str]:
     Holds for both kinds of spec: every alphabet is non-empty and
     duplicate-free, contexts use declared settings, and each context's pmf
     or support lies inside its alphabet product.  A pmf holds ints or
-    Fractions, non-negative, summing to 1; a support is non-empty.
+    Fractions, non-negative, summing to 1; a support is non-empty.  Every
+    spec constructor runs it and refuses a spec it rejects, so on a built
+    spec it returns [].
     """
     violations: list[str] = []
     for side, alphabets in (("A", spec.a_alphabet), ("B", spec.b_alphabet)):
@@ -326,9 +344,7 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     one scan over the integer counts: A in the stored (canonical) order, B
     in that order stably sorted by its setting.  Each context's marginal is
     compared with that of the first context holding its setting; only a
-    mismatch reads the two as Fractions.  A system whose contexts, pmfs and
-    alphabets do not fit together raises `ValueError` with what `validate`
-    reports.
+    mismatch reads the two as Fractions.
     """
     scale, counts = system._counts
     by_y = sorted(system.contexts, key=lambda ctx: setting_key(ctx.y))
@@ -339,12 +355,9 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
         first: dict[str, tuple[Context, dict[Outcome, int]]] = {}
         for ctx in contexts:
             setting = ctx[index]
-            try:
-                sums = dict.fromkeys(alphabets[setting], 0)
-                for pair, c in counts[ctx].items():
-                    sums[pair[index]] += c
-            except KeyError:  # an undeclared setting or a stray outcome
-                raise ValueError(f"{system.name}: " + "; ".join(validate(system))) from None
+            sums = dict.fromkeys(alphabets[setting], 0)
+            for pair, c in counts[ctx].items():
+                sums[pair[index]] += c
             ref_ctx, ref = first.setdefault(setting, (ctx, sums))
             if ref != sums:
                 return SignalingWitness(

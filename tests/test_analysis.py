@@ -11,13 +11,11 @@ from contextuality import (
     SignalingSystemError,
     chsh,
     classify,
-    classify_support,
     conspiracy_system,
     decomposition_reproduces,
     enumerate_ns_realizations,
     fine_oracle,
     get,
-    hidden_variable_model,
     make_support,
     make_system,
     mix,
@@ -176,44 +174,47 @@ class TestClassify:
             classify(get("d_prime_eprb").system)
 
     def test_ksp_possibilistic_empty(self):
-        v = classify_support(get("ksp_support").system)
-        assert v.kind == "no_ns_realizations"
+        v = classify(get("ksp_support").system)
+        assert v == analysis.Verdict("no_ns_realizations")
 
     def test_possibilistic_with_realizations_rejected(self):
-        with pytest.raises(ValueError):
-            classify_support(get("eprb_shape").system)
+        with pytest.raises(ValueError) as exc:
+            classify(get("eprb_shape").system)
+        assert str(exc.value) == (
+            "eprb_shape: 16 non-signaling realizations exist; "
+            "probabilities are required to decide contextuality"
+        )
 
     def test_invalid_pmfs_refused(self):
         def one_context(pmf):
             return make_system("bad", {"1": ("0", "1")}, {"1": ("0", "1")}, {("1", "1"): pmf})
 
-        half = one_context({("0", "0"): HALF})
-        negative = one_context({("0", "0"): Fraction(3, 2), ("1", "1"): -HALF})
         with pytest.raises(InvalidSystemError) as exc:
-            classify(half)
+            one_context({("0", "0"): HALF})
         assert exc.value.violations == ["context ('1', '1'): sum 1/2 != 1"]
         with pytest.raises(InvalidSystemError) as exc:
-            classify(negative)
+            one_context({("0", "0"): Fraction(3, 2), ("1", "1"): -HALF})
         assert exc.value.violations == [
             "context ('1', '1'): negative probability -1/2 at ('1', '1')"
         ]
 
+    # The entry points check no spec themselves: no invalid one can be built.
     @pytest.mark.parametrize(
-        "decide, spec, violations",
+        "build, args, violations",
         [
             (
-                classify_support,
-                make_support("out", BIN, BIN, {("1", "1"): [("7", "0")]}),
+                make_support,
+                ("out", BIN, BIN, {("1", "1"): [("7", "0")]}),
                 ["context ('1', '1'): pair ('7', '0') outside alphabet product"],
             ),
             (
-                classify_support,
-                make_support("unknown", BIN, BIN, {("9", "1"): [("0", "0")]}),
+                make_support,
+                ("unknown", BIN, BIN, {("9", "1"): [("0", "0")]}),
                 ["context ('9', '1'): unknown A-setting '9'"],
             ),
             (
-                classify,
-                make_system(
+                make_system,
+                (
                     "empty",
                     {"1": ("0", "1"), "2": ()},
                     BIN,
@@ -222,8 +223,8 @@ class TestClassify:
                 ["A-setting '2': alphabet must be non-empty and duplicate-free"],
             ),
             (
-                fine_oracle,
-                make_system(
+                make_system,
+                (
                     "half",
                     BIN,
                     BIN,
@@ -239,9 +240,9 @@ class TestClassify:
             "oracle-half-sum",
         ],
     )
-    def test_every_entry_point_validates(self, decide, spec, violations):
+    def test_every_entry_point_validates(self, build, args, violations):
         with pytest.raises(InvalidSystemError) as exc:
-            decide(spec)
+            build(*args)
         assert exc.value.violations == violations
 
 
@@ -806,13 +807,13 @@ class TestHiddenVariableModel:
         for _ in range(20):
             m = random_ns_mixture(rng)
             v = classify(m)
-            model = hidden_variable_model(v.decomposition)
-            assert sum(w for w, _, _ in model) == 1
+            model = v.decomposition.components
+            assert sum(w for _, w in model) == 1
             for ctx in m.contexts:
                 for pair in m.pairs(ctx):
                     p = sum(
                         w
-                        for w, f, g in model
-                        if (f[ctx.x], g[ctx.y]) == pair
+                        for r, w in model
+                        if (r.f[ctx.x], r.g[ctx.y]) == pair
                     )
                     assert p == m.prob(ctx, pair)

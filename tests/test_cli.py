@@ -202,6 +202,16 @@ class TestAnalyze:
         assert code == 1
         assert out == ""
 
+    def test_support_with_realizations_exit_2(self, capsys):
+        # Without probabilities, a support with realizations is undecided.
+        code, out, err = run(capsys, "analyze", "--builtin", "eprb_shape")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: eprb_shape: 16 non-signaling realizations exist; "
+            "probabilities are required to decide contextuality\n"
+        )
+
     def test_limit_exceeded_exit_2(self, capsys):
         # the example system has 5 support realizations
         system = str(Path(__file__).parent / "golden" / "system.json")

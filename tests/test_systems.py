@@ -1,5 +1,8 @@
+import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,14 +10,17 @@ from contextuality import (
     Context,
     InvalidSystemError,
     Realization,
+    SignalingSystemError,
     SignalingWitness,
     SupportSpec,
     SystemSpec,
     check_nonsignaling,
     classify,
     count_assignments,
+    enumerate_ns_realizations,
     expectation_product,
     get,
+    make_support,
     make_system,
     marginal,
     mix,
@@ -35,74 +41,189 @@ def binary_system(name, pmfs):
 
 
 class TestValidate:
+    """A constructor runs validate and refuses a spec it rejects, with every
+    violation on the error."""
+
     def test_d_eprb_ok(self):
         assert validate(get("d_eprb").system) == []
 
     def test_bad_sum_reported(self):
-        s = binary_system(
-            "bad",
-            {
-                ("1", "1"): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 3)},
-            },
-        )
-        problems = validate(s)
-        assert any("5/6" in p for p in problems)
+        with pytest.raises(InvalidSystemError) as exc:
+            binary_system(
+                "bad",
+                {
+                    ("1", "1"): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 3)},
+                },
+            )
+        assert exc.value.violations == ["context ('1', '1'): sum 5/6 != 1"]
 
     def test_empty_context_list(self):
-        s = make_system("empty", BIN, BIN, {})
-        assert "no contexts" in validate(s)
+        with pytest.raises(InvalidSystemError) as exc:
+            make_system("empty", BIN, BIN, {})
+        assert exc.value.violations == ["no contexts"]
 
     def test_negative_probability(self):
-        s = binary_system(
-            "neg",
-            {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
-        )
-        assert any("negative" in p for p in validate(s))
+        with pytest.raises(InvalidSystemError) as exc:
+            binary_system(
+                "neg",
+                {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
+            )
+        assert exc.value.violations == [
+            "context ('1', '1'): negative probability -1/2 at ('1', '1')"
+        ]
 
     def test_messages_on_coprime_denominators(self):
         # validate sums integer counts over one common denominator, here
         # 2 * 7919 * 7907; its messages must be those of Fraction sums.
         p, q = Fraction(1, 7919), Fraction(1, 7907)
-        s = binary_system(
-            "coprime",
-            {
-                ("1", "1"): {("0", "0"): p, ("1", "1"): q},
-                ("1", "2"): {("0", "0"): 1 - p, ("0", "1"): p},
-                ("2", "1"): {("0", "0"): p, ("0", "1"): q, ("1", "0"): 1 - p},
-                ("2", "2"): {("0", "0"): -q, ("1", "1"): Fraction(1, 2) + q,
-                             ("1", "0"): Fraction(1, 2)},
-            },
-        )
+        pmfs = {
+            ("1", "1"): {("0", "0"): p, ("1", "1"): q},
+            ("1", "2"): {("0", "0"): 1 - p, ("0", "1"): p},
+            ("2", "1"): {("0", "0"): p, ("0", "1"): q, ("1", "0"): 1 - p},
+            ("2", "2"): {("0", "0"): -q, ("1", "1"): Fraction(1, 2) + q,
+                         ("1", "0"): Fraction(1, 2)},
+        }
         expected = []
-        for ctx in s.contexts:
-            pmf = s.pmfs[ctx]
+        for ctx, pmf in pmfs.items():  # listed in canonical order
             expected += [
-                f"context {tuple(ctx)}: negative probability {v} at {pair}"
+                f"context {ctx}: negative probability {v} at {pair}"
                 for pair, v in pmf.items()
                 if v < 0
             ]
             total = sum(pmf.values(), Fraction(0))
             if total != 1:
-                expected.append(f"context {tuple(ctx)}: sum {total} != 1")
+                expected.append(f"context {ctx}: sum {total} != 1")
         assert len(expected) == 3
-        assert validate(s) == expected
-
+        with pytest.raises(InvalidSystemError) as exc:
+            binary_system("coprime", pmfs)
+        assert exc.value.violations == expected
+        assert str(exc.value) == "coprime: " + "; ".join(expected)
 
     def test_inexact_probability_reported(self):
-        # Built directly, a spec keeps what it is given; a float has no
-        # exact counts, so validate must report it, not crash reading them.
+        # A float has no exact counts, so validate must report it, not
+        # crash reading them.
         ctx = Context("1", "1")
-        s = SystemSpec(
-            name="float",
-            a_alphabet={"1": ("0", "1")},
-            b_alphabet={"1": ("0", "1")},
-            pmfs={ctx: {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)}},
-        )
-        violations = ["context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"]
-        assert validate(s) == violations
         with pytest.raises(InvalidSystemError) as exc:
-            classify(s)
-        assert exc.value.violations == violations
+            SystemSpec(
+                name="float",
+                a_alphabet={"1": ("0", "1")},
+                b_alphabet={"1": ("0", "1")},
+                pmfs={ctx: {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)}},
+            )
+        assert exc.value.violations == [
+            "context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"
+        ]
+
+
+@pytest.mark.parametrize(
+    "pmfs, message",
+    [
+        ({("1", "2"): {("0", "0"): 1}}, "context ('1', '2'): unknown B-setting '2'"),
+        ({("1", "1"): {("0", "2"): 1}}, "context ('1', '1'): pair ('0', '2') outside alphabet product"),
+        ({("1", "1"): {("0", "0"): Fraction(1, 2)}}, "context ('1', '1'): sum 1/2 != 1"),
+        (
+            {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
+            "context ('1', '1'): negative probability -1/2 at ('1', '1')",
+        ),
+    ],
+    ids=["undeclared-b-setting", "pair-outside-alphabet", "sum-one-half", "negative-probability"],
+)
+def test_probe_specs_refused_at_construction(pmfs, message):
+    # enumerate_ns_realizations, count_assignments and check_nonsignaling
+    # check nothing themselves: given these specs they would raise a bare
+    # KeyError or answer, so the constructor must refuse them.
+    with pytest.raises(InvalidSystemError) as exc:
+        make_system("probe", BIN, {"1": ("0", "1")}, pmfs)
+    assert exc.value.violations == [message]
+    assert str(exc.value) == f"probe: {message}"
+
+
+GOLDEN_SYSTEM = Path(__file__).parent / "golden" / "system.json"
+
+
+def _mutate(rng, a_alphabet, b_alphabet, tables, support):
+    """One random edit of plain spec data, in place; most edits break it."""
+    ctx = rng.choice(sorted(tables))
+    table = tables[ctx]
+    alphabets = rng.choice([a_alphabet, b_alphabet])
+    setting = rng.choice(sorted(alphabets))
+    edit = rng.randrange(8)
+    if edit == 0:  # drop a setting
+        del alphabets[setting]
+    elif edit == 1:  # rename a setting
+        alphabets[setting + "'"] = alphabets.pop(setting)
+    elif edit == 2:  # a stray outcome in one context
+        pair = (rng.choice("012"), "2")
+        if support:
+            table.add(pair)
+        else:
+            table[pair] = rng.choice([Fraction(0), Fraction(1, 6)])
+    elif edit == 3:  # empty a support or pmf
+        table.clear()
+    elif edit == 4:  # drop a context
+        del tables[ctx]
+    elif edit == 5:  # one more outcome in an alphabet
+        alphabets[setting] = alphabets[setting] + ["2"]
+    elif support:  # drop a pair from a support
+        table.discard(rng.choice(sorted(table or [None])))
+    elif edit == 6:  # rescale or negate one probability
+        pair = rng.choice(sorted(table or [("0", "0")]))
+        table[pair] = table.get(pair, Fraction(1, 2)) * rng.choice([-1, 0, Fraction(1, 2), 2])
+    else:  # move mass between two pairs, keeping the sum: often signaling
+        pairs = [(a, b) for a in "01" for b in "01"]
+        source, target = rng.choice(pairs), rng.choice(pairs)
+        share = table.get(source, Fraction(0)) * Fraction(rng.randint(1, 3), 4)
+        table[source] = table.get(source, Fraction(0)) - share
+        table[target] = table.get(target, Fraction(0)) + share
+
+
+def test_mutated_specs_are_refused_or_safe():
+    # Seeded mutations of the example file's plain data, built by the public
+    # constructors.  A build refuses with every violation, or gives a spec on
+    # which the public functions raise nothing unexpected: signaling input
+    # is refused by classify, and a support with realizations is undecided.
+    doc = json.loads(GOLDEN_SYSTEM.read_text())
+    base_pmfs = {
+        (c["x"], c["y"]): {(r["a"], r["b"]): Fraction(r["p"]) for r in c["pmf"]}
+        for c in doc["contexts"]
+    }
+    rng = random.Random(16)
+    outcomes = {"refused": 0, "decided": 0, "signaling": 0, "undecided": 0}
+    start = time.perf_counter()
+    for trial in range(1000):
+        support = trial % 4 == 3
+        a_alphabet = {x: list(al) for x, al in doc["a_alphabet"].items()}
+        b_alphabet = {y: list(al) for y, al in doc["b_alphabet"].items()}
+        if support:
+            tables = {ctx: set(pmf) for ctx, pmf in base_pmfs.items()}
+        else:
+            tables = {ctx: dict(pmf) for ctx, pmf in base_pmfs.items()}
+        for _ in range(rng.randint(1, 2)):
+            if tables:
+                _mutate(rng, a_alphabet, b_alphabet, tables, support)
+        build = make_support if support else make_system
+        try:
+            spec = build("fuzz", a_alphabet, b_alphabet, tables)
+        except InvalidSystemError as exc:
+            assert exc.violations
+            outcomes["refused"] += 1
+            continue
+        assert validate(spec) == []
+        count_assignments(spec)
+        enumerate_ns_realizations(spec)
+        if not support:
+            check_nonsignaling(spec)
+        try:
+            classify(spec)
+        except SignalingSystemError:
+            outcomes["signaling"] += 1
+        except ValueError as exc:
+            assert support and "probabilities are required" in str(exc)
+            outcomes["undecided"] += 1
+        else:
+            outcomes["decided"] += 1
+    assert time.perf_counter() - start < 2
+    assert min(outcomes.values()) >= 20, outcomes  # every path is taken
 
 
 class TestMarginal:
@@ -174,10 +295,10 @@ class TestNonsignaling:
         ids=["outcome-outside-alphabet", "undeclared-setting"],
     )
     def test_invalid_system_raises_value_error(self, pmfs, message):
-        # A spec validate rejects gets validate's message, not a bare KeyError.
-        s = make_system("x", {"1": ("0", "1")}, {"1": ("0", "1")}, pmfs)
-        with pytest.raises(ValueError) as exc:
-            check_nonsignaling(s)
+        # A spec validate rejects is never built, so check_nonsignaling
+        # cannot meet it; the constructor gives validate's message.
+        with pytest.raises(InvalidSystemError) as exc:
+            make_system("x", {"1": ("0", "1")}, {"1": ("0", "1")}, pmfs)
         assert str(exc.value) == message
 
     @staticmethod
@@ -288,6 +409,9 @@ def test_spec_is_immutable_and_compares_within_its_type():
 def test_counts_built_once_per_system(monkeypatch):
     # validate, check_nonsignaling and decomposition_reproduces all read
     # the integer counts; one lcm call means they are built only once.
+    # The components are loaded first, so their own counts, built when
+    # `get` parses them, are not counted whatever ran before this test.
+    components = [(get(f"d{i}").system, Fraction(1, 4)) for i in range(1, 5)]
     calls = []
     real_lcm = systems.lcm
 
@@ -296,7 +420,7 @@ def test_counts_built_once_per_system(monkeypatch):
         return real_lcm(*args)
 
     monkeypatch.setattr(systems, "lcm", counting_lcm)
-    s = mix([(get(f"d{i}").system, Fraction(1, 4)) for i in range(1, 5)])
+    s = mix(components)
     assert validate(s) == []
     assert classify(s).kind == "noncontextual"
     assert len(calls) == 1
