@@ -30,13 +30,21 @@ binary.
 Inside `classify` a realization is the search's outcome tuple, A-settings
 first; the LP reads its columns from these, and only returned components
 become `Realization`s.  The witness arithmetic runs over integers.
+
+The search (`_ns_outcomes`) branches on one side only.  A deterministic
+system with spacelike-separated components is a pair of per-side
+functions (f, g), and each context ties one A-setting to one B-setting, so
+once f is fixed each B-setting picks its outcome independently of the
+others: the realizations of a support are a union, over f, of products
+over the B-settings.  Branching on the A-settings and listing each product
+whole is thus exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Mapping, NamedTuple
 
 from .feasibility import FarkasCertificate, FeasibleSolution, solve_feasibility
@@ -125,52 +133,91 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
     """The outcome tuple of every non-signaling realization of a spec's
     `supports`, one outcome per setting, A-settings first, in sorted order.
 
-    Every setting of either side is one variable, A-settings first; its
-    domain holds the outcomes still possible, one outcome once assigned.
-    Each context gives each of its two settings a table from an outcome to
-    the outcomes the support allows the other setting, so assigning a value
-    intersects every neighbour's domain with one table entry.  Backtracking
-    assigns the smallest domain first, ties to the earlier variable.
+    A realization is a pair (f, g) of per-side setting functions, and each
+    context constrains one A-setting and one B-setting only.  So once f is
+    fixed, B-setting y may take any outcome the support allows with f[x] in
+    every context (x, y), whatever the other B-settings take: the
+    realizations with that f are the Cartesian product of these B-domains,
+    and the search branches on the A-settings alone.
+
+    Every setting has a domain, the outcomes still possible.  Each context
+    gives its A-setting a table from an outcome to the B-outcomes the
+    support allows with it, and its B-setting the table back; a context
+    whose support is its whole alphabet product constrains nothing and
+    gives no tables.  Assigning a to x intersects each B-neighbour's domain
+    with x's table at a; a B-domain that shrinks then intersects each
+    unassigned A-neighbour's domain with the union of its own tables at the
+    outcomes left, one step.
+    Both drop only outcomes that no realization extending the assignment
+    takes, so none is lost.  The A-setting with the fewest live outcomes is
+    assigned first, ties to the earlier one.  RealizationLimitExceeded is
+    raised as soon as the realizations found and the next product together
+    exceed `limit`, before that product is built.
     """
     a_settings, b_settings = spec.a_settings, spec.b_settings
-    alphabets = [spec.a_alphabet[x] for x in a_settings]
-    alphabets += [spec.b_alphabet[y] for y in b_settings]
     a_index = {x: i for i, x in enumerate(a_settings)}
-    b_index = {y: len(a_settings) + j for j, y in enumerate(b_settings)}
-    tables: list[dict[int, dict[Outcome, set[Outcome]]]] = [{} for _ in alphabets]
+    b_index = {y: j for j, y in enumerate(b_settings)}
+    # ahead[i]: (j, table) per context of A-setting i; back[j]: (i, table back).
+    ahead: list[list[tuple[int, dict[Outcome, set[Outcome]]]]] = [[] for _ in a_settings]
+    back: list[list[tuple[int, dict[Outcome, set[Outcome]]]]] = [[] for _ in b_settings]
     for ctx in spec.contexts:
+        pairs = spec.supports[ctx]
+        if len(pairs) == len(spec.a_alphabet[ctx.x]) * len(spec.b_alphabet[ctx.y]):
+            continue  # the whole alphabet product: no constraint
         i, j = a_index[ctx.x], b_index[ctx.y]
-        forward, backward = tables[i].setdefault(j, {}), tables[j].setdefault(i, {})
-        for a, b in spec.supports[ctx]:
+        forward: dict[Outcome, set[Outcome]] = {}
+        backward: dict[Outcome, set[Outcome]] = {}
+        for a, b in pairs:
             forward.setdefault(a, set()).add(b)
             backward.setdefault(b, set()).add(a)
+        ahead[i].append((j, forward))
+        back[j].append((i, backward))
     # An outcome with no supported pair in some context is out from the start.
-    domains = [
-        set(alphabet).intersection(*tables[i].values())
-        for i, alphabet in enumerate(alphabets)
+    a_domains = [
+        set(spec.a_alphabet[x]).intersection(*(table for _, table in ahead[i]))
+        for i, x in enumerate(a_settings)
+    ]
+    b_domains = [
+        set(spec.b_alphabet[y]).intersection(*(table for _, table in back[j]))
+        for j, y in enumerate(b_settings)
     ]
 
     found: list[tuple[Outcome, ...]] = []
 
-    def search(live: list[set[Outcome]], free: list[int]) -> None:
-        if not free:
-            found.append(tuple(value for (value,) in live))
-            if len(found) > limit:
-                raise RealizationLimitExceeded(limit)
-            return
-        var = min(free, key=lambda v: len(live[v]))
-        rest = [v for v in free if v != var]
-        for value in sorted(live[var]):
-            narrowed = list(live)
-            narrowed[var] = {value}
-            for other, table in tables[var].items():
-                narrowed[other] = narrowed[other] & table[value]
-                if not narrowed[other]:
-                    break
-            else:
-                search(narrowed, rest)
+    def assign(a_live: list[set[Outcome]], b_live: list[set[Outcome]], var: int, value: Outcome,
+               free: set[int]) -> bool:
+        """Narrow the domains, in place, for var = value; False if one empties."""
+        a_live[var] = {value}
+        for j, table in ahead[var]:
+            narrowed = b_live[j] & table[value]
+            if not narrowed:
+                return False
+            if len(narrowed) < len(b_live[j]):
+                b_live[j] = narrowed
+                for i, table_back in back[j]:
+                    if i in free:
+                        a_live[i] = a_live[i] & set().union(*(table_back[b] for b in narrowed))
+                        if not a_live[i]:
+                            return False
+        return True
 
-    search(domains, list(range(len(alphabets))))
+    def search(a_live: list[set[Outcome]], b_live: list[set[Outcome]], free: list[int]) -> None:
+        if not free:
+            if len(found) + prod(map(len, b_live)) > limit:
+                raise RealizationLimitExceeded(limit)
+            f = tuple(value for (value,) in a_live)
+            found.extend(f + g for g in product(*b_live))
+            return
+        var = min(free, key=lambda i: len(a_live[i]))
+        rest = [i for i in free if i != var]
+        unassigned = set(rest)
+        for value in sorted(a_live[var]):
+            a_next, b_next = list(a_live), list(b_live)
+            if assign(a_next, b_next, var, value, unassigned):
+                search(a_next, b_next, rest)
+
+    if all(b_domains):  # an empty B-domain leaves no g for any f
+        search(a_domains, b_domains, list(range(len(a_settings))))
     found.sort()
     return found
 

@@ -13,11 +13,15 @@ e to p*row - row[e]*row_r, after dividing p and row[e] by their gcd
 and divides out the row's gcd.  When p comes out 1, as it mostly does on
 small membership LPs, row - row[e]*row_r differs from row only where row r
 is nonzero, so just those entries are updated, in place; otherwise the row
-is rebuilt whole.  Zero entries change no gcd, so every stored integer,
-and with it every pivot and result, is what a tableau of sparse
-{column: int} rows would hold.  The ratio test cross-multiplies.  Positive
-row scales change no sign or ratio the pivoting rules read, so pivots and
-results are those of the rational tableau.
+is rebuilt whole.  On that in-place path the row's scale (its entry in
+its basic column, or the objective's SCALE slot) keeps its value, as the
+pivot row is 0 there; the row's gcd divides it, so a scale of 1, as most
+rows have on membership LPs, leaves a gcd of 1 and none is taken.  Zero
+entries change no gcd, so every stored integer, and with it every pivot
+and result, is what a tableau of sparse {column: int} rows would hold.
+The ratio test cross-multiplies.  Positive row scales change no sign or
+ratio the pivoting rules read, so pivots and results are those of the
+rational tableau.
 
 The right-hand side d is first multiplied by D, the lcm of its
 denominators, and the solution divided by D at the end.  Scaling d by a
@@ -101,16 +105,23 @@ def _reduce(row: list[int]) -> list[int]:
     return row
 
 
-def _combine(row: list[int], a: int, pivot_row: list[int], p: int, nonzeros):
+def _combine(row: list[int], a: int, pivot_row: list[int], p: int, nonzeros, scale: int):
     """p*row - a*pivot_row over the smallest integers: p and a are divided
     by their gcd, and the row by its gcd.  `nonzeros` lists the (column,
     entry) pairs of pivot_row's nonzero entries; when p comes out 1, only
-    those columns change, in place."""
+    those columns change, in place.
+
+    `scale` is the slot of the row's positive scale: its basic column, or
+    SCALE for the objective.  pivot_row is 0 there, so when p is 1 the entry
+    keeps its value, and the new row's gcd divides it; if it is 1, so is the
+    gcd, and the row is returned as it is."""
     g = gcd(p, a)
     p, a = p // g, a // g
     if p == 1:
         for j, w in nonzeros:
             row[j] -= a * w
+        if row[scale] == 1:
+            return row
     else:
         row = [p * v - a * w for v, w in zip(row, pivot_row)]
     return _reduce(row)
@@ -219,11 +230,11 @@ def solve_feasibility(
         for i, row in enumerate(tab):
             a = row[enter]
             if a and i != leave:
-                tab[i] = _combine(row, a, pivot_row, p, nonzeros)
+                tab[i] = _combine(row, a, pivot_row, p, nonzeros, basis[i])
         # The phase-one objective -obj[d_col] / obj[SCALE] stays >= 0 and
         # falls exactly when the point moves; `drop` has the sign of its fall.
         w_num, w_scale = obj[d_col], obj[SCALE]
-        obj = _combine(obj, obj[enter], pivot_row, p, nonzeros)
+        obj = _combine(obj, obj[enter], pivot_row, p, nonzeros, SCALE)
         basis[leave] = enter
         drop = obj[d_col] * w_scale - w_num * obj[SCALE]
         if obj[SCALE] <= 0 or obj[d_col] > 0 or drop < 0 or (drop > 0) != (num != 0):
@@ -241,7 +252,6 @@ def solve_feasibility(
     # Infeasible: the optimal dual of the phase-one LP is a Farkas vector.
     # Artificial column j of the final tableau holds B^{-1} e_j, so the
     # dual value is y_j = c_j - obj[n + j] = 1 - obj[n + j]; undo row flips.
-    y = tuple(
-        flip[i] * (ONE - Fraction(obj[n + i], obj[SCALE])) for i in range(m)
-    )
+    scale = obj[SCALE]
+    y = tuple(Fraction(flip[i] * (scale - obj[n + i]), scale) for i in range(m))
     return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

@@ -262,9 +262,11 @@ def validate(spec: Spec) -> list[str]:
     spec it returns [].
     """
     violations: list[str] = []
-    for side, alphabets in (("A", spec.a_alphabet), ("B", spec.b_alphabet)):
+    a_sets = {x: set(outcomes) for x, outcomes in spec.a_alphabet.items()}
+    b_sets = {y: set(outcomes) for y, outcomes in spec.b_alphabet.items()}
+    for side, alphabets, sets in (("A", spec.a_alphabet, a_sets), ("B", spec.b_alphabet, b_sets)):
         for s, outcomes in alphabets.items():
-            if not outcomes or len(set(outcomes)) != len(outcomes):
+            if not outcomes or len(sets[s]) != len(outcomes):
                 violations.append(
                     f"{side}-setting {s!r}: alphabet must be non-empty and duplicate-free"
                 )
@@ -291,13 +293,15 @@ def validate(spec: Spec) -> list[str]:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {ctx.y!r}")
             continue
         table = tables[ctx]
-        allowed = set(spec.pairs(ctx))
-        if not allowed.issuperset(table):
-            violations += [
-                f"context {tuple(ctx)}: pair {pair} outside alphabet product"
-                for pair in table
-                if pair not in allowed
-            ]
+        # A pair is in the alphabet product iff it is a 2-tuple of an
+        # outcome of x and one of y; any other key is reported, not raised.
+        a_set, b_set = a_sets[ctx.x], b_sets[ctx.y]
+        for pair in table:
+            if not (
+                isinstance(pair, tuple) and len(pair) == 2
+                and pair[0] in a_set and pair[1] in b_set
+            ):
+                violations.append(f"context {tuple(ctx)}: pair {pair} outside alphabet product")
         if not (probabilistic or table):
             violations.append(f"context {tuple(ctx)}: empty support")
         if counts is None:

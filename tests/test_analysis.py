@@ -24,6 +24,7 @@ from contextuality import (
 )
 from contextuality import analysis
 from contextuality.analysis import BellWitness, Decomposition
+from contextuality.catalog import catalog_ids
 from contextuality.feasibility import (
     FarkasCertificate,
     FeasibleSolution,
@@ -39,6 +40,7 @@ from helpers import (
     every_pair,
     full_support,
     full_membership_problem,
+    noisy_mixture,
     perfect_chained_box,
     random_deterministic_ns,
     random_ns_2x2,
@@ -133,6 +135,96 @@ class TestEnumerate:
         for limit in (7, 15):
             with pytest.raises(RealizationLimitExceeded):
                 enumerate_ns_realizations(eprb, limit=limit)
+
+
+def _brute_ns_outcomes(spec):
+    """Every (f, g) over the full alphabets, A-settings first, kept where
+    each context's pair is in its support: the search's answer, listed out."""
+    a_alphabets = [spec.a_alphabet[x] for x in spec.a_settings]
+    b_alphabets = [spec.b_alphabet[y] for y in spec.b_settings]
+    a_position = {x: i for i, x in enumerate(spec.a_settings)}
+    b_position = {y: i for i, y in enumerate(spec.b_settings)}
+    constraints = [
+        (a_position[ctx.x], b_position[ctx.y], spec.supports[ctx]) for ctx in spec.contexts
+    ]
+    return sorted(
+        f + g
+        for f in itertools.product(*a_alphabets)
+        for g in itertools.product(*b_alphabets)
+        if all((f[i], g[j]) in pairs for i, j, pairs in constraints)
+    )
+
+
+def _random_support(rng: random.Random, a_alph, b_alph, full: bool):
+    """A support on a random set of contexts: every pair, or the pairs of
+    up to three random (f, g) and each other pair with probability 1/5 (a
+    context left empty gets one random pair)."""
+    contexts = [(x, y) for x in a_alph for y in b_alph]
+    if rng.random() < 0.3:
+        # settings in no context are left unconstrained
+        contexts = rng.sample(contexts, rng.randint(1, len(contexts)))
+    strategies = [
+        ({x: rng.choice(a_alph[x]) for x in a_alph}, {y: rng.choice(b_alph[y]) for y in b_alph})
+        for _ in range(rng.randint(0, 3))
+    ]
+    supports = {}
+    for x, y in contexts:
+        pairs = [(a, b) for a in a_alph[x] for b in b_alph[y]]
+        if not full:
+            kept = {(f[x], g[y]) for f, g in strategies}
+            sparse = [pair for pair in pairs if pair in kept or rng.random() < 0.2]
+            pairs = sparse or [rng.choice(pairs)]
+        supports[(x, y)] = pairs
+    return make_support("rand", a_alph, b_alph, supports)
+
+
+def _search_cases():
+    rng = random.Random(17)
+    specs = []
+    for trial in range(300):
+        a_alph, b_alph = random_shape(rng)
+        specs.append(_random_support(rng, a_alph, b_alph, full=trial % 4 == 0))
+    six = {str(i): ("0", "1") for i in range(1, 7)}
+    two = {"1": ("0", "1"), "2": ("0", "1")}
+    for trial in range(40):
+        specs.append(_random_support(rng, six, two, full=trial % 4 == 0))
+        specs.append(_random_support(rng, two, six, full=trial % 4 == 0))
+    # ksp_support's 3^40 * 2^33 pairs (f, g) are past listing; its emptiness
+    # is test_ksp_empty's.
+    specs += [get(id).system for id in catalog_ids() if id != "ksp_support"]
+    return specs
+
+
+class TestSearch:
+    """`_ns_outcomes` branches on the A-settings and takes a product over
+    the B-settings; it must return exactly the brute-force list."""
+
+    def test_equals_brute_force(self):
+        counts = []
+        for spec in _search_cases():
+            expected = _brute_ns_outcomes(spec)
+            assert analysis._ns_outcomes(spec, analysis.DEFAULT_LIMIT) == expected
+            count = len(expected)
+            counts.append(count)
+            # The limit is the most realizations returned.
+            assert analysis._ns_outcomes(spec, count) == expected
+            if count:
+                with pytest.raises(RealizationLimitExceeded):
+                    analysis._ns_outcomes(spec, count - 1)
+        # Empty, single and many-realization supports all come up.
+        assert counts.count(0) >= 20 and counts.count(1) >= 20
+        assert sum(count > 100 for count in counts) >= 20
+
+    def test_limit_raises_before_building_a_product(self, monkeypatch):
+        # Full support at 6x6 binary: 4,096 realizations, 64 for each f.
+        # The first f's product already passes the limit, so none is built.
+        rng = random.Random(6)
+        alph = {str(i): ("0", "1") for i in range(1, 7)}
+        system = noisy_mixture(rng, alph, alph)
+        assert len(analysis._ns_outcomes(system, analysis.DEFAULT_LIMIT)) == 4096
+        monkeypatch.setattr(analysis, "product", None)  # any product call fails
+        with pytest.raises(RealizationLimitExceeded):
+            analysis._ns_outcomes(system, 10)
 
 
 class TestClassify:
@@ -655,18 +747,19 @@ def _two_by_n_case(rng: random.Random, n: int):
 
 
 class TestTwoByNOracle:
-    """`classify` against the CHSH criterion on 2x3 through 2x6 binary systems."""
+    """`classify` against the CHSH criterion on 1,000 binary systems at each
+    of 2x3 through 2x6."""
 
     def test_agrees_with_classify(self):
         rng = random.Random(2718)
         kinds = []
         for n in (3, 4, 5, 6):
-            for _ in range(200):
+            for _ in range(1000):
                 system = _two_by_n_case(rng, n)
                 kind = classify(system).kind
                 assert kind == chsh_2xn_oracle(system)
                 kinds.append(kind)
-        assert kinds.count("contextual") >= 40 and kinds.count("noncontextual") >= 40
+        assert kinds.count("contextual") >= 1000 and kinds.count("noncontextual") >= 1000
 
 
 class TestWitness:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -231,18 +232,61 @@ def test_rhs_scaling_keeps_pivots_on_random_problems(seed):
         _assert_rhs_scaling_invariant(*sparse_rows(_random_problem(rng)))
 
 
-@pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
-def test_rhs_scaling_keeps_pivots_on_4x4_membership(columns_from):
-    # The LPs of test_equals_dense_reference_on_4x4_membership.
+def _4x4_membership(columns_from: str):
+    """A 4x4 binary mixture of four deterministic systems, and the support
+    whose realizations are the columns: its own ("own", feasible) or that
+    of four others ("other", infeasible)."""
     rng = random.Random(3)
     alph = {str(i): ("0", "1") for i in range(1, 5)}
     parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
     system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
     other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
-    support = support_of(system if columns_from == "own" else other)
+    return system, support_of(system if columns_from == "own" else other)
+
+
+def _4x4_membership_lp(columns_from: str):
+    system, support = _4x4_membership(columns_from)
     outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
     rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
-    _assert_rhs_scaling_invariant(rows, rhs, len(outcomes))
+    return rows, rhs, len(outcomes)
+
+
+@pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
+def test_rhs_scaling_keeps_pivots_on_4x4_membership(columns_from):
+    # The LPs of test_equals_dense_reference_on_4x4_membership.
+    _assert_rhs_scaling_invariant(*_4x4_membership_lp(columns_from))
+
+
+@pytest.mark.parametrize("lps", ["random", "4x4-membership"])
+def test_every_stored_row_has_gcd_1(monkeypatch, lps):
+    # A row update whose scale is 1 takes no gcd (`_combine`): the row's gcd
+    # divides its scale, so it is 1 already.  Every row `_combine` returns
+    # must still be in lowest terms, here on the 2,000 random problems of
+    # test_equals_dense_reference_on_random_problems and on both 4x4
+    # membership LPs.
+    if lps == "random":
+        problems = [
+            sparse_rows(_random_problem(rng))
+            for rng in map(random.Random, [1, 2, 3, 4])
+            for _ in range(500)
+        ]
+    else:
+        problems = [_4x4_membership_lp(columns_from) for columns_from in ("own", "other")]
+    combine, returned, unreduced = feasibility._combine, 0, []
+
+    def checked(*args):
+        nonlocal returned
+        row = combine(*args)
+        returned += 1
+        if gcd(*row) != 1:
+            unreduced.append(row)
+        return row
+
+    monkeypatch.setattr(feasibility, "_combine", checked)
+    for problem in problems:
+        solve_feasibility(*problem)
+    assert returned > 100
+    assert unreduced == []
 
 
 def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
@@ -287,12 +331,7 @@ def test_equals_dense_reference_on_edge_cases(matrix, rhs):
 
 @pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
 def test_equals_dense_reference_on_4x4_membership(columns_from):
-    rng = random.Random(3)
-    alph = {str(i): ("0", "1") for i in range(1, 5)}
-    parts = [random_deterministic_ns(rng, alph, alph) for _ in range(8)]
-    system = mix([(p, Fraction(k + 1, 10)) for k, p in enumerate(parts[:4])])
-    other = mix([(p, Fraction(1, 4)) for p in parts[4:]])
-    support = support_of(system if columns_from == "own" else other)
+    system, support = _4x4_membership(columns_from)
     columns = enumerate_ns_realizations(support)
     outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
     rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
@@ -387,7 +426,7 @@ def _corrupting(mutation: str):
     """
     combine, calls, first = feasibility._combine, 0, None
 
-    def corrupt(row, a, pivot_row, p, nonzeros):
+    def corrupt(row, a, pivot_row, p, nonzeros, scale):
         nonlocal calls, first
         calls += 1
         if calls > 20_000:
@@ -395,10 +434,10 @@ def _corrupting(mutation: str):
         objective = row[feasibility.SCALE] != 0
         if mutation == "stale-nonzeros":
             first = first or nonzeros
-            return combine(row, a, pivot_row, p, first)
+            return combine(row, a, pivot_row, p, first, scale)
         if mutation == "frozen-objective" and objective and calls >= 5:
             return list(row)
-        row = combine(row, a, pivot_row, p, nonzeros)
+        row = combine(row, a, pivot_row, p, nonzeros, scale)
         if mutation == "rising-objective" and objective and calls >= 5:
             row[-2] -= row[feasibility.SCALE]
         return row

@@ -120,13 +120,25 @@ class TestValidate:
     [
         ({("1", "2"): {("0", "0"): 1}}, "context ('1', '2'): unknown B-setting '2'"),
         ({("1", "1"): {("0", "2"): 1}}, "context ('1', '1'): pair ('0', '2') outside alphabet product"),
+        ({("1", "1"): {("2", "0"): 1}}, "context ('1', '1'): pair ('2', '0') outside alphabet product"),
+        # A key that is not a 2-tuple is reported like any pair, not raised.
+        (
+            {("1", "1"): {("0", "0", "0"): 1}},
+            "context ('1', '1'): pair ('0', '0', '0') outside alphabet product",
+        ),
+        ({("1", "1"): {("0",): 1}}, "context ('1', '1'): pair ('0',) outside alphabet product"),
+        ({("1", "1"): {"00": 1}}, "context ('1', '1'): pair 00 outside alphabet product"),
         ({("1", "1"): {("0", "0"): Fraction(1, 2)}}, "context ('1', '1'): sum 1/2 != 1"),
         (
             {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
             "context ('1', '1'): negative probability -1/2 at ('1', '1')",
         ),
     ],
-    ids=["undeclared-b-setting", "pair-outside-alphabet", "sum-one-half", "negative-probability"],
+    ids=[
+        "undeclared-b-setting", "pair-outside-alphabet", "a-outcome-outside-alphabet",
+        "three-outcome-key", "one-outcome-key", "string-key", "sum-one-half",
+        "negative-probability",
+    ],
 )
 def test_probe_specs_refused_at_construction(pmfs, message):
     # enumerate_ns_realizations, count_assignments and check_nonsignaling
