@@ -38,6 +38,13 @@ once f is fixed each B-setting picks its outcome independently of the
 others: the realizations of a support are a union, over f, of products
 over the B-settings.  Branching on the A-settings and listing each product
 whole is thus exact.
+
+A Farkas witness's bound is the largest score of an LP column, read off
+the LP's own rows, since the columns are every realization of the support.
+Each witness is then checked by one call of the local-bound oracle
+(`_local_bound`), a branch and bound on the same observation: once one
+side's function is fixed, every setting of the other side picks its best
+outcome alone.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import lcm, prod
+from operator import add, itemgetter, sub
 from typing import Mapping, NamedTuple
 
 from .feasibility import FarkasCertificate, FeasibleSolution, solve_feasibility
@@ -290,7 +298,7 @@ def _witness_from_certificate(
     keys: list[tuple[Context, Pair]],
     certificate: FarkasCertificate,
     system: SystemSpec,
-    supported: set[tuple[Context, Pair]],
+    rows: list[dict[int, int]],
 ) -> BellWitness:
     coefficients = {
         (ctx, pair[0], pair[1]): y
@@ -298,27 +306,37 @@ def _witness_from_certificate(
         if y != 0
     }
     # Normalize the bound to the best score of a realization that uses only
-    # supported pairs: the LP columns are exactly those realizations, so the
-    # Farkas inequalities guarantee the system still scores strictly above.
-    bound = _local_bound(coefficients, system, supported)
+    # supported pairs.  `classify` lists every such realization as a column,
+    # or raises RealizationLimitExceeded, so that score is the largest
+    # column score: the sum of y over the kept rows with a 1 in the column,
+    # the normalization row (the last) left out.  The Farkas inequalities
+    # guarantee the system still scores strictly above it.  An LP over only
+    # some of the columns would need the oracle limited to supported pairs
+    # instead.  The scores run over y times their common denominator.
+    scale = lcm(*(y.denominator for y in certificate.y))
+    scores = [0] * len(rows[-1])  # the normalization row holds every column
+    best: dict[Context, int] = {}
+    for (ctx, _), row, y in zip(keys, rows, certificate.y):
+        v = y.numerator * (scale // y.denominator)
+        best[ctx] = max(best.get(ctx, 0), v)
+        if v:
+            for j in row:
+                scores[j] += v
+    bound = max(scores)
     # A realization outside the columns uses some pair of probability zero.
     # On the supported pairs it scores at most the sum over contexts of
     # max(0, largest coefficient), so charging each unsupported pair -K, K
     # that sum less the bound, holds it to the bound as well, and leaves
-    # the system's score as it was.  The maxima and K run over y times
-    # their common denominator, which the bound's divides.
-    scale = lcm(*(y.denominator for y in certificate.y))
-    best: dict[Context, int] = {}
-    for (ctx, _), y in zip(keys, certificate.y):
-        best[ctx] = max(best.get(ctx, 0), y.numerator * (scale // y.denominator))
-    k = sum(best.values()) - bound.numerator * (scale // bound.denominator)
+    # the system's score as it was.
+    k = sum(best.values()) - bound
     if k > 0:
         charge = Fraction(-k, scale)
         for ctx in system.contexts:
+            support = system.supports[ctx]
             for a, b in system.pairs(ctx):
-                if (ctx, (a, b)) not in supported:
+                if (a, b) not in support:
                     coefficients[(ctx, a, b)] = charge
-    return _checked_witness(coefficients, system, bound)
+    return _checked_witness(coefficients, system, Fraction(bound, scale))
 
 
 def _checked_witness(
@@ -342,54 +360,97 @@ def _checked_witness(
 def _local_bound(
     coefficients: Mapping[tuple[Context, Outcome, Outcome], Fraction],
     system: SystemSpec,
-    allowed: set[tuple[Context, Pair]] | None = None,
 ) -> Fraction:
     """Exact largest score of the coefficients on any (f, g) over the full
-    alphabets or, given `allowed`, on any (f, g) whose pair in every context
-    is an allowed (context, pair).
+    alphabets, by branch and bound.
 
-    For each f over the A-settings the best g is picked setting by setting:
-    B-setting y takes, of the outcomes b allowed with f in each of its
-    contexts ctx = (x, y), the largest sum of the coefficients at
-    (ctx, f[x], b).  Each B-setting holds, per context, the position of x
-    and a table over outcome indices: table[a][b] is the coefficient times
-    the common denominator of all of them, or None where (a, b) is not
-    allowed; f runs over tuples of outcome indices.
+    Each context with a coefficient gets a table over outcome indices,
+    table[a][b] the coefficient times the common denominator of all of
+    them; a context with none adds 0 to every (f, g), and so does a setting
+    in no such context.  The search runs over the side with fewer
+    assignments of those settings, the other side's tables transposed: the
+    score is symmetric in A and B.  Say it is A.  Once f is fixed, each
+    B-setting y takes the outcome b with the largest sum of table[f[x]][b]
+    over its contexts (x, y), independently of the other B-settings.
+
+    The A-settings in the most contexts are assigned first.  A node's
+    optimistic total takes, per B-setting, the best b of the sum so far at b
+    plus the largest entry of column b of each of its tables still
+    unassigned.  No leaf below scores more, so a node whose optimistic total
+    cannot beat the best leaf found is cut.  The sums start at those column
+    maxima, and assigning x = a adds, per table of x, row a less the column
+    maxima: a regret table built once, so a node costs one vector sum per
+    context of its setting.  Children are tried best optimistic total first,
+    so a good leaf comes early.  The worst case stays exponential: a local
+    bound is NP-hard in general.
     """
     scale = lcm(*(c.denominator for c in coefficients.values()))
-    scaled = {
-        key: c.numerator * (scale // c.denominator)
-        for key, c in coefficients.items()
-    }
-    xs = system.a_settings
-    position = {x: i for i, x in enumerate(xs)}
-    tables: dict[str, list[tuple[int, list[list[int | None]]]]] = {}
-    for ctx in system.contexts:
-        b_alphabet = system.b_alphabet[ctx.y]
-        table = [
-            [
-                scaled.get((ctx, a, b), 0)
-                if allowed is None or (ctx, (a, b)) in allowed
-                else None
-                for b in b_alphabet
-            ]
-            for a in system.a_alphabet[ctx.x]
-        ]
-        tables.setdefault(ctx.y, []).append((position[ctx.x], table))
+    a_alphabet, b_alphabet = system.a_alphabet, system.b_alphabet
+    tables: dict[tuple[str, str], list] = {}
+    for (ctx, a, b), c in coefficients.items():
+        table = tables.get(ctx)
+        if table is None:
+            width = len(b_alphabet[ctx.y])
+            table = tables[ctx] = [[0] * width for _ in a_alphabet[ctx.x]]
+        row = table[a_alphabet[ctx.x].index(a)]
+        row[b_alphabet[ctx.y].index(b)] = c.numerator * (scale // c.denominator)
+    xs = {x for x, _ in tables}
+    ys = {y for _, y in tables}
+    if prod(len(b_alphabet[y]) for y in ys) < prod(len(a_alphabet[x]) for x in xs):
+        tables = {(y, x): list(zip(*table)) for (x, y), table in tables.items()}
+    # Per searched setting, (index of the other setting, regrets) per
+    # context: regrets[a][b] is table[a][b] less the largest entry of column
+    # b.  optimistic[t][b] sums those largest entries over the contexts of t.
+    by_setting: dict[str, list[tuple[int, list[list[int]]]]] = {}
+    other: dict[str, int] = {}
+    optimistic: list[list[int]] = []
+    for (s, t), table in tables.items():
+        top = list(map(max, zip(*table)))
+        if t in other:
+            optimistic[other[t]] = list(map(add, optimistic[other[t]], top))
+        else:
+            other[t] = len(optimistic)
+            optimistic.append(top)
+        regrets = [list(map(sub, row, top)) for row in table]
+        by_setting.setdefault(s, []).append((other[t], regrets))
+    order = sorted(by_setting.values(), key=len, reverse=True)
+    if not order:
+        return ZERO
+    last = len(order) - 1
+    best = None
 
-    def best_score(f: tuple[int, ...]) -> int | None:
-        total = 0
-        for entries in tables.values():
-            # One column per outcome b of y, one entry per context of y.
-            columns = zip(*(table[f[i]] for i, table in entries))
-            sums = [sum(column) for column in columns if None not in column]
-            if not sums:
-                return None  # no g goes with this f
-            total += max(sums)
-        return total
+    def search(depth: int, sums: list[list[int]], maxima: list[int], total: int) -> None:
+        """sums[t][b]: the score of t at b so far, plus the largest entry of
+        column b of each table of t not yet assigned; maxima[t] = max(sums[t])
+        and total = sum(maxima), which no leaf below exceeds."""
+        nonlocal best
+        entries = order[depth]
+        rows = range(len(entries[0][1]))
+        if depth == last:  # every table is assigned: the totals are scores
+            for row in rows:
+                leaf = total
+                for t, regrets in entries:
+                    leaf += max(map(add, sums[t], regrets[row])) - maxima[t]
+                if best is None or leaf > best:
+                    best = leaf
+            return
+        children = []
+        for row in rows:
+            child_sums, child_maxima, child_total = list(sums), list(maxima), total
+            for t, regrets in entries:
+                child_sums[t] = list(map(add, sums[t], regrets[row]))
+                child_maxima[t] = max(child_sums[t])
+                child_total += child_maxima[t] - maxima[t]
+            children.append((child_total, child_sums, child_maxima))
+        children.sort(key=itemgetter(0), reverse=True)
+        for child_total, child_sums, child_maxima in children:
+            if best is not None and child_total <= best:
+                break  # sorted: no later child beats the best either
+            search(depth + 1, child_sums, child_maxima, child_total)
 
-    scores = map(best_score, product(*(range(len(system.a_alphabet[x])) for x in xs)))
-    return Fraction(max(s for s in scores if s is not None), scale)
+    maxima = list(map(max, optimistic))
+    search(0, optimistic, maxima, sum(maxima))
+    return Fraction(best, scale)
 
 
 def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -441,7 +502,7 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
         if not decomposition_reproduces(system, decomposition):
             raise CertificateError("the decomposition does not reproduce the system")
         return Verdict("noncontextual", decomposition, realization_count=len(columns))
-    witness = _witness_from_certificate(keys, outcome, system, set(supported))
+    witness = _witness_from_certificate(keys, outcome, system, rows)
     return Verdict("contextual", witness=witness, realization_count=len(columns))
 
 

@@ -202,6 +202,19 @@ def test_perfect_chained_boxes_within_budget(monkeypatch):
     report(f"Perfect chained boxes contextual from the support ({', '.join(timings)})", ok)
 
 
+def test_perfect_chained_box_16x16_binary_within_budget():
+    # The support witness's bound is the best of 2^16 f's; the local-bound
+    # oracle's branch and bound cuts nearly all of them.
+    s = perfect_chained_box(16, 2)
+    start = time.monotonic()
+    v = classify(s)
+    elapsed = time.monotonic() - start
+    ok = v.kind == "contextual" and v.realization_count == 0
+    ok &= v.witness.bound == len(s.contexts) - 1 == 255
+    ok &= elapsed < 1.0
+    report(f"Perfect chained box 16x16 binary: contextual in {elapsed:.3f} s", ok)
+
+
 def test_signaling_detection():
     w = check_nonsignaling(get("d_prime_eprb").system)
     ok = w is not None and (w.side, w.setting) == ("A", "1")

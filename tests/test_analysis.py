@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -423,7 +424,7 @@ class TestSupportWitness:
         monkeypatch.setattr(
             analysis,
             "_local_bound",
-            lambda coefficients, system, allowed=None: Fraction(len(system.contexts)),
+            lambda coefficients, system: Fraction(len(system.contexts)),
         )
         with pytest.raises(CertificateError):
             classify(conspiracy_system())
@@ -815,18 +816,9 @@ class TestWitness:
                 for r in enumerate_ns_realizations(full_support(s))
             )
             assert analysis._local_bound(w.coefficients, s) == best
-            # restricted to the support pairs: the best support realization
-            support = support_of(s)
-            allowed = {
-                (ctx, pair) for ctx, pairs in support.supports.items() for pair in pairs
-            }
-            best = max(
-                witness_score(w, r) for r in enumerate_ns_realizations(support)
-            )
-            assert analysis._local_bound(w.coefficients, s, allowed) == best
 
-        # Context subsets, mixed alphabet sizes, and allowed sets that leave
-        # some f with no g, each against every (f, g) listed outright.
+        # Context subsets and mixed alphabet sizes, each against every
+        # (f, g) listed outright.
         a_alph = {"1": ("0", "1"), "2": ("0", "1", "2"), "3": ("0", "1", "2", "3")}
         b_alph = {"1": ("0", "1", "2"), "2": ("0", "1"), "3": ("0", "1")}
         mixed = _mixture_of(rng, a_alph, b_alph)
@@ -836,7 +828,6 @@ class TestWitness:
             rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts)))
             for _ in range(12)
         ]
-        without_g = 0
         for contexts in [list(mixed.contexts)] + subsets:
             s = restrict(mixed, contexts)
             keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
@@ -847,17 +838,76 @@ class TestWitness:
             assert analysis._local_bound(coefficients, s) == _brute_local_bound(
                 coefficients, s
             )
-            for _ in range(5):
-                allowed = {
-                    (ctx, pair) for ctx in s.contexts for pair in s.pairs(ctx)
-                    if rng.random() < 0.7
-                }
-                best = _brute_local_bound(coefficients, s, allowed)
-                if best is None:
-                    continue  # no (f, g) at all
-                without_g += _some_f_has_no_g(s, allowed)
-                assert analysis._local_bound(coefficients, s, allowed) == best
-        assert without_g > 0
+
+    def test_local_bound_equals_brute_force(self):
+        # Random shapes up to 3x3 ternary on random context subsets, so some
+        # settings are in no context, with either side the smaller search;
+        # small integer coefficients make near ties, where a cut one unit
+        # too early loses the best leaf.
+        rng = random.Random(1818)
+        searched = {"A": 0, "B": 0}
+        for i in range(600):
+            a_alph, b_alph = random_shape(rng)
+            mixed = _mixture_of(rng, a_alph, b_alph)
+            contexts = rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts)))
+            s = restrict(mixed, contexts)
+            keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
+            coefficients = {
+                key: Fraction(rng.randint(-2, 2)) if i % 2
+                else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                for key in rng.sample(keys, rng.randint(0, len(keys)))
+            }
+            assert analysis._local_bound(coefficients, s) == _brute_local_bound(
+                coefficients, s
+            )
+            used = {ctx for ctx, _, _ in coefficients}
+            a_count = _assignment_count(s.a_alphabet, {ctx.x for ctx in used})
+            b_count = _assignment_count(s.b_alphabet, {ctx.y for ctx in used})
+            if a_count != b_count:
+                searched["A" if a_count < b_count else "B"] += 1
+        assert min(searched.values()) >= 100
+        assert analysis._local_bound({}, conspiracy_system()) == 0
+
+    def test_farkas_bound_is_best_supported_score(self):
+        # On every LP witness the bound, read off the LP's columns, is the
+        # best score of an (f, g) whose pairs are all supported.
+        rng = random.Random(2323)
+        farkas = charged = 0
+        while farkas < 200:
+            s = _contextual_draw(rng)
+            v = classify(s)
+            if v.kind != "contextual" or v.realization_count == 0:
+                continue
+            farkas += 1
+            supported = {(ctx, pair) for ctx in s.contexts for pair in s.supports[ctx]}
+            charged += any((ctx, (a, b)) not in supported for ctx, a, b in v.witness.coefficients)
+            assert v.witness.bound == _brute_local_bound(v.witness.coefficients, s, supported)
+            assert v.witness.bound == max(
+                witness_score(v.witness, r) for r in enumerate_ns_realizations(s)
+            )
+        assert charged > 0
+
+
+def _contextual_draw(rng):
+    """A chained box with one shifted context, up to 3x3 ternary, mixed with
+    deterministic systems and, at times when binary, the uniform one: often
+    contextual, and with realizations, since each deterministic part is
+    one."""
+    k = rng.randint(2, 3)
+    alph = tuple(map(str, range(k)))
+    a_alph = {str(i): alph for i in range(1, rng.randint(2, 3) + 1)}
+    b_alph = {str(j): alph for j in range(1, rng.randint(2, 3) + 1)}
+    shift = (rng.choice(list(a_alph)), rng.choice(list(b_alph)))
+    others = [random_deterministic_ns(rng, a_alph, b_alph) for _ in range(rng.randint(1, 3))]
+    if k == 2 and rng.random() < 0.3:  # full support, no unsupported pair to charge
+        others.append(uniform_system(a_alph, b_alph))
+    # Weights in eighths keep the LP's integers small.
+    box = rng.randint(4, 8 - len(others))
+    cuts = sorted(rng.sample(range(1, 8 - box), len(others) - 1))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [8 - box])]
+    parts = [(chained_box(a_alph, b_alph, k, {shift: rng.randint(1, k - 1)}), box)]
+    parts += zip(others, weights)
+    return mix([(p, Fraction(w, 8)) for p, w in parts])
 
 
 def _mixture_of(rng, a_alph, b_alph):
@@ -871,6 +921,10 @@ def _assignments(alphabets):
         yield dict(zip(settings, outcomes))
 
 
+def _assignment_count(alphabets, settings) -> int:
+    return math.prod(len(alphabets[s]) for s in settings)
+
+
 def _allows(s, f, g, allowed) -> bool:
     return allowed is None or all((ctx, (f[ctx.x], g[ctx.y])) in allowed for ctx in s.contexts)
 
@@ -879,19 +933,12 @@ def _brute_local_bound(coefficients, s, allowed=None):
     """Best score of the coefficients over every (f, g) on the full
     alphabets whose pairs are allowed, listed outright; None if none is."""
     scores = [
-        sum(c for (ctx, a, b), c in coefficients.items() if (f[ctx.x], g[ctx.y]) == (a, b))
+        sum(coefficients.get((ctx, f[ctx.x], g[ctx.y]), 0) for ctx in s.contexts)
         for f in _assignments(s.a_alphabet)
         for g in _assignments(s.b_alphabet)
         if _allows(s, f, g, allowed)
     ]
     return max(scores, default=None)
-
-
-def _some_f_has_no_g(s, allowed) -> bool:
-    return any(
-        not any(_allows(s, f, g, allowed) for g in _assignments(s.b_alphabet))
-        for f in _assignments(s.a_alphabet)
-    )
 
 
 class TestHiddenVariableModel:
