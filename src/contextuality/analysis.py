@@ -367,11 +367,10 @@ def _local_bound(
     Each context with a coefficient gets a table over outcome indices,
     table[a][b] the coefficient times the common denominator of all of
     them; a context with none adds 0 to every (f, g), and so does a setting
-    in no such context.  The search runs over the side with fewer
-    assignments of those settings, the other side's tables transposed: the
-    score is symmetric in A and B.  Say it is A.  Once f is fixed, each
-    B-setting y takes the outcome b with the largest sum of table[f[x]][b]
-    over its contexts (x, y), independently of the other B-settings.
+    in no such context.  The search runs over the A-settings: once f is
+    fixed, each B-setting y takes the outcome b with the largest sum of
+    table[f[x]][b] over its contexts (x, y), independently of the other
+    B-settings.
 
     The A-settings in the most contexts are assigned first.  A node's
     optimistic total takes, per B-setting, the best b of the sum so far at b
@@ -394,29 +393,24 @@ def _local_bound(
             table = tables[ctx] = [[0] * width for _ in a_alphabet[ctx.x]]
         row = table[a_alphabet[ctx.x].index(a)]
         row[b_alphabet[ctx.y].index(b)] = c.numerator * (scale // c.denominator)
-    xs = {x for x, _ in tables}
-    ys = {y for _, y in tables}
-    if prod(len(b_alphabet[y]) for y in ys) < prod(len(a_alphabet[x]) for x in xs):
-        tables = {(y, x): list(zip(*table)) for (x, y), table in tables.items()}
-    # Per searched setting, (index of the other setting, regrets) per
-    # context: regrets[a][b] is table[a][b] less the largest entry of column
-    # b.  optimistic[t][b] sums those largest entries over the contexts of t.
+    # Per A-setting, (index of the B-setting, regrets) per context:
+    # regrets[a][b] is table[a][b] less the largest entry of column b.
+    # optimistic[t][b] sums those largest entries over the contexts of t.
     by_setting: dict[str, list[tuple[int, list[list[int]]]]] = {}
     other: dict[str, int] = {}
     optimistic: list[list[int]] = []
-    for (s, t), table in tables.items():
+    for (x, y), table in tables.items():
         top = list(map(max, zip(*table)))
-        if t in other:
-            optimistic[other[t]] = list(map(add, optimistic[other[t]], top))
+        if y in other:
+            optimistic[other[y]] = list(map(add, optimistic[other[y]], top))
         else:
-            other[t] = len(optimistic)
+            other[y] = len(optimistic)
             optimistic.append(top)
         regrets = [list(map(sub, row, top)) for row in table]
-        by_setting.setdefault(s, []).append((other[t], regrets))
+        by_setting.setdefault(x, []).append((other[y], regrets))
     order = sorted(by_setting.values(), key=len, reverse=True)
     if not order:
         return ZERO
-    last = len(order) - 1
     best = None
 
     def search(depth: int, sums: list[list[int]], maxima: list[int], total: int) -> None:
@@ -424,18 +418,12 @@ def _local_bound(
         column b of each table of t not yet assigned; maxima[t] = max(sums[t])
         and total = sum(maxima), which no leaf below exceeds."""
         nonlocal best
-        entries = order[depth]
-        rows = range(len(entries[0][1]))
-        if depth == last:  # every table is assigned: the totals are scores
-            for row in rows:
-                leaf = total
-                for t, regrets in entries:
-                    leaf += max(map(add, sums[t], regrets[row])) - maxima[t]
-                if best is None or leaf > best:
-                    best = leaf
+        if depth == len(order):  # every table is assigned: total is a score
+            best = total if best is None else max(best, total)
             return
+        entries = order[depth]
         children = []
-        for row in rows:
+        for row in range(len(entries[0][1])):
             child_sums, child_maxima, child_total = list(sums), list(maxima), total
             for t, regrets in entries:
                 child_sums[t] = list(map(add, sums[t], regrets[row]))

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -817,40 +816,25 @@ class TestWitness:
             )
             assert analysis._local_bound(w.coefficients, s) == best
 
-        # Context subsets and mixed alphabet sizes, each against every
-        # (f, g) listed outright.
+        # Context subsets, so some settings are in no context, and mixed
+        # alphabet sizes, each against every (f, g) listed outright; half
+        # with small integer coefficients, whose near ties a cut one unit
+        # too early gets wrong.
         a_alph = {"1": ("0", "1"), "2": ("0", "1", "2"), "3": ("0", "1", "2", "3")}
         b_alph = {"1": ("0", "1", "2"), "2": ("0", "1"), "3": ("0", "1")}
         mixed = _mixture_of(rng, a_alph, b_alph)
         # A-setting 3 and B-setting 3 in no context
-        subsets = [[c for c in mixed.contexts if "3" not in c]]
-        subsets += [
-            rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts)))
+        cases = [(mixed, list(mixed.contexts)), (mixed, [c for c in mixed.contexts if "3" not in c])]
+        cases += [
+            (mixed, rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts))))
             for _ in range(12)
         ]
-        for contexts in [list(mixed.contexts)] + subsets:
-            s = restrict(mixed, contexts)
-            keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
-            coefficients = {
-                key: Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-                for key in rng.sample(keys, rng.randint(0, len(keys)))
-            }
-            assert analysis._local_bound(coefficients, s) == _brute_local_bound(
-                coefficients, s
-            )
-
-    def test_local_bound_equals_brute_force(self):
-        # Random shapes up to 3x3 ternary on random context subsets, so some
-        # settings are in no context, with either side the smaller search;
-        # small integer coefficients make near ties, where a cut one unit
-        # too early loses the best leaf.
-        rng = random.Random(1818)
-        searched = {"A": 0, "B": 0}
-        for i in range(600):
-            a_alph, b_alph = random_shape(rng)
-            mixed = _mixture_of(rng, a_alph, b_alph)
-            contexts = rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts)))
-            s = restrict(mixed, contexts)
+        # Random shapes up to 3x3 ternary, either side the larger.
+        for _ in range(600):
+            m = _mixture_of(rng, *random_shape(rng))
+            cases.append((m, rng.sample(list(m.contexts), rng.randint(1, len(m.contexts)))))
+        for i, (m, contexts) in enumerate(cases):
+            s = restrict(m, contexts)
             keys = [(ctx, a, b) for ctx in s.contexts for a, b in s.pairs(ctx)]
             coefficients = {
                 key: Fraction(rng.randint(-2, 2)) if i % 2
@@ -860,12 +844,6 @@ class TestWitness:
             assert analysis._local_bound(coefficients, s) == _brute_local_bound(
                 coefficients, s
             )
-            used = {ctx for ctx, _, _ in coefficients}
-            a_count = _assignment_count(s.a_alphabet, {ctx.x for ctx in used})
-            b_count = _assignment_count(s.b_alphabet, {ctx.y for ctx in used})
-            if a_count != b_count:
-                searched["A" if a_count < b_count else "B"] += 1
-        assert min(searched.values()) >= 100
         assert analysis._local_bound({}, conspiracy_system()) == 0
 
     def test_farkas_bound_is_best_supported_score(self):
@@ -882,9 +860,6 @@ class TestWitness:
             supported = {(ctx, pair) for ctx in s.contexts for pair in s.supports[ctx]}
             charged += any((ctx, (a, b)) not in supported for ctx, a, b in v.witness.coefficients)
             assert v.witness.bound == _brute_local_bound(v.witness.coefficients, s, supported)
-            assert v.witness.bound == max(
-                witness_score(v.witness, r) for r in enumerate_ns_realizations(s)
-            )
         assert charged > 0
 
 
@@ -919,10 +894,6 @@ def _assignments(alphabets):
     settings = sorted(alphabets)
     for outcomes in itertools.product(*(alphabets[s] for s in settings)):
         yield dict(zip(settings, outcomes))
-
-
-def _assignment_count(alphabets, settings) -> int:
-    return math.prod(len(alphabets[s]) for s in settings)
 
 
 def _allows(s, f, g, allowed) -> bool:
