@@ -67,7 +67,6 @@ from .systems import (
     SupportSpec,
     SystemSpec,
     check_nonsignaling,
-    expectation_product,
 )
 
 DEFAULT_LIMIT = 10**6
@@ -544,23 +543,22 @@ def chsh(system: SystemSpec) -> Fraction:
 
     The first alphabet label of each setting codes -1, the second +1.  The
     combination flipping the sign of context c is the sum of all four
-    correlators less twice the one at c.
+    correlators less twice the one at c.  The correlators are read as
+    integer counts over the system's common denominator.
     """
     a_settings, b_settings = _binary_shape(system)
-    alphabets = [system.a_alphabet[x] for x in a_settings]
-    alphabets += [system.b_alphabet[y] for y in b_settings]
-    coding: dict[Outcome, Fraction] = {}
-    for lo, hi in alphabets:
-        for label, val in ((lo, -ONE), (hi, ONE)):
-            if coding.setdefault(label, val) != val:
-                raise ValueError("alphabets disagree on the +-1 coding")
-    corr = [
-        expectation_product(system, Context(x, y), coding)
-        for x in a_settings
-        for y in b_settings
-    ]
-    total = sum(corr, ZERO)
-    return max(abs(total - 2 * c) for c in corr)
+    scale, counts = system._counts
+    corr = []
+    for x in a_settings:
+        a_plus = system.a_alphabet[x][1]
+        for y in b_settings:
+            b_plus = system.b_alphabet[y][1]
+            corr.append(sum(
+                c if (a == a_plus) == (b == b_plus) else -c
+                for (a, b), c in counts[Context(x, y)].items()
+            ))
+    total = sum(corr)
+    return Fraction(max(abs(total - 2 * c) for c in corr), scale)
 
 
 def fine_oracle(system: SystemSpec) -> str:

@@ -24,6 +24,7 @@ from .analysis import (
 from .peres import ks_search, orthogonal_triads, peres_rays
 from .serialize import SystemFileError, format_rational, loads_system
 from .systems import (
+    LARGE_COUNT,
     Realization,
     SupportSpec,
     SystemSpec,
@@ -79,7 +80,7 @@ def _witness_doc(w) -> dict:
 def _values_doc(r: Realization) -> list[dict]:
     return [
         {"x": ctx.x, "y": ctx.y, "a": a, "b": b}
-        for ctx, (a, b) in sorted(r.values.items(), key=lambda kv: context_key(kv[0]))
+        for ctx, (a, b) in r.values.items()
     ]
 
 
@@ -142,12 +143,7 @@ def cmd_realizations(args) -> int:
     if args.mode == "all":
         count = count_assignments(system)
         report["count"] = str(count)
-        if count.base is not None:
-            report["value"] = (
-                str(count.value) if count.value < 10**40 else None
-            )
-        else:
-            report["value"] = str(count.value)
+        report["value"] = str(count.value) if count.value < LARGE_COUNT else None
     else:
         realizations = enumerate_ns_realizations(system, args.limit)
         report["count"] = str(len(realizations))

@@ -5,11 +5,12 @@ one per side -- a joint probability mass function over the outcome pair
 alphabet of that context.  All probabilities are `fractions.Fraction`;
 nothing in this module touches floating point.  Fractions stay at the
 boundary: a system holds them, and every function takes and returns them.
-A spec's contexts are the keys of its pmf or support table, held as
-`Context`s in canonical order, fixed when it is built.  A spec that exists
-is valid: its constructor runs `validate` and raises `InvalidSystemError`
-with every violation, so no function taking a spec checks it again.  A
-signaling system is a valid spec; `check_nonsignaling` tells it apart.
+A spec kind has one builder, its constructor, also named `make_system` or
+`make_support`: it stores plain data frozen, its contexts being the keys of
+its table, in canonical order.  A spec that exists is valid: its
+constructor runs `validate` and raises `InvalidSystemError` with every
+violation, so no function taking a spec checks it again.  A signaling
+system is a valid spec; `check_nonsignaling` tells it apart.
 Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
 one common denominator, built once per system (`SystemSpec._counts`), so
@@ -19,11 +20,12 @@ once the same way (`SystemSpec.supports`).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections import Counter
+from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -59,29 +61,23 @@ class InvalidSystemError(ValueError):
         self.violations = violations
 
 
-def _read_only(mapping: Mapping) -> Mapping:
-    """A read-only copy of a mapping; nested dicts are copied the same way."""
-    return MappingProxyType(
-        {k: _read_only(v) if isinstance(v, dict) else v for k, v in mapping.items()}
-    )
-
-
 class Spec:
     """The shape of a compound system: settings, alphabets and contexts.
 
     `a_alphabet` is keyed by the A-side setting, `b_alphabet` by the B-side
     setting; a context's outcome pairs range over the product of the two.
-    Every mapping field is stored as a read-only copy, since specs (catalog
-    systems in particular) are shared between callers.  `contexts` holds
-    the keys of the per-context table as `Context`s in canonical order
-    (`context_key`), whatever order the table has; the table is looked up
-    by context, which equals its plain (x, y) tuple.  Every spec answers
-    `supports`, a read-only {context: frozenset of pairs} of the pairs each
-    context allows: a `SupportSpec` stores it, a `SystemSpec` reads it off
-    its pmfs.  Building a spec checks it: one `validate` rejects raises
-    `InvalidSystemError`.  A spec is immutable: assigning or deleting an
-    attribute raises `AttributeError`.  Specs of one type with equal fields
-    are equal.
+    The constructor takes plain data and stores one form of it, since specs
+    (catalog systems in particular) are shared between callers: each
+    alphabet is a tuple in a read-only mapping, and the per-context table is
+    a read-only {Context: ...} in canonical context order (`context_key`),
+    whatever order it was given in, holding read-only pmfs, their int
+    probabilities made `Fraction`s, or frozenset supports.  `contexts`
+    holds its keys.  Every spec answers `supports`, a read-only
+    {context: frozenset of pairs} of the pairs each context allows: a
+    `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
+    a spec checks it: one `validate` rejects raises `InvalidSystemError`.
+    A spec is immutable: assigning or deleting an attribute raises
+    `AttributeError`.  Specs of one type with equal fields are equal.
     """
 
     name: str
@@ -91,17 +87,21 @@ class Spec:
     _fields = ("name", "a_alphabet", "b_alphabet", "contexts")
 
     def __init__(self, name, a_alphabet, b_alphabet, table):
-        contexts = sorted(map(Context._make, table), key=context_key)
-        self._store(name=name, a_alphabet=a_alphabet, b_alphabet=b_alphabet)
+        contexts = tuple(sorted(map(Context._make, table), key=context_key))
+        fields = self.__dict__  # past the spec's own `__setattr__`
+        fields["name"] = name
+        fields["a_alphabet"], fields["b_alphabet"] = (
+            MappingProxyType({s: tuple(outcomes) for s, outcomes in alphabets.items()})
+            for alphabets in (a_alphabet, b_alphabet)
+        )
+        fields["contexts"] = contexts
         # A subclass's last field names its table: `pmfs` or `supports`.
-        self._store(contexts=tuple(contexts), **{self._fields[-1]: table})
+        fields[self._fields[-1]] = MappingProxyType(
+            {ctx: self._freeze(table[ctx]) for ctx in contexts}
+        )
         violations = validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
-
-    def _store(self, **fields) -> None:
-        for name, value in fields.items():
-            self.__dict__[name] = _read_only(value) if isinstance(value, Mapping) else value
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -143,6 +143,13 @@ class SystemSpec(Spec):
     def __init__(self, name, a_alphabet, b_alphabet, pmfs):
         super().__init__(name, a_alphabet, b_alphabet, pmfs)
 
+    @staticmethod
+    def _freeze(pmf) -> Mapping[Pair, Fraction]:
+        # A float or string is kept as given, for `validate` to report.
+        return MappingProxyType(
+            {pair: Fraction(p) if isinstance(p, int) else p for pair, p in pmf.items()}
+        )
+
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
         if ctx not in self.pmfs:
             raise KeyError(f"unknown context {ctx}")
@@ -169,8 +176,8 @@ class SystemSpec(Spec):
         """The pairs of probability > 0 in each context, read-only and keyed
         in canonical context order; built once, as `_counts` is."""
         return MappingProxyType({
-            ctx: frozenset(pair for pair, p in self.pmfs[ctx].items() if p.numerator > 0)
-            for ctx in self.contexts
+            ctx: frozenset(pair for pair, p in pmf.items() if p.numerator > 0)
+            for ctx, pmf in self.pmfs.items()
         })
 
 
@@ -182,6 +189,19 @@ class SupportSpec(Spec):
 
     def __init__(self, name, a_alphabet, b_alphabet, supports):
         super().__init__(name, a_alphabet, b_alphabet, supports)
+
+    @staticmethod
+    def _freeze(pairs) -> frozenset[Pair]:
+        pairs = tuple(pairs)
+        try:
+            return frozenset(pairs)
+        except TypeError:  # an unhashable pair, kept for `validate` to report
+            return pairs
+
+
+# The one builder of each spec kind, under the names the package has long used.
+make_system = SystemSpec
+make_support = SupportSpec
 
 
 class Realization(NamedTuple):
@@ -217,38 +237,6 @@ class SignalingWitness(NamedTuple):
             f"side {self.side}, setting {self.setting}: marginal in "
             f"{tuple(self.context1)} differs from {tuple(self.context2)}"
         )
-
-
-def make_system(
-    name: str,
-    a_alphabet: Mapping[str, Iterable[Outcome]],
-    b_alphabet: Mapping[str, Iterable[Outcome]],
-    pmfs: Mapping[tuple[str, str], Mapping[Pair, Fraction | int]],
-) -> SystemSpec:
-    """Build a SystemSpec from plain dicts, coercing probabilities to Fraction."""
-    return SystemSpec(
-        name=name,
-        a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
-        b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        pmfs={
-            ctx: {pair: Fraction(p) for pair, p in pmf.items()}
-            for ctx, pmf in pmfs.items()
-        },
-    )
-
-
-def make_support(
-    name: str,
-    a_alphabet: Mapping[str, Iterable[Outcome]],
-    b_alphabet: Mapping[str, Iterable[Outcome]],
-    supports: Mapping[tuple[str, str], Iterable[Pair]],
-) -> SupportSpec:
-    return SupportSpec(
-        name=name,
-        a_alphabet={x: tuple(al) for x, al in a_alphabet.items()},
-        b_alphabet={y: tuple(al) for y, al in b_alphabet.items()},
-        supports={ctx: frozenset(pairs) for ctx, pairs in supports.items()},
-    )
 
 
 def validate(spec: Spec) -> list[str]:
@@ -297,10 +285,14 @@ def validate(spec: Spec) -> list[str]:
         # outcome of x and one of y; any other key is reported, not raised.
         a_set, b_set = a_sets[ctx.x], b_sets[ctx.y]
         for pair in table:
-            if not (
-                isinstance(pair, tuple) and len(pair) == 2
-                and pair[0] in a_set and pair[1] in b_set
-            ):
+            try:
+                inside = (
+                    isinstance(pair, tuple) and len(pair) == 2
+                    and pair[0] in a_set and pair[1] in b_set
+                )
+            except TypeError:  # an unhashable outcome
+                inside = False
+            if not inside:
                 violations.append(f"context {tuple(ctx)}: pair {pair} outside alphabet product")
         if not (probabilistic or table):
             violations.append(f"context {tuple(ctx)}: empty support")
@@ -380,31 +372,33 @@ def support_of(system: SystemSpec) -> SupportSpec:
     return SupportSpec(system.name, system.a_alphabet, system.b_alphabet, system.supports)
 
 
+# Too long to print in full: Python refuses to print an int past 4,300 digits.
+LARGE_COUNT = 10**40
+
+
 class AssignmentCount(NamedTuple):
-    """Exact assignment count, with a factored base^exponent display when uniform."""
+    """Exact assignment count and its factors, (context size, multiplicity)
+    pairs with sizes ascending.  It prints factored (`4^4`, `4^3200 * 6^3200`)
+    when several contexts all have one size or the value is at least
+    `LARGE_COUNT`, and as the value otherwise."""
 
     value: int
-    base: int | None = None
-    exponent: int | None = None
+    factors: tuple[tuple[int, int], ...]
 
     def __str__(self) -> str:
-        if self.base is not None and self.exponent is not None and self.exponent > 1:
-            return f"{self.base}^{self.exponent}"
+        if (len(self.factors) == 1 and self.factors[0][1] > 1) or self.value >= LARGE_COUNT:
+            return " * ".join(f"{s}^{m}" if m > 1 else str(s) for s, m in self.factors)
         return str(self.value)
 
 
 def count_assignments(system: Spec) -> AssignmentCount:
     """Number of assignments: product over contexts of the alphabet pair counts."""
-    sizes = [
+    sizes = Counter(
         len(system.a_alphabet[ctx.x]) * len(system.b_alphabet[ctx.y])
         for ctx in system.contexts
-    ]
-    value = 1
-    for s in sizes:
-        value *= s
-    if sizes and len(set(sizes)) == 1:
-        return AssignmentCount(value=value, base=sizes[0], exponent=len(sizes))
-    return AssignmentCount(value=value)
+    )
+    factors = tuple(sorted(sizes.items()))
+    return AssignmentCount(value=prod(s**m for s, m in factors), factors=factors)
 
 
 def _check_same_shape(a: SystemSpec, b: SystemSpec) -> None:

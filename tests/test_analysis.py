@@ -24,13 +24,14 @@ from contextuality import (
 )
 from contextuality import analysis
 from contextuality.analysis import BellWitness, Decomposition
-from contextuality.catalog import catalog_ids
+from contextuality.catalog import catalog_ids, pair_as_mixture
 from contextuality.feasibility import (
     FarkasCertificate,
     FeasibleSolution,
     solve_feasibility,
 )
-from contextuality.systems import Context
+from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_search
+from contextuality.systems import Context, marginal, mix_context_dependent
 
 from helpers import (
     chained_box,
@@ -686,6 +687,15 @@ class TestChsh:
         m = mix([(get("d1").system, HALF), (get("d2").system, HALF)])
         assert chsh(m) == 2
 
+    def test_each_setting_coded_by_its_own_alphabet(self):
+        # The conspiracy box with A-setting 2's labels listed the other way
+        # round: its two correlators change sign, and the max does not.
+        box = conspiracy_system()
+        a_alphabet = {**box.a_alphabet, "2": ("1", "0")}
+        relabelled = make_system("relabelled", a_alphabet, box.b_alphabet, box.pmfs)
+        assert chsh(relabelled) == 4
+        assert fine_oracle(relabelled) == "contextual" == classify(relabelled).kind
+
     def test_wrong_shape(self):
         from contextuality import make_system
 
@@ -928,3 +938,49 @@ class TestHiddenVariableModel:
                         if (r.f[ctx.x], r.g[ctx.y]) == pair
                     )
                     assert p == m.prob(ctx, pair)
+
+
+def _disagreeing_triads():
+    """Two triads sharing their first ray, whose patterns give it 0 and 1."""
+    shared = Ray((Zr2(1, 0), Zr2(0, 1), Zr2(-1, 2)))
+    others = [Ray((Zr2(i, 0), Z0, Z0)) for i in range(1, 5)]
+    triads = [Triad((shared, *others[:2])), Triad((shared, *others[2:]))]
+    return {"1": "011", "2": "101"}, triads
+
+
+def _one_context(name):
+    return make_system(name, {"1": ("0", "1")}, {"1": ("0", "1")},
+                       {("1", "1"): {("0", "0"): 1}})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: chsh(make_system("three", BIN, BIN, {
+            ctx: {("0", "0"): 1} for ctx in [("1", "1"), ("1", "2"), ("2", "1")]
+        })), ValueError, "CHSH needs all four contexts"),
+        (lambda: pair_as_mixture(Fraction(3, 2), HALF, HALF), ValueError,
+         "p = 3/2 outside [0, 1]"),
+        (lambda: marginal(get("d1").system, Context("1", "1"), "C"), ValueError,
+         "side must be 'A' or 'B', got 'C'"),
+        (lambda: mix([]), ValueError, "empty mixture"),
+        (lambda: mix_context_dependent({}), ValueError, "empty rule"),
+        (lambda: mix([(get("d1").system, Fraction(3, 2)), (get("d2").system, -HALF)]),
+         ValueError, "negative weight -1/2 at context ('1', '1')"),
+        (lambda: mix([(get("d1").system, HALF), (_one_context("one"), HALF)]),
+         ValueError, "shape mismatch between 'd1' and 'one'"),
+        (lambda: ks_search([], [], rule="exactly-two-ones"), ValueError,
+         "unknown rule 'exactly-two-ones'"),
+        (lambda: coloring_from_ns_function(*_disagreeing_triads()), ValueError,
+         "inconsistent valuation at ray (1, √2, -1+2√2)"),
+    ],
+    ids=[
+        "chsh-three-contexts", "pair-mixture-range", "marginal-side", "mix-empty",
+        "mix-context-dependent-empty", "mix-negative-weight", "mix-two-shapes",
+        "ks-search-rule", "coloring-disagrees",
+    ],
+)
+def test_error_paths(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

@@ -291,6 +291,31 @@ class TestRealizations:
         )
         assert report["count"] == "6^1320"
 
+    @pytest.mark.parametrize(
+        "settings, count, value",
+        [(2, "576", "576"), (80, "4^3200 * 6^3200", None)],
+        ids=["2x2", "80x80"],
+    )
+    def test_all_count_of_mixed_context_sizes(self, capsys, tmp_path, settings, count, value):
+        # B-alphabets alternate binary and ternary, so contexts have 4 or 6
+        # pairs.  At 80x80 the count has over 4,300 digits, more than the
+        # interpreter prints: it is given factored, with no value.
+        labels = [str(i) for i in range(1, settings + 1)]
+        doc = {
+            "name": "mixed",
+            "a_settings": labels,
+            "b_settings": labels,
+            "a_alphabet": {x: ["0", "1"] for x in labels},
+            "b_alphabet": {y: ["0", "1", "2"][: 2 + int(y) % 2] for y in labels},
+            "contexts": [{"x": x, "y": y, "support": [["0", "0"]]} for x in labels for y in labels],
+        }
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "realizations", str(path), "--mode", "all", "--count-only")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["count"], report["value"]) == (count, value)
+
     def test_ns_listing(self, capsys):
         report = run_json(capsys, "realizations", "--builtin", "eprb_shape")
         assert len(report["realizations"]) == 16
@@ -369,6 +394,15 @@ class TestChsh:
         code, out, err = run(capsys, "chsh", str(path))
         assert code == 0
         assert out.strip() == "2"
+
+    def test_each_setting_coded_by_its_own_alphabet(self, capsys, tmp_path):
+        # A-setting 2 lists its labels as ("1", "0"), unlike the others.
+        box = catalog.get("conspiracy").system
+        doc = json.loads(dumps_system(box))
+        doc["a_alphabet"]["2"] = ["1", "0"]
+        path = tmp_path / "relabelled.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "chsh", str(path)) == (0, "4\n", "")
 
     @pytest.mark.parametrize(
         "a_alphabet, b_alphabet, message",

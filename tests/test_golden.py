@@ -1,4 +1,5 @@
-"""Byte-for-byte CLI output of the README commands and a few more.
+"""Byte-for-byte CLI output of the README commands and a few more, and
+the README's Python blocks, run as they stand.
 
 `golden/commands.json` lists each command with its expected exit code; its
 stdout is stored in `golden/<name>.out`.  Arguments ending in `.json` name
@@ -7,6 +8,7 @@ fixture files in `golden/` (`system.json` stands in for the README's
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from helpers import checker_accepts
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
+README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
 
 
 @pytest.mark.parametrize("command", COMMANDS, ids=[c["name"] for c in COMMANDS])
@@ -29,6 +33,11 @@ def test_readme_command_bytes(command, capsys):
     out = capsys.readouterr().out
     assert code == command["exit"]
     assert out.encode("utf-8") == (GOLDEN / f"{command['name']}.out").read_bytes()
+
+
+@pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=["library-sketch", "support-of"])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_benchmark_checker_accepts_old_and_new_conspiracy_witness():

@@ -414,8 +414,73 @@ def test_spec_is_immutable_and_compares_within_its_type():
         "SystemSpec(name='one', a_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
         "b_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
         "contexts=(Context(x='1', y='1'),), "
-        "pmfs=mappingproxy({('1', '1'): mappingproxy({('0', '1'): Fraction(1, 1)})}))"
+        "pmfs=mappingproxy({Context(x='1', y='1'): mappingproxy({('0', '1'): Fraction(1, 1)})}))"
     )
+
+
+@pytest.mark.parametrize("support", [False, True], ids=["system", "support"])
+def test_spec_from_plain_data_is_frozen(support):
+    # Lists, sets and ints go in, in no canonical order; the spec keeps its
+    # own frozen copy, keyed by `Context`s in canonical order.
+    a_alphabet = {"2": ["0", "1"], "1": ["0", "1"]}
+    b_alphabet = {"1": ["0", "1"]}
+    if support:
+        table = {("2", "1"): [("0", "0"), ("1", "1")], ("1", "1"): {("0", "1")}}
+    else:
+        table = {("2", "1"): {("0", "0"): Fraction(1, 2), ("1", "1"): Fraction(1, 2)},
+                 ("1", "1"): {("0", "1"): 1}}
+    spec = (make_support if support else make_system)("plain", a_alphabet, b_alphabet, table)
+    stored = spec.supports if support else spec.pmfs
+    for keyed in (stored, spec.supports):
+        assert list(keyed) == list(spec.contexts) == [("1", "1"), ("2", "1")]
+        assert all(type(ctx) is Context for ctx in keyed)
+    assert all(type(pairs) is frozenset for pairs in spec.supports.values())
+    ctx = Context("1", "1")
+    if not support:
+        assert type(spec.pmfs[ctx][("0", "1")]) is Fraction
+        with pytest.raises(TypeError):
+            spec.pmfs[ctx][("0", "1")] = Fraction(1, 2)
+    with pytest.raises(AttributeError):
+        spec.a_alphabet["1"].append("2")
+    with pytest.raises(TypeError):
+        spec.b_alphabet["2"] = ("0", "1")
+    with pytest.raises(TypeError):
+        stored[ctx] = stored[ctx]
+    before = repr(spec)
+    a_alphabet["1"].append("2")
+    table.clear()
+    assert repr(spec) == before
+
+
+@pytest.mark.parametrize("p", [0.5, "1/2"], ids=["float", "string"])
+def test_make_system_is_the_constructor(p):
+    # One builder per kind: a float or string probability is refused by
+    # either name, with the violation the file parser would also give.
+    assert make_system is SystemSpec and make_support is SupportSpec
+    pmfs = {("1", "1"): {("0", "0"): p, ("1", "1"): Fraction(1, 2)}}
+    for build in (make_system, SystemSpec):
+        with pytest.raises(InvalidSystemError) as exc:
+            build("inexact", BIN, BIN, pmfs)
+        assert exc.value.violations == [
+            f"context ('1', '1'): probability {p!r} at ('0', '0') is not an int or Fraction"
+        ]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        lambda: [("0", "0"), ["0", "1"]],
+        lambda: [("0", "0"), (["0"], "1")],
+        lambda: (pair for pair in [["0", "1"], ("0", "0")]),
+    ],
+    ids=["list-pair", "list-outcome", "generator"],
+)
+def test_unhashable_support_pair_is_a_violation(pairs):
+    for build in (make_support, SupportSpec):
+        with pytest.raises(InvalidSystemError) as exc:
+            build("unhashable", BIN, BIN, {("1", "1"): pairs()})
+        bad = next(pair for pair in pairs() if pair != ("0", "0"))
+        assert exc.value.violations == [f"context ('1', '1'): pair {bad} outside alphabet product"]
 
 
 def test_counts_built_once_per_system(monkeypatch):
@@ -510,12 +575,12 @@ class TestSupport:
 class TestCounts:
     def test_eprb_256(self):
         c = count_assignments(get("eprb_shape").system)
-        assert (c.value, c.base, c.exponent) == (256, 4, 4)
+        assert (c.value, c.factors) == (256, ((4, 4),))
         assert str(c) == "4^4"
 
     def test_ksp_factored(self):
         c = count_assignments(get("ksp_support").system)
-        assert (c.base, c.exponent) == (6, 1320)
+        assert c.factors == ((6, 1320),)
         assert c.value == 6**1320
 
 
