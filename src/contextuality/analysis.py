@@ -28,8 +28,14 @@ rows to 25 at 4x4 binary, 82 to 49 at 3x3 ternary and 101 to 36 at 5x5
 binary.
 
 Inside `classify` a realization is the search's outcome tuple, A-settings
-first; the LP reads its columns from these, and only returned components
-become `Realization`s.  The witness arithmetic runs over integers.
+first, and only returned components become `Realization`s.  The LP reads
+each column off a tuple as the kept rows its pairs hit, and its
+right-hand side is the system's integer counts (`SystemSpec._counts`), so
+it goes straight into `feasibility.incidence_tableau`: no rational row is
+built between the search and the simplex.  The witness arithmetic runs
+over integers too.  Both searches below run on explicit stacks, not
+self-referring closures, so reference counting alone frees what
+`classify` builds.
 
 The search (`_ns_outcomes`) branches on one side only.  A deterministic
 system with spacelike-separated components is a pair of per-side
@@ -40,7 +46,7 @@ over the B-settings.  Branching on the A-settings and listing each product
 whole is thus exact.
 
 A Farkas witness's bound is the largest score of an LP column, read off
-the LP's own rows, since the columns are every realization of the support.
+the LP's own columns, since they are every realization of the support.
 Each witness is then checked by one call of the local-bound oracle
 (`_local_bound`), a branch and bound on the same observation: once one
 side's function is fixed, every setting of the other side picks its best
@@ -55,7 +61,12 @@ from math import lcm, prod
 from operator import add, itemgetter, sub
 from typing import Mapping, NamedTuple
 
-from .feasibility import FarkasCertificate, FeasibleSolution, solve_feasibility
+from .feasibility import (
+    FarkasCertificate,
+    FeasibleSolution,
+    incidence_tableau,
+    solve_feasibility,
+)
 from .systems import (
     ONE,
     ZERO,
@@ -208,23 +219,26 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
                             return False
         return True
 
-    def search(a_live: list[set[Outcome]], b_live: list[set[Outcome]], free: list[int]) -> None:
+    # Depth first, on a stack of (A-domains, B-domains, unassigned A-settings).
+    # An empty B-domain leaves no g for any f.
+    stack = [(a_domains, b_domains, list(range(len(a_settings))))] if all(b_domains) else []
+    while stack:
+        a_live, b_live, free = stack.pop()
         if not free:
             if len(found) + prod(map(len, b_live)) > limit:
                 raise RealizationLimitExceeded(limit)
             f = tuple(value for (value,) in a_live)
             found.extend(f + g for g in product(*b_live))
-            return
+            continue
         var = min(free, key=lambda i: len(a_live[i]))
         rest = [i for i in free if i != var]
         unassigned = set(rest)
+        children = []
         for value in sorted(a_live[var]):
             a_next, b_next = list(a_live), list(b_live)
             if assign(a_next, b_next, var, value, unassigned):
-                search(a_next, b_next, rest)
-
-    if all(b_domains):  # an empty B-domain leaves no g for any f
-        search(a_domains, b_domains, list(range(len(a_settings))))
+                children.append((a_next, b_next, rest))
+        stack += reversed(children)  # the first value is searched first
     found.sort()
     return found
 
@@ -252,16 +266,17 @@ def _membership_problem(
     system: SystemSpec,
     outcomes: list[tuple[Outcome, ...]],
     supported: list[tuple[Context, Pair]],
-) -> tuple[list[dict[int, int]], list[Fraction], list[tuple[Context, Pair]]]:
+) -> tuple[list[list[int]], list[int], int, list[tuple[Context, Pair]]]:
     """One row per supported (context, pair) the Collins-Gisin rule keeps
     (module docstring), one column per realization, given by its outcome
     tuple (`_ns_outcomes`), plus normalization; feasibility of M p = d,
     p >= 0 is exactly decomposability.
 
-    Returns M as sparse rows, d, and the (context, pair) of each row but the
-    last.  Column j has a 1 in the row of each kept pair outcome tuple j
-    gives, and in the normalization row: each context with kept rows holds
-    the tuple positions of its x and y and a {pair: row} table.
+    Returns what `incidence_tableau` takes, and the (context, pair) of each
+    row but the last: per column, the kept rows holding its 1s, the pair
+    each kept context reads off the tuple by one `itemgetter`; and d as the
+    system's integer counts (`SystemSpec._counts`) over their denominator,
+    the normalization row left implied.
     """
     first_with_x: dict[str, Context] = {}
     first_with_y: dict[str, Context] = {}
@@ -281,23 +296,27 @@ def _membership_problem(
         keys.append((ctx, (a, b)))
     a_position = {x: i for i, x in enumerate(system.a_settings)}
     b_position = {y: i for i, y in enumerate(system.b_settings, len(a_position))}
-    tables = [(a_position[ctx.x], b_position[ctx.y], row_of) for ctx, row_of in kept.items()]
-    rows: list[dict[int, int]] = [{} for _ in keys]
-    for j, values in enumerate(outcomes):
-        for x, y, row_of in tables:
-            i = row_of.get((values[x], values[y]))
+    tables = [
+        (itemgetter(a_position[ctx.x], b_position[ctx.y]), row_of.get)
+        for ctx, row_of in kept.items()
+    ]
+    columns = []
+    for values in outcomes:
+        column = []
+        for pair_of, row_of in tables:
+            i = row_of(pair_of(values))
             if i is not None:
-                rows[i][j] = 1
-    rows.append(dict.fromkeys(range(len(outcomes)), 1))
-    rhs = [system.prob(ctx, pair) for ctx, pair in keys] + [ONE]
-    return rows, rhs, keys
+                column.append(i)
+        columns.append(column)
+    scale, counts = system._counts
+    return columns, [counts[ctx].get(pair, 0) for ctx, pair in keys], scale, keys
 
 
 def _witness_from_certificate(
     keys: list[tuple[Context, Pair]],
     certificate: FarkasCertificate,
     system: SystemSpec,
-    rows: list[dict[int, int]],
+    columns: list[list[int]],
 ) -> BellWitness:
     coefficients = {
         (ctx, pair[0], pair[1]): y
@@ -307,34 +326,32 @@ def _witness_from_certificate(
     # Normalize the bound to the best score of a realization that uses only
     # supported pairs.  `classify` lists every such realization as a column,
     # or raises RealizationLimitExceeded, so that score is the largest
-    # column score: the sum of y over the kept rows with a 1 in the column,
+    # column score: the sum of y over the kept rows holding the column's 1s,
     # the normalization row (the last) left out.  The Farkas inequalities
     # guarantee the system still scores strictly above it.  An LP over only
     # some of the columns would need the oracle limited to supported pairs
     # instead.  The scores run over y times their common denominator.
     scale = lcm(*(y.denominator for y in certificate.y))
-    scores = [0] * len(rows[-1])  # the normalization row holds every column
+    ys = [y.numerator * (scale // y.denominator) for y in certificate.y]
+    bound = max(sum(map(ys.__getitem__, column)) for column in columns)
     best: dict[Context, int] = {}
-    for (ctx, _), row, y in zip(keys, rows, certificate.y):
-        v = y.numerator * (scale // y.denominator)
+    for (ctx, _), v in zip(keys, ys):
         best[ctx] = max(best.get(ctx, 0), v)
-        if v:
-            for j in row:
-                scores[j] += v
-    bound = max(scores)
     # A realization outside the columns uses some pair of probability zero.
     # On the supported pairs it scores at most the sum over contexts of
     # max(0, largest coefficient), so charging each unsupported pair -K, K
     # that sum less the bound, holds it to the bound as well, and leaves
-    # the system's score as it was.
+    # the system's score as it was.  A context whose support is its whole
+    # alphabet product has no pair to charge.
     k = sum(best.values()) - bound
     if k > 0:
         charge = Fraction(-k, scale)
-        for ctx in system.contexts:
-            support = system.supports[ctx]
-            for a, b in system.pairs(ctx):
-                if (a, b) not in support:
-                    coefficients[(ctx, a, b)] = charge
+        for ctx, support in system.supports.items():
+            a_outcomes, b_outcomes = system.a_alphabet[ctx.x], system.b_alphabet[ctx.y]
+            if len(support) < len(a_outcomes) * len(b_outcomes):
+                for a, b in product(a_outcomes, b_outcomes):
+                    if (a, b) not in support:
+                        coefficients[(ctx, a, b)] = charge
     return _checked_witness(coefficients, system, Fraction(bound, scale))
 
 
@@ -410,16 +427,20 @@ def _local_bound(
     order = sorted(by_setting.values(), key=len, reverse=True)
     if not order:
         return ZERO
+    # Depth first, on a stack of (optimistic total, depth, sums, maxima):
+    # sums[t][b] is the score of t at b so far, plus the largest entry of
+    # column b of each table of t not yet assigned; maxima[t] = max(sums[t])
+    # and the total is sum(maxima), which no leaf below exceeds.
+    maxima = list(map(max, optimistic))
+    stack = [(sum(maxima), 0, optimistic, maxima)]
     best = None
-
-    def search(depth: int, sums: list[list[int]], maxima: list[int], total: int) -> None:
-        """sums[t][b]: the score of t at b so far, plus the largest entry of
-        column b of each table of t not yet assigned; maxima[t] = max(sums[t])
-        and total = sum(maxima), which no leaf below exceeds."""
-        nonlocal best
+    while stack:
+        total, depth, sums, maxima = stack.pop()
+        if best is not None and total <= best:
+            continue  # cut: no leaf below beats the best
         if depth == len(order):  # every table is assigned: total is a score
-            best = total if best is None else max(best, total)
-            return
+            best = total
+            continue
         entries = order[depth]
         children = []
         for row in range(len(entries[0][1])):
@@ -428,15 +449,10 @@ def _local_bound(
                 child_sums[t] = list(map(add, sums[t], regrets[row]))
                 child_maxima[t] = max(child_sums[t])
                 child_total += child_maxima[t] - maxima[t]
-            children.append((child_total, child_sums, child_maxima))
+            children.append((child_total, depth + 1, child_sums, child_maxima))
+        # Best total first, ties in row order: pushed in reverse.
         children.sort(key=itemgetter(0), reverse=True)
-        for child_total, child_sums, child_maxima in children:
-            if best is not None and child_total <= best:
-                break  # sorted: no later child beats the best either
-            search(depth + 1, child_sums, child_maxima, child_total)
-
-    maxima = list(map(max, optimistic))
-    search(0, optimistic, maxima, sum(maxima))
+        stack += reversed(children)
     return Fraction(best, scale)
 
 
@@ -479,8 +495,8 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
     if not columns:
         coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
         return Verdict("contextual", witness=_checked_witness(coefficients, system))
-    rows, rhs, keys = _membership_problem(system, columns, supported)
-    outcome = solve_feasibility(rows, rhs, len(columns))
+    incidence, rhs, scale, keys = _membership_problem(system, columns, supported)
+    outcome = solve_feasibility(incidence_tableau(incidence, rhs, scale))
     if isinstance(outcome, FeasibleSolution):
         # Keep every nonzero weight: a negative one must fail the check, not vanish.
         decomposition = Decomposition(
@@ -489,7 +505,7 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
         if not decomposition_reproduces(system, decomposition):
             raise CertificateError("the decomposition does not reproduce the system")
         return Verdict("noncontextual", decomposition, realization_count=len(columns))
-    witness = _witness_from_certificate(keys, outcome, system, rows)
+    witness = _witness_from_certificate(keys, outcome, system, incidence)
     return Verdict("contextual", witness=witness, realization_count=len(columns))
 
 

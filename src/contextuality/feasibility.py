@@ -1,12 +1,17 @@
 """Exact rational linear feasibility with Farkas certificates.
 
 Decides whether M p = d has a solution p >= 0, by an exact fraction-free
-phase-one simplex.  M arrives as one sparse row {column: rational} per
-constraint, and the tableau is assembled from those entries alone.  Each
-tableau row is a list of integers, a positive multiple of the rational
-row, with one slot per column: the n originals, the m artificials, the
-right-hand side, and a last slot that only the objective row fills (its
-scale).  A pivot on entry p of row r at column e lists the
+phase-one simplex.  The problem is first built into a `Tableau`, the one
+value `solve_feasibility` takes, by one of two builders.  `tableau` takes M
+as one sparse row {column: rational} per constraint and assembles the
+tableau from those entries alone.  `incidence_tableau` takes a 0/1 M with a
+last row of all 1s (the membership LP's shape): for each column the rows
+holding its 1s, and d as integers over a known denominator.  It writes the
+1s and the unit artificials straight into the rows, with no rational work
+per entry.  Each tableau row is a list of integers, a positive multiple of
+the rational row, with one slot per column: the n originals, the m
+artificials, the right-hand side, and a last slot that only the objective
+row fills (its scale).  A pivot on entry p of row r at column e lists the
 nonzero entries of row r once, then sets every other row with a nonzero at
 e to p*row - row[e]*row_r, after dividing p and row[e] by their gcd
 (fraction-free elimination in the style of Edmonds 1967 and Bareiss 1968),
@@ -24,7 +29,8 @@ ratio the pivoting rules read, so pivots and results are those of the
 rational tableau.
 
 The right-hand side d is first multiplied by D, the lcm of its
-denominators, and the solution divided by D at the end.  Scaling d by a
+denominators (`tableau`) or the denominator given (`incidence_tableau`),
+and the solution divided by D at the end.  Scaling d by a
 positive constant scales every rhs entry of every tableau and nothing
 else: reduced costs do not read d, ratio-test ratios all scale by D, so
 the same row wins with the same ties, and a step is zero exactly when it
@@ -32,7 +38,8 @@ was.  The pivots and the Farkas vector are thus those of the unscaled
 problem, and its solution is the scaled one divided by D.  Rows with
 integer entries (the membership LP's 0/1 rows) then start out integer with
 a unit artificial, instead of carrying the rhs denominator as a row scale
-through every combine.
+through every combine.  So both builders give the same pivots on one 0/1
+problem: their tableaux differ only by a positive constant on the rhs.
 
 Pricing follows Dantzig's rule: the column with the most negative reduced
 cost enters, ties to the lowest index.  After DEGENERATE_RUN degenerate
@@ -127,20 +134,31 @@ def _combine(row: list[int], a: int, pivot_row: list[int], p: int, nonzeros, sca
     return _reduce(row)
 
 
-def solve_feasibility(
+class Tableau(NamedTuple):
+    """A phase-one tableau, ready to solve (module docstring).
+
+    `rows` are the constraint rows and `objective` the objective row, each
+    a list of integers of one width; artificial i is basic in row i.  The
+    right-hand side is the problem's times `denominator`, and row i its
+    constraint times `flip[i]`, so that the rhs is nonnegative.  Solving
+    pivots the rows in place, so a tableau is solved once: solving it again
+    raises ValueError.
+    """
+
+    rows: list[list[int]]
+    objective: list[int]
+    num_cols: int
+    flip: list[int]
+    denominator: int
+
+
+def tableau(
     rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], num_cols: int
-) -> FeasibleSolution | FarkasCertificate:
-    """Phase-one simplex; deterministic for a fixed problem.
+) -> Tableau:
+    """The tableau of M p = d, p >= 0, from sparse rational rows.
 
     Row i of M is rows[i], {column: entry} with columns in [0, num_cols)
     and absent entries zero; d is rhs.  Entries may be int or Fraction.
-    The tableau holds integer rows of one width.  Row i stands for the
-    rational row tab[i] / tab[i][basis[i]], which has 1 in its basic column;
-    the objective stands for obj / obj[SCALE].  Every stored row is a
-    positive multiple of the rational one, and every reduced cost shares the
-    scale obj[SCALE], so each sign, ratio and comparison the pricing reads,
-    and thus the whole pivot sequence, is that of the rational tableau.  The
-    outcome counts its pivots and the degenerate ones among them.
     """
     if len(rows) != len(rhs):
         raise ValueError(f"{len(rows)} rows but {len(rhs)} rhs entries")
@@ -168,7 +186,6 @@ def solve_feasibility(
             int_row[j] = s * v.numerator * (row_scale // v.denominator)
         int_row[n + i], int_row[d_col] = row_scale, s * d * row_scale
         tab.append(int_row)
-    basis = [n + i for i in range(m)]
 
     # Objective: minimize the sum of artificials.  Reduced costs start as
     # c - sum of constraint rows on the artificial basis, which is 0 on the
@@ -181,7 +198,66 @@ def solve_feasibility(
         k = scale // int_row[n + i]
         for j in (*row, d_col):
             obj[j] -= k * int_row[j]
-    obj = _reduce(obj)
+    return Tableau(tab, _reduce(obj), n, flip, rhs_scale)
+
+
+def incidence_tableau(columns: list[list[int]], rhs: list[int], denominator: int) -> Tableau:
+    """The tableau of a 0/1 problem with a normalization row.
+
+    Column j has a 1 in each row columns[j] lists, distinct indices in
+    [0, len(rhs)), and in the normalization row, a last row of all 1s.
+    The right-hand side is rhs, then 1 for the normalization row, all over
+    `denominator`: integers, nonnegative, so no row is flipped or scaled.
+    The tableau is `tableau`'s of those rows, its right-hand side times the
+    positive constant denominator / lcm of the rhs denominators, which
+    changes no pivot (module docstring).  Each row's artificial entry is 1,
+    and so is the objective's scale; original column j's reduced cost is
+    minus its row count, normalization included.
+    """
+    if min(rhs, default=0) < 0 or denominator <= 0:
+        raise ValueError("the right-hand side must be nonnegative over a positive denominator")
+    m, n = len(rhs) + 1, len(columns)
+    used = set().union(*columns)
+    if used and not (0 <= min(used) and max(used) < m - 1):
+        raise ValueError(f"a row index outside [0, {m - 1})")
+    d_col = n + m
+    width = d_col + 2
+    tab = [[0] * width for _ in range(m)]
+    for i, (row, d) in enumerate(zip(tab, (*rhs, denominator))):
+        row[n + i], row[d_col] = 1, d
+    normalization = tab[-1]
+    obj = [0] * width
+    obj[d_col], obj[SCALE] = -sum(rhs) - denominator, 1
+    for j, column in enumerate(columns):
+        for i in column:
+            tab[i][j] = 1
+        normalization[j] = 1
+        obj[j] = -len(column) - 1
+    return Tableau(tab, obj, n, [1] * m, denominator)
+
+
+def solve_feasibility(problem: Tableau) -> FeasibleSolution | FarkasCertificate:
+    """Phase-one simplex on a tableau (`tableau`, `incidence_tableau`);
+    deterministic for a fixed problem.
+
+    The tableau holds integer rows of one width.  Row i stands for the
+    rational row tab[i] / tab[i][basis[i]], which has 1 in its basic column;
+    the objective stands for obj / obj[SCALE].  Every stored row is a
+    positive multiple of the rational one, and every reduced cost shares the
+    scale obj[SCALE], so each sign, ratio and comparison the pricing reads,
+    and thus the whole pivot sequence, is that of the rational tableau.  The
+    outcome counts its pivots and the degenerate ones among them.
+    """
+    tab, objective, n, flip, rhs_scale = problem
+    if objective[SCALE] <= 0:
+        raise ValueError("the tableau was solved already: a tableau is solved once")
+    # The rows are pivoted in place, so the tableau is marked solved at once
+    # by an objective scale no tableau has; the solve runs on a copy of it.
+    obj = objective[:]
+    objective[SCALE] = 0
+    m = len(tab)
+    d_col = n + m
+    basis = [n + i for i in range(m)]
 
     pivots = degenerate = run = 0
     stretch: set[tuple[int, ...]] = set()  # the bases of this Bland stretch

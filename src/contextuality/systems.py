@@ -75,7 +75,8 @@ class Spec:
     holds its keys.  Every spec answers `supports`, a read-only
     {context: frozenset of pairs} of the pairs each context allows: a
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
-    a spec checks it: one `validate` rejects raises `InvalidSystemError`.
+    a spec checks it: one `validate` rejects, or a table key that is no
+    2-tuple, raises `InvalidSystemError`.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -87,7 +88,12 @@ class Spec:
     _fields = ("name", "a_alphabet", "b_alphabet", "contexts")
 
     def __init__(self, name, a_alphabet, b_alphabet, table):
-        contexts = tuple(sorted(map(Context._make, table), key=context_key))
+        # A key that is no 2-tuple names no context: it is left out, and
+        # reported with the violations `validate` finds.
+        keys, malformed = [], []
+        for key in table:
+            (keys if isinstance(key, tuple) and len(key) == 2 else malformed).append(key)
+        contexts = tuple(sorted(map(Context._make, keys), key=context_key))
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
         fields["a_alphabet"], fields["b_alphabet"] = (
@@ -99,7 +105,9 @@ class Spec:
         fields[self._fields[-1]] = MappingProxyType(
             {ctx: self._freeze(table[ctx]) for ctx in contexts}
         )
-        violations = validate(self)
+        violations = [
+            f"table key {key!r} is not an (A-setting, B-setting) pair" for key in malformed
+        ] + validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
 
@@ -145,9 +153,14 @@ class SystemSpec(Spec):
 
     @staticmethod
     def _freeze(pmf) -> Mapping[Pair, Fraction]:
-        # A float or string is kept as given, for `validate` to report.
+        # A float or string is kept as given, for `validate` to report, and
+        # so is a pmf that is no mapping.
+        try:
+            items = pmf.items()
+        except AttributeError:
+            return pmf
         return MappingProxyType(
-            {pair: Fraction(p) if isinstance(p, int) else p for pair, p in pmf.items()}
+            {pair: Fraction(p) if isinstance(p, int) else p for pair, p in items}
         )
 
     def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
@@ -192,10 +205,12 @@ class SupportSpec(Spec):
 
     @staticmethod
     def _freeze(pairs) -> frozenset[Pair]:
-        pairs = tuple(pairs)
+        # A support that is no collection, or holds an unhashable pair, is
+        # kept for `validate` to report.
         try:
+            pairs = tuple(pairs)
             return frozenset(pairs)
-        except TypeError:  # an unhashable pair, kept for `validate` to report
+        except TypeError:
             return pairs
 
 
@@ -242,19 +257,27 @@ class SignalingWitness(NamedTuple):
 def validate(spec: Spec) -> list[str]:
     """Return every invariant violation; an empty list means the spec is valid.
 
-    Holds for both kinds of spec: every alphabet is non-empty and
-    duplicate-free, contexts use declared settings, and each context's pmf
-    or support lies inside its alphabet product.  A pmf holds ints or
-    Fractions, non-negative, summing to 1; a support is non-empty.  Every
+    Holds for both kinds of spec: every alphabet is non-empty,
+    duplicate-free and of hashable outcomes, contexts use declared
+    settings, and each context's pmf or support lies inside its alphabet
+    product.  A pmf is a mapping holding ints or Fractions, non-negative,
+    summing to 1; a support is a non-empty collection.  Every
     spec constructor runs it and refuses a spec it rejects, so on a built
     spec it returns [].
     """
     violations: list[str] = []
-    a_sets = {x: set(outcomes) for x, outcomes in spec.a_alphabet.items()}
-    b_sets = {y: set(outcomes) for y, outcomes in spec.b_alphabet.items()}
+    a_sets: dict[str, set[Outcome]] = {}
+    b_sets: dict[str, set[Outcome]] = {}
     for side, alphabets, sets in (("A", spec.a_alphabet, a_sets), ("B", spec.b_alphabet, b_sets)):
         for s, outcomes in alphabets.items():
-            if not outcomes or len(sets[s]) != len(outcomes):
+            try:
+                outcome_set = set(outcomes)
+            except TypeError:  # an outcome that cannot sit in a pair; check the rest
+                violations.append(f"{side}-setting {s!r}: alphabet has an unhashable outcome")
+                outcomes = [o for o in outcomes if _hashable(o)]
+                outcome_set = set(outcomes)
+            sets[s] = outcome_set
+            if not outcomes or len(outcome_set) != len(outcomes):
                 violations.append(
                     f"{side}-setting {s!r}: alphabet must be non-empty and duplicate-free"
                 )
@@ -262,23 +285,43 @@ def validate(spec: Spec) -> list[str]:
         violations.append("no contexts")
     probabilistic = isinstance(spec, SystemSpec)
     tables = spec.pmfs if probabilistic else spec.supports
+    # The constructor keeps a pmf that is no mapping, or a support that is
+    # no collection, as given: such a context is reported and not checked
+    # further.  A pmf that is no mapping leaves the system no counts.
+    malformed: list[Context] = []
     counts = None
     if probabilistic:
         try:
             scale, counts = spec._counts
-        except (AttributeError, TypeError):  # a probability with no exact counts
-            violations += [
-                f"context {tuple(ctx)}: probability {p!r} at {pair} is not an int or Fraction"
-                for ctx, pmf in tables.items()
-                for pair, p in pmf.items()
-                if not isinstance(p, (int, Fraction))
-            ]
+        except (AttributeError, TypeError):  # a pmf or probability with no exact counts
+            for ctx, pmf in tables.items():
+                if not isinstance(pmf, Mapping):
+                    malformed.append(ctx)
+                    violations.append(
+                        f"context {tuple(ctx)}: pmf {pmf!r} is not a mapping from pairs "
+                        "to probabilities"
+                    )
+                    continue
+                violations += [
+                    f"context {tuple(ctx)}: probability {p!r} at {pair} is not an int or Fraction"
+                    for pair, p in pmf.items()
+                    if not isinstance(p, (int, Fraction))
+                ]
+    else:
+        for ctx, pairs in tables.items():
+            if not isinstance(pairs, (frozenset, tuple)):
+                malformed.append(ctx)
+                violations.append(
+                    f"context {tuple(ctx)}: support {pairs!r} is not a collection of pairs"
+                )
     for ctx in spec.contexts:
         if ctx.x not in spec.a_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown A-setting {ctx.x!r}")
             continue
         if ctx.y not in spec.b_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {ctx.y!r}")
+            continue
+        if ctx in malformed:
             continue
         table = tables[ctx]
         # A pair is in the alphabet product iff it is a 2-tuple of an
@@ -309,6 +352,14 @@ def validate(spec: Spec) -> list[str]:
             total = Fraction(total, scale)
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
     return violations
+
+
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def marginal(

@@ -8,8 +8,10 @@ non-signaling holds by construction with no tolerance.
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -155,6 +157,23 @@ def checker_accepts(system: SystemSpec, coefficients, bound) -> bool:
     return problem is None
 
 
+def benchmark_systems(workload: str, seed: int = 1) -> list[SystemSpec]:
+    """The systems perfbench/gen.py draws for a workload: the 2,000 of
+    `batch-2x2`, or the 8 draws of every `ladder` rung, as the benchmark
+    builds them."""
+    perfbench = str(Path(__file__).parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)  # gen.py imports checker.py by name
+    try:
+        gen = importlib.import_module("gen")
+    finally:
+        sys.path.remove(perfbench)
+    if workload == "batch-2x2":
+        cases = gen.batch_cases(seed)
+    else:
+        cases = [case for cases in gen.ladder_passes(seed, 8) for case in cases]
+    return [make_system(c.name, c.a_alph, c.b_alph, c.pmfs) for c in cases]
+
+
 def every_pair(system: SystemSpec) -> list:
     """Every (context, pair) of the system, contexts in sorted order."""
     return [(ctx, pair) for ctx in system.contexts for pair in system.pairs(ctx)]
@@ -259,6 +278,17 @@ def sparse_rows(problem: FeasibilityProblem):
     """The arguments `solve_feasibility` takes for a dense problem."""
     rows = [{j: v for j, v in enumerate(row) if v} for row in problem.matrix]
     return rows, list(problem.rhs), problem.num_cols
+
+
+def incidence_rows(columns, rhs, denominator):
+    """The sparse rows, rhs and column count of `incidence_tableau`'s
+    arguments: column j has a 1 in each row columns[j] lists and in a last
+    normalization row, and the rhs is rhs, then 1, over `denominator`."""
+    rows = [{} for _ in rhs] + [dict.fromkeys(range(len(columns)), 1)]
+    for j, column in enumerate(columns):
+        for i in column:
+            rows[i][j] = 1
+    return rows, [Fraction(d, denominator) for d in rhs] + [ONE], len(columns)
 
 
 def dense_problem(rows, rhs, num_cols: int) -> FeasibilityProblem:

@@ -28,6 +28,7 @@ from contextuality import (
     pair_as_mixture,
     peres_rays,
     solve_feasibility,
+    tableau,
     witness_score,
 )
 from contextuality.feasibility import FarkasCertificate, FeasibleSolution
@@ -255,7 +256,7 @@ def test_certificate_soundness():
         ]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
         problem = make_problem(matrix, rhs)
-        outcome = solve_feasibility(*sparse_rows(problem))
+        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
         ok &= verify(problem, outcome)
         if isinstance(outcome, FeasibleSolution) and n:
             forged = FeasibleSolution(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -29,6 +30,7 @@ from contextuality.feasibility import (
     FarkasCertificate,
     FeasibleSolution,
     solve_feasibility,
+    tableau,
 )
 from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_search
 from contextuality.systems import Context, marginal, mix_context_dependent
@@ -41,6 +43,7 @@ from helpers import (
     every_pair,
     full_support,
     full_membership_problem,
+    incidence_rows,
     noisy_mixture,
     perfect_chained_box,
     random_deterministic_ns,
@@ -339,17 +342,37 @@ class TestClassify:
         assert exc.value.violations == violations
 
 
+def test_classify_leaves_no_reference_cycles():
+    # Reference counting alone frees what `classify` builds, its search
+    # tables included: with the cyclic collector off, a collection after
+    # classifying finds nothing.  A decomposition, a Farkas witness and a
+    # support witness.
+    systems = [
+        mix([(get("d1").system, HALF), (get("d2").system, HALF)]),
+        mix([(conspiracy_system(), Fraction(3, 4)), (uniform_system(BIN, BIN), Fraction(1, 4))]),
+        conspiracy_system(),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        kinds = [classify(system).kind for system in systems]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert kinds == ["noncontextual", "contextual", "contextual"]
+
+
 class TestCertificateChecks:
     """A wrong solver outcome must be refused, also under `python -O`."""
 
     @pytest.mark.parametrize(
         "system, wrong",
         [
-            (get("d_eprb").system, lambda rows, rhs, n: FeasibleSolution(p=(Fraction(2),) * n)),
+            (get("d_eprb").system, lambda problem: FeasibleSolution(p=(Fraction(2),) * problem.num_cols)),
             (
                 # contextual, and its full support admits all 16 realizations
                 mix([(conspiracy_system(), Fraction(3, 4)), (uniform_system(BIN, BIN), Fraction(1, 4))]),
-                lambda rows, rhs, n: FarkasCertificate(y=(Fraction(0),) * len(rows)),
+                lambda problem: FarkasCertificate(y=(Fraction(0),) * len(problem.rows)),
             ),
         ],
         ids=["feasible", "farkas"],
@@ -386,7 +409,7 @@ class TestCertificateChecks:
             classify(mix([(get("d1").system, HALF), (get("d2").system, HALF)]))
 
 
-def _no_solver(rows, rhs, num_cols):
+def _no_solver(problem):
     raise AssertionError("the support decides this system; no LP is needed")
 
 
@@ -487,11 +510,13 @@ class TestKeptRows:
             columns = enumerate_ns_realizations(columns_from)
             outcomes = analysis._ns_outcomes(columns_from, analysis.DEFAULT_LIMIT)
             supported = [(ctx, pair) for ctx in system.contexts for pair in pairs_of(ctx)]
-            rows, rhs, keys = analysis._membership_problem(system, outcomes, supported)
+            incidence = analysis._membership_problem(system, outcomes, supported)
+            rows, rhs, _ = incidence_rows(*incidence[:3])
+            keys = incidence[-1]
             full_rows, full_rhs, _ = full_membership_problem(system, columns, supported)
             assert len(rows) <= len(full_rows)
-            reduced = solve_feasibility(rows, rhs, len(columns))
-            full = solve_feasibility(full_rows, full_rhs, len(columns))
+            reduced = solve_feasibility(tableau(rows, rhs, len(columns)))
+            full = solve_feasibility(tableau(full_rows, full_rhs, len(columns)))
             assert type(reduced) is type(full)
             kinds.add(type(reduced))
             if isinstance(reduced, FeasibleSolution):
@@ -516,7 +541,8 @@ class TestKeptRows:
         # Collins-Gisin: (k-1)^2 per context, (k-1) per setting, and one.
         alph = {str(i): tuple(map(str, range(outcomes))) for i in range(1, settings + 1)}
         system = uniform_system(alph, alph)
-        assert len(analysis._membership_problem(system, (), every_pair(system))[0]) == rows
+        keys = analysis._membership_problem(system, (), every_pair(system))[-1]
+        assert len(keys) + 1 == rows
 
 
 def _column_cases():

@@ -10,19 +10,25 @@ from contextuality import (
     FarkasCertificate,
     FeasibleSolution,
     analysis,
+    check_nonsignaling,
+    classify,
     decomposition_reproduces,
     enumerate_ns_realizations,
     feasibility,
+    incidence_tableau,
     mix,
     solve_feasibility,
     support_of,
+    tableau,
 )
 
 from helpers import (
+    benchmark_systems,
     dense_bland_solve,
     dense_problem,
     every_pair,
     full_support,
+    incidence_rows,
     make_problem,
     noisy_mixture,
     random_deterministic_ns,
@@ -51,7 +57,7 @@ def _solve_as_sparse_reference(rows, rhs, num_cols):
         return combine(*args)
 
     with mock.patch.object(feasibility, "_combine", capped):
-        outcome = solve_feasibility(rows, rhs, num_cols)
+        outcome = solve_feasibility(tableau(rows, rhs, num_cols))
     assert outcome == reference
     assert (outcome.pivots, outcome.degenerate_pivots) == (
         reference.pivots, reference.degenerate_pivots
@@ -61,7 +67,7 @@ def _solve_as_sparse_reference(rows, rhs, num_cols):
 
 def test_normalization_only_is_feasible():
     problem = make_problem([[1, 1]], [1])
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FeasibleSolution)
     assert outcome.p == (Fraction(1), Fraction(0))
     assert verify(problem, outcome)
@@ -69,7 +75,7 @@ def test_normalization_only_is_feasible():
 
 def test_contradictory_rows_give_certificate():
     problem = make_problem([[1, 1], [1, 1]], [1, 2])
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FarkasCertificate)
     assert verify(problem, outcome)
     assert sum(y * d for y, d in zip(outcome.y, problem.rhs)) > 0
@@ -77,16 +83,16 @@ def test_contradictory_rows_give_certificate():
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_feasibility([{0: 1, 1: 1}], [1, 2], 2)
+        solve_feasibility(tableau([{0: 1, 1: 1}], [1, 2], 2))
     with pytest.raises(ValueError):
-        solve_feasibility([{0: 1, 1: 1}, {2: 1}], [1, 2], 2)
+        solve_feasibility(tableau([{0: 1, 1: 1}, {2: 1}], [1, 2], 2))
     with pytest.raises(ValueError):
-        solve_feasibility([{-1: 1}], [1], 2)
+        solve_feasibility(tableau([{-1: 1}], [1], 2))
 
 
 def test_zero_columns_and_duplicate_columns_are_legal():
     def solve(matrix, rhs):
-        return solve_feasibility(*sparse_rows(make_problem(matrix, rhs)))
+        return solve_feasibility(tableau(*sparse_rows(make_problem(matrix, rhs))))
 
     # a column of zeros
     assert isinstance(solve([[0, 1]], [1]), FeasibleSolution)
@@ -99,14 +105,14 @@ def test_zero_columns_and_duplicate_columns_are_legal():
 
 def test_negative_rhs_handled():
     problem = make_problem([[-1, 0], [0, 1]], [-2, 1])
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FeasibleSolution)
     assert outcome.p[0] == 2
 
 
 def test_verify_rejects_forgeries():
     problem = make_problem([[1, 1], [1, -1]], [1, 0])
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FeasibleSolution)
     assert verify(problem, outcome)
     # negate one entry of the solution
@@ -116,7 +122,7 @@ def test_verify_rejects_forgeries():
     assert not verify(problem, FarkasCertificate(y=(Fraction(0), Fraction(0))))
 
     infeasible = make_problem([[1, 1], [1, 1]], [1, 2])
-    cert = solve_feasibility(*sparse_rows(infeasible))
+    cert = solve_feasibility(tableau(*sparse_rows(infeasible)))
     assert isinstance(cert, FarkasCertificate)
     # y with y.d = 0 must fail: strict inequality is required
     assert not verify(infeasible, FarkasCertificate(y=(Fraction(0), Fraction(0))))
@@ -143,7 +149,7 @@ def test_soundness_on_random_problems():
     rng = random.Random(99)
     for _ in range(300):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(*sparse_rows(problem))
+        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
         assert verify(problem, outcome)
 
 
@@ -152,14 +158,14 @@ def test_determinism():
     for _ in range(50):
         problem = _random_problem(rng)
         args = sparse_rows(problem)
-        assert solve_feasibility(*args) == solve_feasibility(*args)
+        assert solve_feasibility(tableau(*args)) == solve_feasibility(tableau(*args))
 
 
 def test_row_scaling_preserves_verdict_kind():
     rng = random.Random(17)
     for _ in range(100):
         problem = _random_problem(rng)
-        kind = type(solve_feasibility(*sparse_rows(problem)))
+        kind = type(solve_feasibility(tableau(*sparse_rows(problem))))
         scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in problem.rhs]
         scaled = make_problem(
             [
@@ -168,14 +174,14 @@ def test_row_scaling_preserves_verdict_kind():
             ],
             [s * d for s, d in zip(scales, problem.rhs)],
         )
-        assert type(solve_feasibility(*sparse_rows(scaled))) is kind
+        assert type(solve_feasibility(tableau(*sparse_rows(scaled)))) is kind
 
 
 def test_mutual_exclusion():
     rng = random.Random(41)
     for _ in range(100):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(*sparse_rows(problem))
+        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
         if isinstance(outcome, FeasibleSolution):
             # no certificate can verify against a feasible problem
             forged = FarkasCertificate(
@@ -211,9 +217,9 @@ def test_equals_dense_reference_on_random_problems(seed):
 def _assert_rhs_scaling_invariant(rows, rhs, num_cols):
     # The solver multiplies the rhs by its common denominator; scaling it by
     # c beforehand must change nothing but the solution, which scales by c.
-    outcome = solve_feasibility(rows, rhs, num_cols)
+    outcome = solve_feasibility(tableau(rows, rhs, num_cols))
     for c in (2, 60, 7919):
-        scaled = solve_feasibility(rows, [c * d for d in rhs], num_cols)
+        scaled = solve_feasibility(tableau(rows, [c * d for d in rhs], num_cols))
         assert type(scaled) is type(outcome)
         assert (scaled.pivots, scaled.degenerate_pivots) == (
             outcome.pivots, outcome.degenerate_pivots
@@ -244,11 +250,14 @@ def _4x4_membership(columns_from: str):
     return system, support_of(system if columns_from == "own" else other)
 
 
-def _4x4_membership_lp(columns_from: str):
+def _4x4_membership_incidence(columns_from: str):
     system, support = _4x4_membership(columns_from)
     outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
-    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
-    return rows, rhs, len(outcomes)
+    return analysis._membership_problem(system, outcomes, every_pair(system))[:3]
+
+
+def _4x4_membership_lp(columns_from: str):
+    return incidence_rows(*_4x4_membership_incidence(columns_from))
 
 
 @pytest.mark.parametrize("columns_from", ["own", "other"], ids=["feasible", "infeasible"])
@@ -284,7 +293,7 @@ def test_every_stored_row_has_gcd_1(monkeypatch, lps):
 
     monkeypatch.setattr(feasibility, "_combine", checked)
     for problem in problems:
-        solve_feasibility(*problem)
+        solve_feasibility(tableau(*problem))
     assert returned > 100
     assert unreduced == []
 
@@ -297,7 +306,7 @@ def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
         rng = random.Random(seed)
         for _ in range(500):
             problem = _random_problem(rng)
-            assert solve_feasibility(*sparse_rows(problem)) == dense_bland_solve(problem)
+            assert solve_feasibility(tableau(*sparse_rows(problem))) == dense_bland_solve(problem)
 
 
 @pytest.mark.parametrize(
@@ -334,7 +343,9 @@ def test_equals_dense_reference_on_4x4_membership(columns_from):
     system, support = _4x4_membership(columns_from)
     columns = enumerate_ns_realizations(support)
     outcomes = analysis._ns_outcomes(support, analysis.DEFAULT_LIMIT)
-    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
+    rows, rhs, _ = incidence_rows(
+        *analysis._membership_problem(system, outcomes, every_pair(system))[:3]
+    )
     assert len(rows) == 25  # of 65: 16 contexts x 1 pair, 4 + 4 marginals, normalization
     problem = dense_problem(rows, rhs, len(columns))
     outcome = _solve_as_sparse_reference(rows, rhs, len(columns))
@@ -381,7 +392,7 @@ def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
 
     monkeypatch.setattr(feasibility, "_combine", counted)
     problem = _beale_problem()
-    outcome = solve_feasibility(*sparse_rows(problem))
+    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
     assert verify(problem, outcome)
     # Dantzig's rule runs out its 50 degenerate pivots; Bland's rule then
     # leaves within a few.
@@ -390,7 +401,68 @@ def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
     # Given 100, Dantzig's rule spends them all: more degenerate pivots in a
     # row than the LP has bases (8 columns choose 4 = 70), so it cycles.
     monkeypatch.setattr(feasibility, "DEGENERATE_RUN", 100)
-    assert solve_feasibility(*sparse_rows(problem)).degenerate_pivots >= 100
+    assert solve_feasibility(tableau(*sparse_rows(problem))).degenerate_pivots >= 100
+
+
+def _classify_lps(monkeypatch, systems):
+    """The `incidence_tableau` arguments of every LP `classify` solves on
+    the non-signaling systems among `systems`."""
+    lps, build = [], analysis.incidence_tableau
+
+    def recorded(*args):
+        lps.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(analysis, "incidence_tableau", recorded)
+    for system in systems:
+        if check_nonsignaling(system) is None:
+            classify(system)
+    return lps
+
+
+@pytest.mark.parametrize("lps", ["batch-2x2", "ladder", "4x4-membership"])
+def test_incidence_tableau_pivots_as_sparse_rows(monkeypatch, lps):
+    # The incidence tableau is the sparse rows' tableau with its rhs scaled
+    # by a positive constant: the same pivots, and the same outcome.  Here
+    # on the membership LPs of the benchmark's batch-2x2 systems (seed 1)
+    # and ladder draws, and on both 4x4 membership LPs.
+    if lps == "4x4-membership":
+        problems = [_4x4_membership_incidence(c) for c in ("own", "other")]
+    else:
+        problems = _classify_lps(monkeypatch, benchmark_systems(lps))
+    kinds = set()
+    for problem in problems:
+        incidence = solve_feasibility(incidence_tableau(*problem))
+        sparse = solve_feasibility(tableau(*incidence_rows(*problem)))
+        assert incidence == sparse
+        assert (incidence.pivots, incidence.degenerate_pivots) == (
+            sparse.pivots, sparse.degenerate_pivots
+        )
+        kinds.add(type(incidence))
+    assert kinds == {FeasibleSolution, FarkasCertificate}
+
+
+def test_a_tableau_is_solved_once():
+    # Solving pivots the tableau's rows in place; a second solve would start
+    # from the final tableau as if it were the first, so it raises instead.
+    for problem in (
+        tableau([{0: 1, 1: 1}, {0: 1}], [1, Fraction(1, 2)], 2),
+        incidence_tableau([[0], [1], [0, 1]], [1, 1], 3),
+    ):
+        assert solve_feasibility(problem).pivots > 0
+        with pytest.raises(ValueError, match="solved once"):
+            solve_feasibility(problem)
+
+
+def test_incidence_tableau_checks_its_arguments():
+    for columns, rhs, denominator in [
+        ([[0], [1]], [1], 2),  # a row index past the kept rows
+        ([[-1]], [1], 2),  # a negative row index
+        ([[0]], [-1], 2),  # a negative rhs
+        ([[0]], [1], 0),  # no positive denominator
+    ]:
+        with pytest.raises(ValueError):
+            incidence_tableau(columns, rhs, denominator)
 
 
 def _interior_point_lp():
@@ -399,8 +471,7 @@ def _interior_point_lp():
     alph = {str(i): ("0", "1") for i in range(1, 5)}
     system = noisy_mixture(rng, alph, alph)
     outcomes = analysis._ns_outcomes(full_support(system), analysis.DEFAULT_LIMIT)
-    rows, rhs, _ = analysis._membership_problem(system, outcomes, every_pair(system))
-    return rows, rhs, len(outcomes)
+    return incidence_rows(*analysis._membership_problem(system, outcomes, every_pair(system))[:3])
 
 
 def test_degenerate_pivots_stay_bounded_on_an_interior_point():
@@ -465,7 +536,7 @@ def test_corrupt_tableau_raises(monkeypatch, mutation, problem, check):
     lp = sparse_rows(_beale_problem()) if problem == "beale" else _interior_point_lp()
     monkeypatch.setattr(feasibility, "_combine", _corrupting(mutation))
     with pytest.raises(RuntimeError, match=check):
-        solve_feasibility(*lp)
+        solve_feasibility(tableau(*lp))
 
 
 def test_pivot_counts_do_not_change_equality():

@@ -483,6 +483,56 @@ def test_unhashable_support_pair_is_a_violation(pairs):
         assert exc.value.violations == [f"context ('1', '1'): pair {bad} outside alphabet product"]
 
 
+ONE_SETTING = {"1": ("0", "1")}
+
+
+@pytest.mark.parametrize(
+    "table, violation",
+    [
+        (
+            {"11": {("0", "0"): 1}},
+            "table key '11' is not an (A-setting, B-setting) pair",
+        ),
+        (
+            {("1", "1", "1"): {("0", "0"): 1}},
+            "table key ('1', '1', '1') is not an (A-setting, B-setting) pair",
+        ),
+        (
+            {("1", "1"): [(("0", "0"), 1)]},
+            "context ('1', '1'): pmf [(('0', '0'), 1)] is not a mapping from pairs to probabilities",
+        ),
+    ],
+    ids=["string-key", "3-tuple-key", "list-pmf"],
+)
+def test_malformed_table_is_a_violation(table, violation):
+    # Plain data that names no context, or a pmf that is no mapping, is
+    # reported like any other violation, not raised as KeyError, TypeError
+    # or AttributeError.
+    with pytest.raises(InvalidSystemError) as exc:
+        make_system("malformed", ONE_SETTING, ONE_SETTING, table)
+    assert exc.value.violations[0] == violation
+
+
+def test_unhashable_alphabet_outcome_is_a_violation():
+    # An outcome that cannot sit in a pair is reported; the rest of the
+    # alphabet is still checked, so ("1", "0") is inside the product.
+    with pytest.raises(InvalidSystemError) as exc:
+        make_system("a", {"1": [["0"], "1"]}, ONE_SETTING, {("1", "1"): {("1", "0"): 1}})
+    assert exc.value.violations == ["A-setting '1': alphabet has an unhashable outcome"]
+    with pytest.raises(InvalidSystemError) as exc:
+        make_support("a", {"1": ["0", "0", {}]}, ONE_SETTING, {("1", "1"): [("0", "0")]})
+    assert exc.value.violations == [
+        "A-setting '1': alphabet has an unhashable outcome",
+        "A-setting '1': alphabet must be non-empty and duplicate-free",
+    ]
+
+
+def test_support_that_is_no_collection_is_a_violation():
+    with pytest.raises(InvalidSystemError) as exc:
+        make_support("s", ONE_SETTING, ONE_SETTING, {("1", "1"): 5})
+    assert exc.value.violations == ["context ('1', '1'): support 5 is not a collection of pairs"]
+
+
 def test_counts_built_once_per_system(monkeypatch):
     # validate, check_nonsignaling and decomposition_reproduces all read
     # the integer counts; one lcm call means they are built only once.
