@@ -26,7 +26,6 @@ from .feasibility import (
     FeasibleSolution,
     incidence_tableau,
     solve_feasibility,
-    tableau,
 )
 from .peres import (
     Ray,
@@ -103,7 +102,6 @@ __all__ = [
     "peres_rays",
     "solve_feasibility",
     "support_of",
-    "tableau",
     "validate",
     "witness_score",
 ]

@@ -2,44 +2,38 @@
 
 Decides whether M p = d has a solution p >= 0, by an exact fraction-free
 phase-one simplex.  The problem is first built into a `Tableau`, the one
-value `solve_feasibility` takes, by one of two builders.  `tableau` takes M
-as one sparse row {column: rational} per constraint and assembles the
-tableau from those entries alone.  `incidence_tableau` takes a 0/1 M with a
-last row of all 1s (the membership LP's shape): for each column the rows
-holding its 1s, and d as integers over a known denominator.  It writes the
-1s and the unit artificials straight into the rows, with no rational work
-per entry.  Each tableau row is a list of integers, a positive multiple of
-the rational row, with one slot per column: the n originals, the m
-artificials, the right-hand side, and a last slot that only the objective
-row fills (its scale).  A pivot on entry p of row r at column e lists the
-nonzero entries of row r once, then sets every other row with a nonzero at
-e to p*row - row[e]*row_r, after dividing p and row[e] by their gcd
-(fraction-free elimination in the style of Edmonds 1967 and Bareiss 1968),
-and divides out the row's gcd.  When p comes out 1, as it mostly does on
-small membership LPs, row - row[e]*row_r differs from row only where row r
-is nonzero, so just those entries are updated, in place; otherwise the row
-is rebuilt whole.  On that in-place path the row's scale (its entry in
-its basic column, or the objective's SCALE slot) keeps its value, as the
-pivot row is 0 there; the row's gcd divides it, so a scale of 1, as most
-rows have on membership LPs, leaves a gcd of 1 and none is taken.  Zero
-entries change no gcd, so every stored integer, and with it every pivot
-and result, is what a tableau of sparse {column: int} rows would hold.
-The ratio test cross-multiplies.  Positive row scales change no sign or
-ratio the pivoting rules read, so pivots and results are those of the
-rational tableau.
+value `solve_feasibility` takes.  Its builder, `incidence_tableau`, takes
+a 0/1 M with a last row of all 1s (the membership LP's shape): for each
+column the rows holding its 1s, and d as nonnegative integers over a known
+denominator D.  It writes the 1s and the unit artificials straight into
+the rows, with no rational work per entry.  Each tableau row is a list of
+integers, a positive multiple of the rational row, with one slot per
+column: the n originals, the m artificials, the right-hand side, and a
+last slot that only the objective row fills (its scale).  A pivot on entry
+p of row r at column e lists the nonzero entries of row r once, then sets
+every other row with a nonzero at e to p*row - row[e]*row_r, after
+dividing p and row[e] by their gcd (fraction-free elimination in the style
+of Edmonds 1967 and Bareiss 1968), and divides out the row's gcd.  When p
+comes out 1, as it mostly does on small membership LPs, row -
+row[e]*row_r differs from row only where row r is nonzero, so just those
+entries are updated, in place; otherwise the row is rebuilt whole.  On
+that in-place path the row's scale (its entry in its basic column, or the
+objective's SCALE slot) keeps its value, as the pivot row is 0 there; the
+row's gcd divides it, so a scale of 1, as most rows have on membership
+LPs, leaves a gcd of 1 and none is taken.  Zero entries change no gcd,
+so every stored integer, and with it every pivot and result, is what a
+tableau of sparse {column: int} rows would hold.  The ratio test
+cross-multiplies.  Positive row scales change no sign or ratio the
+pivoting rules read, so pivots and results are those of the rational
+tableau.
 
-The right-hand side d is first multiplied by D, the lcm of its
-denominators (`tableau`) or the denominator given (`incidence_tableau`),
-and the solution divided by D at the end.  Scaling d by a
-positive constant scales every rhs entry of every tableau and nothing
-else: reduced costs do not read d, ratio-test ratios all scale by D, so
-the same row wins with the same ties, and a step is zero exactly when it
-was.  The pivots and the Farkas vector are thus those of the unscaled
-problem, and its solution is the scaled one divided by D.  Rows with
-integer entries (the membership LP's 0/1 rows) then start out integer with
-a unit artificial, instead of carrying the rhs denominator as a row scale
-through every combine.  So both builders give the same pivots on one 0/1
-problem: their tableaux differ only by a positive constant on the rhs.
+The tableau's right-hand side is D d, so the 0/1 rows start out integer
+with a unit artificial, and the solution is divided by D at the end.
+Scaling d by a positive constant scales every rhs entry of every
+tableau and nothing else: reduced costs do not read d, ratio-test ratios
+all scale by D, so the same row wins with the same ties, and a step is
+zero exactly when it was.  The pivots and the Farkas vector are thus those
+of the unscaled problem, and its solution is the scaled one divided by D.
 
 Pricing follows Dantzig's rule: the column with the most negative reduced
 cost enters, ties to the lowest index.  After DEGENERATE_RUN degenerate
@@ -63,11 +57,10 @@ extracted from the final tableau.  Callers check the outcomes they use:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 SCALE = -1  # slot of the objective row that holds its denominator
 # Degenerate pivots in a row after which pricing falls back from Dantzig's
 # rule to Bland's, until the next pivot that moves the point.
@@ -138,9 +131,10 @@ class Tableau(NamedTuple):
     """A phase-one tableau, ready to solve (module docstring).
 
     `rows` are the constraint rows and `objective` the objective row, each
-    a list of integers of one width; artificial i is basic in row i.  The
-    right-hand side is the problem's times `denominator`, and row i its
-    constraint times `flip[i]`, so that the rhs is nonnegative.  Solving
+    a list of integers of one width; artificial i is basic in row i, and
+    row i's entry there is its positive scale.  `objective` holds the
+    phase-one reduced costs times its positive SCALE slot.  The right-hand
+    side is the problem's times `denominator`, and nonnegative.  Solving
     pivots the rows in place, so a tableau is solved once: solving it again
     raises ValueError.
     """
@@ -148,57 +142,7 @@ class Tableau(NamedTuple):
     rows: list[list[int]]
     objective: list[int]
     num_cols: int
-    flip: list[int]
     denominator: int
-
-
-def tableau(
-    rows: list[dict[int, int | Fraction]], rhs: list[int | Fraction], num_cols: int
-) -> Tableau:
-    """The tableau of M p = d, p >= 0, from sparse rational rows.
-
-    Row i of M is rows[i], {column: entry} with columns in [0, num_cols)
-    and absent entries zero; d is rhs.  Entries may be int or Fraction.
-    """
-    if len(rows) != len(rhs):
-        raise ValueError(f"{len(rows)} rows but {len(rhs)} rhs entries")
-    if any(not 0 <= j < num_cols for row in rows for j in row):
-        raise ValueError(f"a column index outside [0, {num_cols})")
-    m, n = len(rows), num_cols
-    d_col = n + m  # column index of the right-hand side
-    width = d_col + 2  # and the objective's SCALE slot after it
-
-    # Solve M p = D d, D the common denominator of d, so the rhs is integer;
-    # the solution is divided by D at the end (module docstring).
-    rhs_scale = lcm(*(d.denominator for d in rhs))
-    rhs = [d.numerator * (rhs_scale // d.denominator) for d in rhs]
-    # Flip rows so the rhs is nonnegative; remember flips to map the
-    # certificate back to original coordinates.
-    flip = [(-1 if d < 0 else 1) for d in rhs]
-    # Row i is s * D * (row, e_i, d), D the lcm of the row's denominators
-    # and s its flip.  Its gcd is 1, as its artificial entry is D and each
-    # prime's highest power in D is some entry's whole denominator.
-    tab = []
-    for i, (row, d) in enumerate(zip(rows, rhs)):
-        s, row_scale = flip[i], lcm(*(v.denominator for v in row.values()))
-        int_row = [0] * width
-        for j, v in row.items():
-            int_row[j] = s * v.numerator * (row_scale // v.denominator)
-        int_row[n + i], int_row[d_col] = row_scale, s * d * row_scale
-        tab.append(int_row)
-
-    # Objective: minimize the sum of artificials.  Reduced costs start as
-    # c - sum of constraint rows on the artificial basis, which is 0 on the
-    # artificials.  The row holds them times obj[SCALE], a positive common
-    # denominator, so pivoting updates it like any other row.
-    scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
-    obj = [0] * width
-    obj[SCALE] = scale
-    for i, (row, int_row) in enumerate(zip(rows, tab)):
-        k = scale // int_row[n + i]
-        for j in (*row, d_col):
-            obj[j] -= k * int_row[j]
-    return Tableau(tab, _reduce(obj), n, flip, rhs_scale)
 
 
 def incidence_tableau(columns: list[list[int]], rhs: list[int], denominator: int) -> Tableau:
@@ -207,11 +151,8 @@ def incidence_tableau(columns: list[list[int]], rhs: list[int], denominator: int
     Column j has a 1 in each row columns[j] lists, distinct indices in
     [0, len(rhs)), and in the normalization row, a last row of all 1s.
     The right-hand side is rhs, then 1 for the normalization row, all over
-    `denominator`: integers, nonnegative, so no row is flipped or scaled.
-    The tableau is `tableau`'s of those rows, its right-hand side times the
-    positive constant denominator / lcm of the rhs denominators, which
-    changes no pivot (module docstring).  Each row's artificial entry is 1,
-    and so is the objective's scale; original column j's reduced cost is
+    `denominator`: integers, nonnegative.  Each row's artificial entry is
+    1, and so is the objective's scale; original column j's reduced cost is
     minus its row count, normalization included.
     """
     if min(rhs, default=0) < 0 or denominator <= 0:
@@ -233,12 +174,12 @@ def incidence_tableau(columns: list[list[int]], rhs: list[int], denominator: int
             tab[i][j] = 1
         normalization[j] = 1
         obj[j] = -len(column) - 1
-    return Tableau(tab, obj, n, [1] * m, denominator)
+    return Tableau(tab, obj, n, denominator)
 
 
 def solve_feasibility(problem: Tableau) -> FeasibleSolution | FarkasCertificate:
-    """Phase-one simplex on a tableau (`tableau`, `incidence_tableau`);
-    deterministic for a fixed problem.
+    """Phase-one simplex on a tableau (`incidence_tableau`); deterministic
+    for a fixed problem.
 
     The tableau holds integer rows of one width.  Row i stands for the
     rational row tab[i] / tab[i][basis[i]], which has 1 in its basic column;
@@ -248,7 +189,7 @@ def solve_feasibility(problem: Tableau) -> FeasibleSolution | FarkasCertificate:
     and thus the whole pivot sequence, is that of the rational tableau.  The
     outcome counts its pivots and the degenerate ones among them.
     """
-    tab, objective, n, flip, rhs_scale = problem
+    tab, objective, n, rhs_scale = problem
     if objective[SCALE] <= 0:
         raise ValueError("the tableau was solved already: a tableau is solved once")
     # The rows are pivoted in place, so the tableau is marked solved at once
@@ -327,7 +268,7 @@ def solve_feasibility(problem: Tableau) -> FeasibleSolution | FarkasCertificate:
 
     # Infeasible: the optimal dual of the phase-one LP is a Farkas vector.
     # Artificial column j of the final tableau holds B^{-1} e_j, so the
-    # dual value is y_j = c_j - obj[n + j] = 1 - obj[n + j]; undo row flips.
+    # dual value is y_j = c_j - obj[n + j] = 1 - obj[n + j].
     scale = obj[SCALE]
-    y = tuple(Fraction(flip[i] * (scale - obj[n + i]), scale) for i in range(m))
+    y = tuple(Fraction(scale - obj[n + i], scale) for i in range(m))
     return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

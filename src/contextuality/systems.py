@@ -72,11 +72,14 @@ class Spec:
     a read-only {Context: ...} in canonical context order (`context_key`),
     whatever order it was given in, holding read-only pmfs, their int
     probabilities made `Fraction`s, or frozenset supports.  `contexts`
-    holds its keys.  Every spec answers `supports`, a read-only
+    holds its keys, and `a_settings` and `b_settings` each side's settings
+    in canonical order (`setting_key`).  Every spec answers `supports`, a read-only
     {context: frozenset of pairs} of the pairs each context allows: a
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
-    a spec checks it: one `validate` rejects, or a table key that is no
-    2-tuple, raises `InvalidSystemError`.
+    a spec checks it: one `validate` rejects raises `InvalidSystemError`,
+    and so does an alphabet or table that is no mapping, outcomes that are
+    no collection, settings that cannot be ordered, or a table key that is
+    no 2-tuple or cannot be ordered.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -84,32 +87,85 @@ class Spec:
     name: str
     a_alphabet: Mapping[str, tuple[Outcome, ...]]
     b_alphabet: Mapping[str, tuple[Outcome, ...]]
+    a_settings: tuple[str, ...]
+    b_settings: tuple[str, ...]
     contexts: tuple[Context, ...]
     _fields = ("name", "a_alphabet", "b_alphabet", "contexts")
 
     def __init__(self, name, a_alphabet, b_alphabet, table):
-        # A key that is no 2-tuple names no context: it is left out, and
-        # reported with the violations `validate` finds.
-        keys, malformed = [], []
-        for key in table:
-            (keys if isinstance(key, tuple) and len(key) == 2 else malformed).append(key)
-        contexts = tuple(sorted(map(Context._make, keys), key=context_key))
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
-        fields["a_alphabet"], fields["b_alphabet"] = (
-            MappingProxyType({s: tuple(outcomes) for s, outcomes in alphabets.items()})
-            for alphabets in (a_alphabet, b_alphabet)
-        )
+        try:
+            for side, alphabets in (("a", a_alphabet), ("b", b_alphabet)):
+                stored = {s: tuple(outcomes) for s, outcomes in alphabets.items()}
+                fields[f"{side}_alphabet"] = MappingProxyType(stored)
+                fields[f"{side}_settings"] = tuple(sorted(stored, key=setting_key))
+            items = table.items()
+        except (AttributeError, TypeError):
+            raise InvalidSystemError(
+                name, self._shape_violations(a_alphabet, b_alphabet, table)
+            ) from None
+        # A key that is no 2-tuple names no context: it is left out, and
+        # reported with the violations `validate` finds.
+        given, malformed = {}, []
+        for key, value in items:
+            if isinstance(key, tuple) and len(key) == 2:
+                given[Context._make(key)] = value
+            else:
+                malformed.append(f"table key {key!r} is not an (A-setting, B-setting) pair")
+        try:
+            contexts = tuple(sorted(given, key=context_key))
+        except TypeError:
+            # A setting that is no string can have no place in the canonical
+            # order: such keys are left out and reported too.
+            unordered = [ctx for ctx in given if not all(isinstance(s, str) for s in ctx)]
+            malformed += [
+                f"table key {tuple(ctx)!r} has a setting that is not a string, "
+                "which the canonical order cannot place"
+                for ctx in unordered
+            ]
+            contexts = tuple(sorted(given.keys() - unordered, key=context_key))
         fields["contexts"] = contexts
         # A subclass's last field names its table: `pmfs` or `supports`.
         fields[self._fields[-1]] = MappingProxyType(
-            {ctx: self._freeze(table[ctx]) for ctx in contexts}
+            {ctx: self._freeze(given[ctx]) for ctx in contexts}
         )
-        violations = [
-            f"table key {key!r} is not an (A-setting, B-setting) pair" for key in malformed
-        ] + validate(self)
+        violations = malformed + validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
+
+    def _shape_violations(self, a_alphabet, b_alphabet, table) -> list[str]:
+        """Why plain data that the constructor cannot even store is refused:
+        an alphabet that is no mapping, or whose outcomes are no collection
+        or whose settings cannot be ordered, or a table that is no
+        mapping."""
+        violations = []
+        for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
+            try:
+                items = alphabets.items()
+            except AttributeError:
+                violations.append(
+                    f"{side}-alphabet {alphabets!r} is not a mapping from settings to outcomes"
+                )
+                continue
+            for s, outcomes in items:
+                try:
+                    tuple(outcomes)
+                except TypeError:
+                    violations.append(
+                        f"{side}-setting {s!r}: alphabet {outcomes!r} is not a collection of outcomes"
+                    )
+            try:
+                sorted(alphabets, key=setting_key)
+            except TypeError:
+                violations.append(
+                    f"{side}-settings {list(alphabets)!r} cannot be put in canonical order"
+                )
+        if not hasattr(table, "items"):
+            violations.append(
+                f"table {table!r} is not a mapping from contexts to {self._fields[-1]}"
+            )
+        return violations
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -129,14 +185,6 @@ class Spec:
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({fields})"
-
-    @cached_property
-    def a_settings(self) -> tuple[str, ...]:
-        return tuple(sorted(self.a_alphabet, key=setting_key))
-
-    @cached_property
-    def b_settings(self) -> tuple[str, ...]:
-        return tuple(sorted(self.b_alphabet, key=setting_key))
 
     def pairs(self, ctx: Context) -> list[Pair]:
         return list(product(self.a_alphabet[ctx.x], self.b_alphabet[ctx.y]))
@@ -327,6 +375,7 @@ def validate(spec: Spec) -> list[str]:
         # A pair is in the alphabet product iff it is a 2-tuple of an
         # outcome of x and one of y; any other key is reported, not raised.
         a_set, b_set = a_sets[ctx.x], b_sets[ctx.y]
+        first = None
         for pair in table:
             try:
                 inside = (
@@ -336,7 +385,13 @@ def validate(spec: Spec) -> list[str]:
             except TypeError:  # an unhashable outcome
                 inside = False
             if not inside:
+                if first is None:
+                    first = len(violations)
                 violations.append(f"context {tuple(ctx)}: pair {pair} outside alphabet product")
+        if first is not None:
+            # A support iterates in string-hash order, which changes from
+            # process to process: its pairs are listed sorted instead.
+            violations[first:] = sorted(violations[first:])
         if not (probabilistic or table):
             violations.append(f"context {tuple(ctx)}: empty support")
         if counts is None:

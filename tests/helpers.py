@@ -1,5 +1,5 @@
-"""Shared random generators, dense and sparse reference LPs and a 2xn oracle
-for tests.
+"""Shared random generators, dense and sparse reference LPs, a tableau
+builder for rational LPs and a 2xn oracle for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -19,8 +19,8 @@ from math import gcd, lcm
 from pathlib import Path
 
 from contextuality import feasibility, make_system, mix
-from contextuality.feasibility import ONE, ZERO, FarkasCertificate, FeasibleSolution
-from contextuality.systems import SupportSpec, SystemSpec
+from contextuality.feasibility import SCALE, FarkasCertificate, FeasibleSolution, Tableau
+from contextuality.systems import ONE, ZERO, SupportSpec, SystemSpec
 
 BIN = ("0", "1")
 
@@ -274,8 +274,19 @@ def make_problem(matrix, rhs) -> FeasibilityProblem:
     )
 
 
+def nonnegative_problem(matrix, rhs) -> FeasibilityProblem:
+    """`make_problem`, with each row whose rhs is negative negated: the same
+    solutions, and a right-hand side a tableau takes."""
+    signs = [-1 if d < 0 else 1 for d in rhs]
+    return make_problem(
+        [[s * v for v in row] for s, row in zip(signs, matrix)],
+        [s * d for s, d in zip(signs, rhs)],
+    )
+
+
 def sparse_rows(problem: FeasibilityProblem):
-    """The arguments `solve_feasibility` takes for a dense problem."""
+    """The arguments `rational_tableau` and `sparse_reference_solve` take
+    for a dense problem."""
     rows = [{j: v for j, v in enumerate(row) if v} for row in problem.matrix]
     return rows, list(problem.rhs), problem.num_cols
 
@@ -292,7 +303,7 @@ def incidence_rows(columns, rhs, denominator):
 
 
 def dense_problem(rows, rhs, num_cols: int) -> FeasibilityProblem:
-    """The dense problem of `solve_feasibility`'s sparse arguments."""
+    """The dense problem of `rational_tableau`'s sparse arguments."""
     return make_problem([[row.get(j, 0) for j in range(num_cols)] for row in rows], rhs)
 
 
@@ -407,6 +418,55 @@ def _dict_combine(row: dict[int, int], a: int, pivot_row: dict[int, int], p: int
     return _dict_reduce(out)
 
 
+def _phase_one_rows(rows, rhs, num_cols: int):
+    """The phase-one tableau of M p = d, p >= 0, from sparse rational rows,
+    as dict rows {column: int} of its nonzero entries.
+
+    Row i of M is rows[i], {column: int or Fraction} with columns in
+    [0, num_cols); d is rhs, nonnegative.  With D the lcm of d's
+    denominators, tableau row i is the rational row (M_i, e_i, D d_i) times
+    the lcm of its denominators, which leaves its gcd 1.  The objective
+    holds the phase-one reduced costs on the artificial basis, minus the
+    sum of the rational rows and 0 on the artificials, times a positive
+    denominator kept at SCALE.  Returns the rows, the objective and D.
+    """
+    if min(rhs, default=0) < 0:
+        raise ValueError("the right-hand side must be nonnegative")
+    m, n = len(rows), num_cols
+    d_col = n + m
+    rhs_scale = lcm(*(d.denominator for d in rhs))
+    tab = []
+    for i, (row, d) in enumerate(zip(rows, rhs)):
+        entries = [(j, v) for j, v in row.items() if v] + [(n + i, ONE)]
+        if d:
+            entries.append((d_col, d * rhs_scale))
+        tab.append(_dict_integer_row(entries))
+    scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
+    obj = {SCALE: scale}
+    for i, row in enumerate(tab):
+        k = scale // row[n + i]
+        for j, v in row.items():
+            if j != n + i:
+                obj[j] = obj.get(j, 0) - k * v
+    return tab, _dict_reduce({j: v for j, v in obj.items() if v}), rhs_scale
+
+
+def rational_tableau(rows, rhs, num_cols: int) -> Tableau:
+    """The library's `Tableau` of `_phase_one_rows`' problem, for tests of
+    `solve_feasibility` on rational and general-integer LPs: its integers
+    are those `sparse_reference_solve` starts from."""
+    tab, obj, rhs_scale = _phase_one_rows(rows, rhs, num_cols)
+    width = num_cols + len(rows) + 2
+
+    def listed(row):
+        out = [0] * width
+        for j, v in row.items():
+            out[j] = v
+        return out
+
+    return Tableau([listed(row) for row in tab], listed(obj), num_cols, rhs_scale)
+
+
 def sparse_reference_solve(rows, rhs, num_cols: int) -> FeasibleSolution | FarkasCertificate:
     """Reference for `solve_feasibility` over dict rows {column: int}.
 
@@ -415,29 +475,10 @@ def sparse_reference_solve(rows, rhs, num_cols: int) -> FeasibleSolution | Farka
     those of the list rows, so tests require equal outcomes, pivot counts
     and degenerate-pivot counts.  Reads DEGENERATE_RUN at call time.
     """
+    tab, obj, rhs_scale = _phase_one_rows(rows, rhs, num_cols)
     m, n = len(rows), num_cols
     d_col = n + m
-    rhs_scale = lcm(*(d.denominator for d in rhs))
-    rhs = [d.numerator * (rhs_scale // d.denominator) for d in rhs]
-    flip = [(-1 if d < 0 else 1) for d in rhs]
-    tab = []
-    for i, (row, d) in enumerate(zip(rows, rhs)):
-        entries = [(j, v) for j, v in row.items() if v]
-        entries.append((n + i, flip[i]))
-        if d:
-            entries.append((d_col, d))
-        int_row = _dict_integer_row(entries)
-        tab.append(int_row if flip[i] > 0 else {j: -v for j, v in int_row.items()})
     basis = [n + i for i in range(m)]
-
-    scale = lcm(*(row[n + i] for i, row in enumerate(tab)))
-    obj = {-1: scale}  # -1 holds the objective row's denominator
-    for i, row in enumerate(tab):
-        k = scale // row[n + i]
-        for j, v in row.items():
-            if j != n + i:
-                obj[j] = obj.get(j, 0) - k * v
-    obj = _dict_reduce({j: v for j, v in obj.items() if v})
 
     pivots = degenerate = run = 0
     while True:
@@ -482,5 +523,5 @@ def sparse_reference_solve(rows, rhs, num_cols: int) -> FeasibleSolution | Farka
             if b < n and d_col in row:
                 solution[b] = Fraction(row[d_col], row[b] * rhs_scale)
         return FeasibleSolution(p=tuple(solution), pivots=pivots, degenerate_pivots=degenerate)
-    y = tuple(flip[i] * (ONE - Fraction(obj.get(n + i, 0), obj[-1])) for i in range(m))
+    y = tuple(ONE - Fraction(obj.get(n + i, 0), obj[SCALE]) for i in range(m))
     return FarkasCertificate(y=y, pivots=pivots, degenerate_pivots=degenerate)

@@ -28,7 +28,6 @@ from contextuality import (
     pair_as_mixture,
     peres_rays,
     solve_feasibility,
-    tableau,
     witness_score,
 )
 from contextuality.feasibility import FarkasCertificate, FeasibleSolution
@@ -37,11 +36,12 @@ from contextuality.systems import Context
 
 from helpers import (
     full_support,
-    make_problem,
     noisy_mixture,
+    nonnegative_problem,
     perfect_chained_box,
     random_ns_2x2,
     random_ns_mixture,
+    rational_tableau,
     sparse_rows,
     verify,
 )
@@ -255,8 +255,8 @@ def test_certificate_soundness():
             [Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)
         ]
         rhs = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-        problem = make_problem(matrix, rhs)
-        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+        problem = nonnegative_problem(matrix, rhs)
+        outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
         ok &= verify(problem, outcome)
         if isinstance(outcome, FeasibleSolution) and n:
             forged = FeasibleSolution(

@@ -29,8 +29,8 @@ from contextuality.catalog import catalog_ids, pair_as_mixture
 from contextuality.feasibility import (
     FarkasCertificate,
     FeasibleSolution,
+    incidence_tableau,
     solve_feasibility,
-    tableau,
 )
 from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_search
 from contextuality.systems import Context, marginal, mix_context_dependent
@@ -43,13 +43,13 @@ from helpers import (
     every_pair,
     full_support,
     full_membership_problem,
-    incidence_rows,
     noisy_mixture,
     perfect_chained_box,
     random_deterministic_ns,
     random_ns_2x2,
     random_ns_mixture,
     random_shape,
+    rational_tableau,
     restrict,
     uniform_system,
     verify,
@@ -511,12 +511,11 @@ class TestKeptRows:
             outcomes = analysis._ns_outcomes(columns_from, analysis.DEFAULT_LIMIT)
             supported = [(ctx, pair) for ctx in system.contexts for pair in pairs_of(ctx)]
             incidence = analysis._membership_problem(system, outcomes, supported)
-            rows, rhs, _ = incidence_rows(*incidence[:3])
             keys = incidence[-1]
             full_rows, full_rhs, _ = full_membership_problem(system, columns, supported)
-            assert len(rows) <= len(full_rows)
-            reduced = solve_feasibility(tableau(rows, rhs, len(columns)))
-            full = solve_feasibility(tableau(full_rows, full_rhs, len(columns)))
+            assert len(keys) + 1 <= len(full_rows)  # the kept rows and normalization
+            reduced = solve_feasibility(incidence_tableau(*incidence[:3]))
+            full = solve_feasibility(rational_tableau(full_rows, full_rhs, len(columns)))
             assert type(reduced) is type(full)
             kinds.add(type(reduced))
             if isinstance(reduced, FeasibleSolution):

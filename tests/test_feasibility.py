@@ -19,7 +19,6 @@ from contextuality import (
     mix,
     solve_feasibility,
     support_of,
-    tableau,
 )
 
 from helpers import (
@@ -31,7 +30,9 @@ from helpers import (
     incidence_rows,
     make_problem,
     noisy_mixture,
+    nonnegative_problem,
     random_deterministic_ns,
+    rational_tableau,
     sparse_reference_solve,
     sparse_rows,
     verify,
@@ -57,7 +58,7 @@ def _solve_as_sparse_reference(rows, rhs, num_cols):
         return combine(*args)
 
     with mock.patch.object(feasibility, "_combine", capped):
-        outcome = solve_feasibility(tableau(rows, rhs, num_cols))
+        outcome = solve_feasibility(rational_tableau(rows, rhs, num_cols))
     assert outcome == reference
     assert (outcome.pivots, outcome.degenerate_pivots) == (
         reference.pivots, reference.degenerate_pivots
@@ -67,7 +68,7 @@ def _solve_as_sparse_reference(rows, rhs, num_cols):
 
 def test_normalization_only_is_feasible():
     problem = make_problem([[1, 1]], [1])
-    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+    outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FeasibleSolution)
     assert outcome.p == (Fraction(1), Fraction(0))
     assert verify(problem, outcome)
@@ -75,24 +76,15 @@ def test_normalization_only_is_feasible():
 
 def test_contradictory_rows_give_certificate():
     problem = make_problem([[1, 1], [1, 1]], [1, 2])
-    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+    outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FarkasCertificate)
     assert verify(problem, outcome)
     assert sum(y * d for y, d in zip(outcome.y, problem.rhs)) > 0
 
 
-def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_feasibility(tableau([{0: 1, 1: 1}], [1, 2], 2))
-    with pytest.raises(ValueError):
-        solve_feasibility(tableau([{0: 1, 1: 1}, {2: 1}], [1, 2], 2))
-    with pytest.raises(ValueError):
-        solve_feasibility(tableau([{-1: 1}], [1], 2))
-
-
 def test_zero_columns_and_duplicate_columns_are_legal():
     def solve(matrix, rhs):
-        return solve_feasibility(tableau(*sparse_rows(make_problem(matrix, rhs))))
+        return solve_feasibility(rational_tableau(*sparse_rows(make_problem(matrix, rhs))))
 
     # a column of zeros
     assert isinstance(solve([[0, 1]], [1]), FeasibleSolution)
@@ -103,16 +95,9 @@ def test_zero_columns_and_duplicate_columns_are_legal():
     assert isinstance(solve([[]], [1]), FarkasCertificate)
 
 
-def test_negative_rhs_handled():
-    problem = make_problem([[-1, 0], [0, 1]], [-2, 1])
-    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
-    assert isinstance(outcome, FeasibleSolution)
-    assert outcome.p[0] == 2
-
-
 def test_verify_rejects_forgeries():
     problem = make_problem([[1, 1], [1, -1]], [1, 0])
-    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+    outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
     assert isinstance(outcome, FeasibleSolution)
     assert verify(problem, outcome)
     # negate one entry of the solution
@@ -122,7 +107,7 @@ def test_verify_rejects_forgeries():
     assert not verify(problem, FarkasCertificate(y=(Fraction(0), Fraction(0))))
 
     infeasible = make_problem([[1, 1], [1, 1]], [1, 2])
-    cert = solve_feasibility(tableau(*sparse_rows(infeasible)))
+    cert = solve_feasibility(rational_tableau(*sparse_rows(infeasible)))
     assert isinstance(cert, FarkasCertificate)
     # y with y.d = 0 must fail: strict inequality is required
     assert not verify(infeasible, FarkasCertificate(y=(Fraction(0), Fraction(0))))
@@ -142,14 +127,14 @@ def _random_problem(rng):
         rhs = [sum(row[j] * p[j] for j in range(n)) for row in matrix]
     else:
         rhs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
-    return make_problem(matrix, rhs)
+    return nonnegative_problem(matrix, rhs)
 
 
 def test_soundness_on_random_problems():
     rng = random.Random(99)
     for _ in range(300):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+        outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
         assert verify(problem, outcome)
 
 
@@ -158,14 +143,15 @@ def test_determinism():
     for _ in range(50):
         problem = _random_problem(rng)
         args = sparse_rows(problem)
-        assert solve_feasibility(tableau(*args)) == solve_feasibility(tableau(*args))
+        first, second = (solve_feasibility(rational_tableau(*args)) for _ in range(2))
+        assert first == second
 
 
 def test_row_scaling_preserves_verdict_kind():
     rng = random.Random(17)
     for _ in range(100):
         problem = _random_problem(rng)
-        kind = type(solve_feasibility(tableau(*sparse_rows(problem))))
+        kind = type(solve_feasibility(rational_tableau(*sparse_rows(problem))))
         scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in problem.rhs]
         scaled = make_problem(
             [
@@ -174,14 +160,14 @@ def test_row_scaling_preserves_verdict_kind():
             ],
             [s * d for s, d in zip(scales, problem.rhs)],
         )
-        assert type(solve_feasibility(tableau(*sparse_rows(scaled)))) is kind
+        assert type(solve_feasibility(rational_tableau(*sparse_rows(scaled)))) is kind
 
 
 def test_mutual_exclusion():
     rng = random.Random(41)
     for _ in range(100):
         problem = _random_problem(rng)
-        outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+        outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
         if isinstance(outcome, FeasibleSolution):
             # no certificate can verify against a feasible problem
             forged = FarkasCertificate(
@@ -217,9 +203,9 @@ def test_equals_dense_reference_on_random_problems(seed):
 def _assert_rhs_scaling_invariant(rows, rhs, num_cols):
     # The solver multiplies the rhs by its common denominator; scaling it by
     # c beforehand must change nothing but the solution, which scales by c.
-    outcome = solve_feasibility(tableau(rows, rhs, num_cols))
+    outcome = solve_feasibility(rational_tableau(rows, rhs, num_cols))
     for c in (2, 60, 7919):
-        scaled = solve_feasibility(tableau(rows, [c * d for d in rhs], num_cols))
+        scaled = solve_feasibility(rational_tableau(rows, [c * d for d in rhs], num_cols))
         assert type(scaled) is type(outcome)
         assert (scaled.pivots, scaled.degenerate_pivots) == (
             outcome.pivots, outcome.degenerate_pivots
@@ -293,7 +279,7 @@ def test_every_stored_row_has_gcd_1(monkeypatch, lps):
 
     monkeypatch.setattr(feasibility, "_combine", checked)
     for problem in problems:
-        solve_feasibility(tableau(*problem))
+        solve_feasibility(rational_tableau(*problem))
     assert returned > 100
     assert unreduced == []
 
@@ -306,7 +292,7 @@ def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
         rng = random.Random(seed)
         for _ in range(500):
             problem = _random_problem(rng)
-            assert solve_feasibility(tableau(*sparse_rows(problem))) == dense_bland_solve(problem)
+            assert solve_feasibility(rational_tableau(*sparse_rows(problem))) == dense_bland_solve(problem)
 
 
 @pytest.mark.parametrize(
@@ -316,8 +302,8 @@ def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
         ([[0, 0], [0, 0]], [0, 1]),  # only zero columns, infeasible
         ([[], []], [0, 0]),  # no columns, feasible
         ([[]], [1]),  # no columns, infeasible
-        ([[-1, 0], [0, 1]], [-2, 1]),  # negative rhs
-        ([[1, -3], [-2, 1]], [-1, -1]),  # every rhs negative
+        ([[1, 0], [0, 1]], [2, 1]),  # a negative rhs, its row negated
+        ([[-1, 3], [2, -1]], [1, 1]),  # every rhs negative, every row negated
         (
             # large coprime denominators: the row scales and their gcds
             [
@@ -329,7 +315,7 @@ def test_bland_fallback_is_the_dense_reference_pivot_for_pivot(monkeypatch):
         ),
     ],
     ids=["zero-column", "zero-columns-only", "no-columns", "no-columns-infeasible",
-         "negative-rhs", "all-rhs-negative", "coprime-denominators"],
+         "negated-rhs", "all-rows-negated", "coprime-denominators"],
 )
 def test_equals_dense_reference_on_edge_cases(matrix, rhs):
     problem = make_problem(matrix, rhs)
@@ -379,8 +365,8 @@ def _beale_problem():
 
 def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
     # Were the fallback broken, the solve would cycle for ever: count the
-    # row updates and stop the test past 1,000, which both solves below stay
-    # well within (171 and 323 with a working fallback).
+    # row updates and stop the test past 1,000.  A working fallback makes
+    # 171 of them in the first solve below and 323 in the second.
     combine, calls = feasibility._combine, 0
 
     def counted(*args):
@@ -392,16 +378,20 @@ def test_bland_fallback_ends_dantzig_cycling(monkeypatch):
 
     monkeypatch.setattr(feasibility, "_combine", counted)
     problem = _beale_problem()
-    outcome = solve_feasibility(tableau(*sparse_rows(problem)))
+    outcome = solve_feasibility(rational_tableau(*sparse_rows(problem)))
     assert verify(problem, outcome)
+    assert outcome == sparse_reference_solve(*sparse_rows(problem))
     # Dantzig's rule runs out its 50 degenerate pivots; Bland's rule then
     # leaves within a few.
     run = feasibility.DEGENERATE_RUN
     assert run < outcome.degenerate_pivots <= run + 10
+    assert (outcome.pivots, outcome.degenerate_pivots, calls) == (54, 52, 171)
     # Given 100, Dantzig's rule spends them all: more degenerate pivots in a
     # row than the LP has bases (8 columns choose 4 = 70), so it cycles.
     monkeypatch.setattr(feasibility, "DEGENERATE_RUN", 100)
-    assert solve_feasibility(tableau(*sparse_rows(problem))).degenerate_pivots >= 100
+    calls = 0
+    assert solve_feasibility(rational_tableau(*sparse_rows(problem))).degenerate_pivots >= 100
+    assert calls == 323
 
 
 def _classify_lps(monkeypatch, systems):
@@ -423,9 +413,10 @@ def _classify_lps(monkeypatch, systems):
 @pytest.mark.parametrize("lps", ["batch-2x2", "ladder", "4x4-membership"])
 def test_incidence_tableau_pivots_as_sparse_rows(monkeypatch, lps):
     # The incidence tableau is the sparse rows' tableau with its rhs scaled
-    # by a positive constant: the same pivots, and the same outcome.  Here
-    # on the membership LPs of the benchmark's batch-2x2 systems (seed 1)
-    # and ladder draws, and on both 4x4 membership LPs.
+    # by a positive constant: the same pivots as the dict-row reference on
+    # those rows, and the same outcome.  Here on the membership LPs of the
+    # benchmark's batch-2x2 systems (seed 1) and ladder draws, and on both
+    # 4x4 membership LPs.
     if lps == "4x4-membership":
         problems = [_4x4_membership_incidence(c) for c in ("own", "other")]
     else:
@@ -433,7 +424,7 @@ def test_incidence_tableau_pivots_as_sparse_rows(monkeypatch, lps):
     kinds = set()
     for problem in problems:
         incidence = solve_feasibility(incidence_tableau(*problem))
-        sparse = solve_feasibility(tableau(*incidence_rows(*problem)))
+        sparse = sparse_reference_solve(*incidence_rows(*problem))
         assert incidence == sparse
         assert (incidence.pivots, incidence.degenerate_pivots) == (
             sparse.pivots, sparse.degenerate_pivots
@@ -445,13 +436,10 @@ def test_incidence_tableau_pivots_as_sparse_rows(monkeypatch, lps):
 def test_a_tableau_is_solved_once():
     # Solving pivots the tableau's rows in place; a second solve would start
     # from the final tableau as if it were the first, so it raises instead.
-    for problem in (
-        tableau([{0: 1, 1: 1}, {0: 1}], [1, Fraction(1, 2)], 2),
-        incidence_tableau([[0], [1], [0, 1]], [1, 1], 3),
-    ):
-        assert solve_feasibility(problem).pivots > 0
-        with pytest.raises(ValueError, match="solved once"):
-            solve_feasibility(problem)
+    problem = incidence_tableau([[0], [1], [0, 1]], [1, 1], 3)
+    assert solve_feasibility(problem).pivots > 0
+    with pytest.raises(ValueError, match="solved once"):
+        solve_feasibility(problem)
 
 
 def test_incidence_tableau_checks_its_arguments():
@@ -536,7 +524,7 @@ def test_corrupt_tableau_raises(monkeypatch, mutation, problem, check):
     lp = sparse_rows(_beale_problem()) if problem == "beale" else _interior_point_lp()
     monkeypatch.setattr(feasibility, "_combine", _corrupting(mutation))
     with pytest.raises(RuntimeError, match=check):
-        solve_feasibility(tableau(*lp))
+        solve_feasibility(rational_tableau(*lp))
 
 
 def test_pivot_counts_do_not_change_equality():

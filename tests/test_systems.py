@@ -533,6 +533,144 @@ def test_support_that_is_no_collection_is_a_violation():
     assert exc.value.violations == ["context ('1', '1'): support 5 is not a collection of pairs"]
 
 
+@pytest.mark.parametrize(
+    "build, a_alphabet, table, violation",
+    [
+        (
+            make_system, ONE_SETTING, {(None, "1"): {("0", "0"): 1}},
+            "table key (None, '1') has a setting that is not a string, "
+            "which the canonical order cannot place",
+        ),
+        (
+            make_system, ONE_SETTING, {(1, "1"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
+            "table key (1, '1') has a setting that is not a string, "
+            "which the canonical order cannot place",
+        ),
+        (
+            make_system, ONE_SETTING, [("1", "1")],
+            "table [('1', '1')] is not a mapping from contexts to pmfs",
+        ),
+        (
+            make_support, ONE_SETTING, [("1", "1")],
+            "table [('1', '1')] is not a mapping from contexts to supports",
+        ),
+        (
+            make_system, ["1"], {("1", "1"): {("0", "0"): 1}},
+            "A-alphabet ['1'] is not a mapping from settings to outcomes",
+        ),
+        (
+            make_support, {"1": 5}, {("1", "1"): [("0", "0")]},
+            "A-setting '1': alphabet 5 is not a collection of outcomes",
+        ),
+        (
+            make_system, {1: ("0", "1"), "1": ("0", "1")}, {("1", "1"): {("0", "0"): 1}},
+            "A-settings [1, '1'] cannot be put in canonical order",
+        ),
+    ],
+    ids=["none-setting", "int-and-string-settings", "list-table", "list-support-table",
+         "list-alphabet", "int-outcomes", "int-and-string-alphabet-settings"],
+)
+def test_malformed_plain_data_is_a_violation(build, a_alphabet, table, violation):
+    # Each of these once raised TypeError or AttributeError while the spec
+    # was stored, before `validate` could run, but the last: it built a
+    # spec that `classify` raised TypeError on.
+    with pytest.raises(InvalidSystemError) as exc:
+        build("malformed", a_alphabet, ONE_SETTING, table)
+    assert exc.value.violations[0] == violation
+
+
+def test_support_pairs_outside_the_alphabet_are_listed_in_one_order():
+    # A support is a frozenset, whose order changes with the string-hash
+    # seed; the message must not.  CI runs this module under two seeds.
+    pairs = [("0", "x"), ("y", "0"), ("z", "q"), ("0", "w")]
+    with pytest.raises(InvalidSystemError) as exc:
+        make_support("bad", ONE_SETTING, ONE_SETTING, {("1", "1"): pairs})
+    assert exc.value.violations == [
+        f"context ('1', '1'): pair {pair} outside alphabet product"
+        for pair in [("0", "w"), ("0", "x"), ("y", "0"), ("z", "q")]
+    ]
+
+
+_ATOMS = [None, 0, 1, -1, 2.5, "", "0", "1", "x"]
+
+
+def _junk(rng, depth):
+    """None, an int, a float or a string, or, `depth` levels down, a list,
+    tuple, dict, set or frozenset of up to two such values."""
+    kind = rng.randrange(6) if depth else 0
+    if kind == 0:
+        return rng.choice(_ATOMS)
+    items = [_junk(rng, depth - 1) for _ in range(rng.randint(0, 2))]
+    hashable = [v for v in items if systems._hashable(v)]
+    return [list(items), tuple(items), dict(zip(hashable, items)), set(hashable),
+            frozenset(hashable)][kind - 1]
+
+
+def _slots(value, path=(), in_key=False):
+    """(path, in_key) for every slot of nested plain data: the value, and
+    each key, value and item inside its dicts, lists and tuples."""
+    yield path, in_key
+    if isinstance(value, dict):
+        for i, (k, v) in enumerate(value.items()):
+            yield from _slots(k, path + (("key", i),), True)
+            yield from _slots(v, path + (("value", i),), in_key)
+    elif isinstance(value, (list, tuple)):
+        for i, v in enumerate(value):
+            yield from _slots(v, path + (("item", i),), in_key)
+
+
+def _replace(value, path, new):
+    """A copy of `value` with the slot at `path` holding `new`."""
+    if not path:
+        return new
+    (step, i), rest = path[0], path[1:]
+    if isinstance(value, dict):
+        items = list(value.items())
+        k, v = items[i]
+        items[i] = (_replace(k, rest, new), v) if step == "key" else (k, _replace(v, rest, new))
+        return dict(items)
+    items = list(value)
+    items[i] = _replace(items[i], rest, new)
+    return type(value)(items)
+
+
+def test_constructors_build_or_refuse_fuzzed_plain_data():
+    # Seeded junk in every slot of both constructors' plain data: the
+    # name, the alphabets, their settings and outcomes, the table, its keys
+    # and settings, the pmfs, their pairs, outcomes and probabilities, and
+    # the supports' pairs.  A call builds a valid spec or raises
+    # InvalidSystemError, and nothing else.
+    half = Fraction(1, 2)
+    pmf = {("0", "0"): half, ("1", "1"): half}
+    contexts = [(x, y) for x in BIN for y in BIN]
+    plain = {
+        make_system: ["fuzz", dict(BIN), dict(BIN), {ctx: dict(pmf) for ctx in contexts}],
+        make_support: ["fuzz", dict(BIN), dict(BIN), {ctx: list(pmf) for ctx in contexts}],
+    }
+    rng = random.Random(21)
+    outcomes = {"built": 0, "refused": 0}
+    start = time.perf_counter()
+    for _ in range(3000):
+        build = rng.choice([make_system, make_support])
+        args = plain[build]
+        for _ in range(rng.randint(1, 2)):
+            path, in_key = rng.choice(list(_slots(args))[1:])
+            new = _junk(rng, rng.randint(1, 2))
+            while in_key and not systems._hashable(new):
+                new = _junk(rng, rng.randint(1, 2))
+            args = _replace(args, path, new)
+        try:
+            spec = build(*args)
+        except InvalidSystemError as exc:
+            assert exc.violations
+            outcomes["refused"] += 1
+        else:
+            assert validate(spec) == []
+            outcomes["built"] += 1
+    assert time.perf_counter() - start < 2
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_counts_built_once_per_system(monkeypatch):
     # validate, check_nonsignaling and decomposition_reproduces all read
     # the integer counts; one lcm call means they are built only once.
