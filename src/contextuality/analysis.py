@@ -56,7 +56,7 @@ outcome alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import lcm, prod
 from operator import add, itemgetter, sub
 from typing import Mapping, NamedTuple
@@ -144,7 +144,7 @@ def _realization(spec: SupportSpec | SystemSpec, values: tuple[Outcome, ...]) ->
     a_settings = spec.a_settings
     f = dict(zip(a_settings, values))
     g = dict(zip(spec.b_settings, values[len(a_settings):]))
-    return Realization(f=f, g=g, values={ctx: (f[ctx.x], g[ctx.y]) for ctx in spec.contexts})
+    return Realization(f, g, {ctx: (f[ctx.x], g[ctx.y]) for ctx in spec.contexts})
 
 
 def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outcome, ...]]:
@@ -162,15 +162,18 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
     gives its A-setting a table from an outcome to the B-outcomes the
     support allows with it, and its B-setting the table back; a context
     whose support is its whole alphabet product constrains nothing and
-    gives no tables.  Assigning a to x intersects each B-neighbour's domain
-    with x's table at a; a B-domain that shrinks then intersects each
-    unassigned A-neighbour's domain with the union of its own tables at the
-    outcomes left, one step.
+    gives no tables.  Each domain starts as the outcomes that every one of
+    its tables holds, narrowed as the tables are built.  Assigning a to x
+    intersects each B-neighbour's domain with x's table at a; a B-domain
+    that shrinks then intersects each unassigned A-neighbour's domain with
+    the union of its own tables at the outcomes left, one step.
     Both drop only outcomes that no realization extending the assignment
     takes, so none is lost.  The A-setting with the fewest live outcomes is
-    assigned first, ties to the earlier one.  RealizationLimitExceeded is
-    raised as soon as the realizations found and the next product together
-    exceed `limit`, before that product is built.
+    assigned first, ties to the earlier one.  Once the last is assigned,
+    f's product is listed at once, in the order a stack would have given.
+    RealizationLimitExceeded is raised as soon as the realizations found
+    and the next product together exceed `limit`, before that product is
+    built.
     """
     a_settings, b_settings = spec.a_settings, spec.b_settings
     a_index = {x: i for i, x in enumerate(a_settings)}
@@ -178,11 +181,13 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
     # ahead[i]: (j, table) per context of A-setting i; back[j]: (i, table back).
     ahead: list[list[tuple[int, dict[Outcome, set[Outcome]]]]] = [[] for _ in a_settings]
     back: list[list[tuple[int, dict[Outcome, set[Outcome]]]]] = [[] for _ in b_settings]
-    for ctx in spec.contexts:
-        pairs = spec.supports[ctx]
-        if len(pairs) == len(spec.a_alphabet[ctx.x]) * len(spec.b_alphabet[ctx.y]):
+    a_alphabet, b_alphabet = spec.a_alphabet, spec.b_alphabet
+    a_domains = [set(a_alphabet[x]) for x in a_settings]
+    b_domains = [set(b_alphabet[y]) for y in b_settings]
+    for (x, y), pairs in spec.supports.items():
+        if len(pairs) == len(a_alphabet[x]) * len(b_alphabet[y]):
             continue  # the whole alphabet product: no constraint
-        i, j = a_index[ctx.x], b_index[ctx.y]
+        i, j = a_index[x], b_index[y]
         forward: dict[Outcome, set[Outcome]] = {}
         backward: dict[Outcome, set[Outcome]] = {}
         for a, b in pairs:
@@ -190,15 +195,9 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
             backward.setdefault(b, set()).add(a)
         ahead[i].append((j, forward))
         back[j].append((i, backward))
-    # An outcome with no supported pair in some context is out from the start.
-    a_domains = [
-        set(spec.a_alphabet[x]).intersection(*(table for _, table in ahead[i]))
-        for i, x in enumerate(a_settings)
-    ]
-    b_domains = [
-        set(spec.b_alphabet[y]).intersection(*(table for _, table in back[j]))
-        for j, y in enumerate(b_settings)
-    ]
+        # An outcome with no supported pair in some context is out from the start.
+        a_domains[i].intersection_update(forward)
+        b_domains[j].intersection_update(backward)
 
     found: list[tuple[Outcome, ...]] = []
 
@@ -219,25 +218,29 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
                             return False
         return True
 
-    # Depth first, on a stack of (A-domains, B-domains, unassigned A-settings).
-    # An empty B-domain leaves no g for any f.
+    # Depth first, on a stack of (A-domains, B-domains, unassigned A-settings);
+    # a spec has a context, so some A-setting is unassigned at the root.  An
+    # empty B-domain leaves no g for any f.
     stack = [(a_domains, b_domains, list(range(len(a_settings))))] if all(b_domains) else []
     while stack:
         a_live, b_live, free = stack.pop()
-        if not free:
-            if len(found) + prod(map(len, b_live)) > limit:
-                raise RealizationLimitExceeded(limit)
-            f = tuple(value for (value,) in a_live)
-            found.extend(f + g for g in product(*b_live))
-            continue
         var = min(free, key=lambda i: len(a_live[i]))
         rest = [i for i in free if i != var]
         unassigned = set(rest)
         children = []
         for value in sorted(a_live[var]):
             a_next, b_next = list(a_live), list(b_live)
-            if assign(a_next, b_next, var, value, unassigned):
+            if not assign(a_next, b_next, var, value, unassigned):
+                continue
+            if rest:
                 children.append((a_next, b_next, rest))
+                continue
+            # Every A-setting is assigned: list f's product of B-domains now,
+            # in the order the stack would have.
+            if len(found) + prod(map(len, b_next)) > limit:
+                raise RealizationLimitExceeded(limit)
+            f = tuple(chain.from_iterable(a_next))
+            found += map(f.__add__, product(*b_next))
         stack += reversed(children)  # the first value is searched first
     found.sort()
     return found
@@ -276,7 +279,10 @@ def _membership_problem(
     row but the last: per column, the kept rows holding its 1s, the pair
     each kept context reads off the tuple by one `itemgetter`; and d as the
     system's integer counts (`SystemSpec._counts`) over their denominator,
-    the normalization row left implied.
+    the normalization row left implied.  `supported` lists each context's
+    pairs together, as `classify` does, so a context's last outcomes and
+    whether it is the first holding its settings are read once per run of
+    its pairs.
     """
     first_with_x: dict[str, Context] = {}
     first_with_y: dict[str, Context] = {}
@@ -285,20 +291,27 @@ def _membership_problem(
         first_with_y.setdefault(ctx.y, ctx)
     keys = []
     kept: dict[Context, dict[Pair, int]] = {}  # each context's {pair: row}
-    for ctx, (a, b) in supported:
-        a_last = a == system.a_alphabet[ctx.x][-1]
-        b_last = b == system.b_alphabet[ctx.y][-1]
-        if a_last and (b_last or ctx != first_with_y[ctx.y]):
+    current = None
+    for key in supported:
+        ctx, pair = key
+        if ctx is not current:  # a context's pairs come together: read its set-up once
+            current = ctx
+            a_last, b_last = system.a_alphabet[ctx.x][-1], system.b_alphabet[ctx.y][-1]
+            first_x, first_y = ctx == first_with_x[ctx.x], ctx == first_with_y[ctx.y]
+            row_of = kept.setdefault(ctx, {})
+        a, b = pair
+        if a == a_last and (b == b_last or not first_y):
             continue
-        if b_last and ctx != first_with_x[ctx.x]:
+        if b == b_last and not first_x:
             continue
-        kept.setdefault(ctx, {})[(a, b)] = len(keys)
-        keys.append((ctx, (a, b)))
+        row_of[pair] = len(keys)
+        keys.append(key)
     a_position = {x: i for i, x in enumerate(system.a_settings)}
     b_position = {y: i for i, y in enumerate(system.b_settings, len(a_position))}
     tables = [
         (itemgetter(a_position[ctx.x], b_position[ctx.y]), row_of.get)
         for ctx, row_of in kept.items()
+        if row_of
     ]
     columns = []
     for values in outcomes:
@@ -518,22 +531,28 @@ def decomposition_reproduces(
     the system as counts over its own, D (`SystemSpec._counts`, built once
     per system and shared with `validate` and `check_nonsignaling`); the
     mixture matches where its sum times D equals the system's count times
-    W.  One pass over the components sums their weights into every context.
+    W.  Per context, one pass over the components sums their weights into
+    the pairs the mixture hits, and only those pairs are compared.  That is
+    complete: the weights are positive and sum to W, and a built system's
+    counts are non-negative and sum to D in every context.  So once every
+    pair the mixture hits matches, those pairs already hold all of the
+    system's D, and every other pair's count, like the mixture's sum there,
+    is 0.  The check that the weights sum to W is thus what makes it sound.
     """
     weights = [w for _, w in decomposition.components]
     scale = lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (scale // w.denominator) for w in weights]
     if sum(weights) != scale or any(w <= 0 for w in weights):
         return False
-    mixed: dict[Context, dict[Pair, int]] = {ctx: {} for ctx in system.contexts}
-    for (r, _), w in zip(decomposition.components, weights):
-        for ctx, sums in mixed.items():
-            pair = r.values[ctx]
-            sums[pair] = sums.get(pair, 0) + w
+    values = [r.values for r, _ in decomposition.components]
     system_scale, counts = system._counts
-    for ctx, sums in mixed.items():
-        for pair in system.pairs(ctx):
-            if sums.get(pair, 0) * system_scale != counts[ctx].get(pair, 0) * scale:
+    for ctx, pmf in counts.items():
+        sums: dict[Pair, int] = {}
+        for assignment, w in zip(values, weights):
+            pair = assignment[ctx]
+            sums[pair] = sums.get(pair, 0) + w
+        for pair, total in sums.items():
+            if total * system_scale != pmf.get(pair, 0) * scale:
                 return False
     return True
 

@@ -14,8 +14,12 @@ system is a valid spec; `check_nonsignaling` tells it apart.
 Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
 one common denominator, built once per system (`SystemSpec._counts`), so
-their sums and comparisons run over ints.  The support of a system is built
-once the same way (`SystemSpec.supports`).
+their sums and comparisons run over ints.  `check_nonsignaling` scans the
+counts once, both sides' marginals together, and scans them again in
+canonical order only when a system signals, to name its first witness;
+`decomposition_reproduces` compares only the pairs the mixture hits, which
+the weights summing to 1 make complete.  The support of a system is built
+once the same way as its counts (`SystemSpec.supports`).
 """
 
 from __future__ import annotations
@@ -77,9 +81,10 @@ class Spec:
     {context: frozenset of pairs} of the pairs each context allows: a
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
     a spec checks it: one `validate` rejects raises `InvalidSystemError`,
-    and so does an alphabet or table that is no mapping, outcomes that are
-    no collection, settings that cannot be ordered, or a table key that is
-    no 2-tuple or cannot be ordered.
+    and so does a name that is no string, an alphabet or table that is no
+    mapping, outcomes that are no collection or are a set (whose order
+    changes from process to process), settings that cannot be ordered, or a
+    table key that is no 2-tuple or cannot be ordered.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -95,19 +100,20 @@ class Spec:
     def __init__(self, name, a_alphabet, b_alphabet, table):
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
+        malformed = [] if isinstance(name, str) else [f"name {name!r} is not a string"]
         try:
             for side, alphabets in (("a", a_alphabet), ("b", b_alphabet)):
-                stored = {s: tuple(outcomes) for s, outcomes in alphabets.items()}
+                stored = {s: _ordered(outcomes) for s, outcomes in alphabets.items()}
                 fields[f"{side}_alphabet"] = MappingProxyType(stored)
                 fields[f"{side}_settings"] = tuple(sorted(stored, key=setting_key))
             items = table.items()
         except (AttributeError, TypeError):
             raise InvalidSystemError(
-                name, self._shape_violations(a_alphabet, b_alphabet, table)
+                name, malformed + self._shape_violations(a_alphabet, b_alphabet, table)
             ) from None
         # A key that is no 2-tuple names no context: it is left out, and
         # reported with the violations `validate` finds.
-        given, malformed = {}, []
+        given = {}
         for key, value in items:
             if isinstance(key, tuple) and len(key) == 2:
                 given[Context._make(key)] = value
@@ -137,7 +143,7 @@ class Spec:
     def _shape_violations(self, a_alphabet, b_alphabet, table) -> list[str]:
         """Why plain data that the constructor cannot even store is refused:
         an alphabet that is no mapping, or whose outcomes are no collection
-        or whose settings cannot be ordered, or a table that is no
+        or a set or whose settings cannot be ordered, or a table that is no
         mapping."""
         violations = []
         for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
@@ -149,6 +155,11 @@ class Spec:
                 )
                 continue
             for s, outcomes in items:
+                if isinstance(outcomes, (set, frozenset)):
+                    violations.append(
+                        f"{side}-setting {s!r}: alphabet is a set, which has no outcome order"
+                    )
+                    continue
                 try:
                     tuple(outcomes)
                 except TypeError:
@@ -260,6 +271,16 @@ class SupportSpec(Spec):
             return frozenset(pairs)
         except TypeError:
             return pairs
+
+
+def _ordered(outcomes) -> tuple[Outcome, ...]:
+    """An alphabet's outcomes in the order given.  That order carries
+    meaning (the LP drops each setting's last outcome, and `chsh` codes the
+    first as -1), so a set, whose order changes from process to process
+    with the string hash, raises TypeError: the constructor reports it."""
+    if isinstance(outcomes, (set, frozenset)):
+        raise TypeError("a set of outcomes has no order")
+    return tuple(outcomes)
 
 
 # The one builder of each spec kind, under the names the package has long used.
@@ -442,12 +463,35 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     """None if every shared setting has context-independent marginals.
 
     Otherwise the first witness in canonical order: A-side settings before
-    B-side, settings and contexts in canonical label order.  Each side is
-    one scan over the integer counts: A in the stored (canonical) order, B
-    in that order stably sorted by its setting.  Each context's marginal is
-    compared with that of the first context holding its setting; only a
-    mismatch reads the two as Fractions.
+    B-side, settings and contexts in canonical label order.  One scan over
+    the integer counts, in the stored (canonical) order, sums both sides'
+    marginals of each context and compares them with those of the first
+    context holding each setting.  Whether any context differs does not
+    depend on the order of the scan, so only when one does is the
+    canonical witness looked for (`_first_witness`).
     """
+    _, counts = system._counts
+    a_alphabet, b_alphabet = system.a_alphabet, system.b_alphabet
+    first_a: dict[str, dict[Outcome, int]] = {}
+    first_b: dict[str, dict[Outcome, int]] = {}
+    for ctx, pmf in counts.items():
+        x, y = ctx
+        a_sums = dict.fromkeys(a_alphabet[x], 0)
+        b_sums = dict.fromkeys(b_alphabet[y], 0)
+        for (a, b), c in pmf.items():
+            a_sums[a] += c
+            b_sums[b] += c
+        if first_a.setdefault(x, a_sums) != a_sums or first_b.setdefault(y, b_sums) != b_sums:
+            return _first_witness(system)
+    return None
+
+
+def _first_witness(system: SystemSpec) -> SignalingWitness:
+    """The first witness in canonical order of a signaling system.  Each
+    side is one scan over the integer counts: A in the stored (canonical)
+    order, B in that order stably sorted by its setting.  Each context's
+    marginal is compared with that of the first context holding its
+    setting; only a mismatch reads the two as Fractions."""
     scale, counts = system._counts
     by_y = sorted(system.contexts, key=lambda ctx: setting_key(ctx.y))
     for side, index, alphabets, contexts in (
@@ -470,7 +514,7 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
                     marginal1={o: Fraction(c, scale) for o, c in ref.items()},
                     marginal2={o: Fraction(c, scale) for o, c in sums.items()},
                 )
-    return None
+    raise RuntimeError("a marginal differs, yet no witness was found")
 
 
 def support_of(system: SystemSpec) -> SupportSpec:

@@ -1,5 +1,5 @@
 """Shared random generators, dense and sparse reference LPs, a tableau
-builder for rational LPs and a 2xn oracle for tests.
+builder for rational LPs, and a 2xn and a 3322 verdict oracle for tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -12,11 +12,16 @@ import importlib
 import importlib.util
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from contextuality import feasibility, make_system, mix
 from contextuality.feasibility import SCALE, FarkasCertificate, FeasibleSolution, Tableau
@@ -143,14 +148,20 @@ def perfect_chained_box(settings: int, outcomes: int) -> SystemSpec:
     return chained_box(alph, alph, outcomes, {("1", "2"): 1})
 
 
-def checker_accepts(system: SystemSpec, coefficients, bound) -> bool:
-    """Whether `check_witness` of perfbench/checker.py, which imports nothing
-    from the library, accepts a witness of the system by brute force; the
-    coefficients are keyed (context, a, b) as in `BellWitness`."""
+@cache
+def _perfbench_checker():
     path = Path(__file__).parents[1] / "perfbench" / "checker.py"
     spec = importlib.util.spec_from_file_location("perfbench_checker", path)
     checker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(checker)
+    return checker
+
+
+def checker_accepts(system: SystemSpec, coefficients, bound) -> bool:
+    """Whether `check_witness` of perfbench/checker.py, which imports nothing
+    from the library, accepts a witness of the system by brute force; the
+    coefficients are keyed (context, a, b) as in `BellWitness`."""
+    checker = _perfbench_checker()
     pmfs = {tuple(ctx): dict(system.pmfs[ctx]) for ctx in system.contexts}
     terms = {(ctx.x, ctx.y, a, b): c for (ctx, a, b), c in coefficients.items()}
     problem = checker.check_witness(system.a_alphabet, system.b_alphabet, pmfs, terms, bound)
@@ -227,6 +238,178 @@ def chsh_2xn_oracle(system: SystemSpec) -> str:
         if any(abs(total - 2 * c) > 2 for c in corr):
             return "contextual"
     return "noncontextual"
+
+
+# The 3322 scenario: three binary settings per side.  In Collins-Gisin
+# coordinates a system is q = (pA(x), pB(y), pAB(x, y)), the chances of
+# each setting's first outcome and of both first outcomes, x and y in
+# (0, 1, 2); the form (k, alpha, beta, gamma) of an inequality stands for
+# k + alpha . pA + beta . pB + gamma . pAB <= 0, a tuple of 16 ints.
+# The seeds, in Collins & Gisin's table layout (arXiv:quant-ph/0306129):
+# [k, beta row, then per x: alpha[x] followed by gamma[x][y]].
+_SEEDS_3322 = {
+    "positivity": [0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    "chsh": [0, -1, 0, 0, -1, 1, 1, 0, 0, 1, -1, 0, 0, 0, 0, 0],
+    "i3322": [0, -1, 0, 0, -2, 1, 1, 1, -1, 1, 1, -1, 0, 1, -1, 0],
+}
+
+
+def _form(table) -> tuple[int, ...]:
+    """The (k, alpha, beta, gamma) form of a seed in table layout."""
+    k, beta, rows = table[0], table[1:4], [table[4 + 4 * x:8 + 4 * x] for x in range(3)]
+    return (k, *(row[0] for row in rows), *beta, *(c for row in rows for c in row[1:]))
+
+
+def _full_terms(form) -> tuple[int, dict]:
+    """One expression of a form over full probabilities P(a, b|x, y),
+    outcomes by index: pA(x) = P(0, 0|x, 0) + P(0, 1|x, 0), pB(y) =
+    P(0, 0|0, y) + P(1, 0|0, y) and pAB(x, y) = P(0, 0|x, y).  On
+    non-signaling systems every such expression agrees."""
+    k, alpha, beta, gamma = form[0], form[1:4], form[4:7], form[7:]
+    terms: Counter = Counter()
+    for x in range(3):
+        for b in (0, 1):
+            terms[(x, 0, 0, b)] += alpha[x]
+    for y in range(3):
+        for a in (0, 1):
+            terms[(0, y, a, 0)] += beta[y]
+    for x in range(3):
+        for y in range(3):
+            terms[(x, y, 0, 0)] += gamma[3 * x + y]
+    return k, terms
+
+
+def _cg_form(k: int, terms: dict) -> tuple[int, ...]:
+    """The form of k + sum of c P(a, b|x, y): with s_a = 1 at a = 0 and -1
+    at a = 1, P(a, b|x, y) is s_a s_b pAB + s_a [b = 1] pA + s_b [a = 1] pB
+    + [a = b = 1]."""
+    form = [k] + [0] * 15
+    for (x, y, a, b), c in terms.items():
+        sa, sb = 1 - 2 * a, 1 - 2 * b
+        form[7 + 3 * x + y] += sa * sb * c
+        form[1 + x] += sa * b * c
+        form[4 + y] += sb * a * c
+        form[0] += a * b * c
+    return tuple(form)
+
+
+# Generators of the scenario's symmetries, on a full probability's labels
+# (x, y, a, b): two permutations of each side's settings, relabeling the
+# outcomes of each side's first setting, and swapping the parties.
+_SYMMETRIES_3322 = [
+    lambda x, y, a, b: ((1, 0, 2)[x], y, a, b),
+    lambda x, y, a, b: ((1, 2, 0)[x], y, a, b),
+    lambda x, y, a, b: (x, (1, 0, 2)[y], a, b),
+    lambda x, y, a, b: (x, (1, 2, 0)[y], a, b),
+    lambda x, y, a, b: (x, y, a ^ (x == 0), b),
+    lambda x, y, a, b: (x, y, a, b ^ (y == 0)),
+    lambda x, y, a, b: (y, x, b, a),
+]
+
+
+@cache
+def facets_3322() -> Mapping[str, tuple[tuple[int, ...], ...]]:
+    """Every facet of the 3322 local polytope, per orbit of its seed
+    (`_SEEDS_3322`) under setting permutations, per-setting outcome
+    relabelings and the party swap; sorted forms.  Collins & Gisin list 684:
+    36 positivity, 72 CHSH and 576 I3322 facets."""
+    orbits = {}
+    for name, seed in _SEEDS_3322.items():
+        orbit = {_form(seed)}
+        todo = list(orbit)
+        while todo:
+            k, terms = _full_terms(todo.pop())
+            for move in _SYMMETRIES_3322:
+                image = _cg_form(k, {move(*label): c for label, c in terms.items()})
+                if image not in orbit:
+                    orbit.add(image)
+                    todo.append(image)
+        orbits[name] = tuple(sorted(orbit))
+    return MappingProxyType(orbits)  # cached: shared by every caller
+
+
+def deterministic_3322() -> list[tuple[int, ...]]:
+    """The 64 deterministic points (1, pA, pB, pAB), f and g the outcome
+    indices of each side's settings; a form's value is its dot product."""
+    points = []
+    for f in product((0, 1), repeat=3):
+        for g in product((0, 1), repeat=3):
+            p_a, p_b = [int(a == 0) for a in f], [int(b == 0) for b in g]
+            points.append((1, *p_a, *p_b, *(pa * pb for pa in p_a for pb in p_b)))
+    return points
+
+
+def cg_point_3322(system: SystemSpec) -> tuple[Fraction, ...]:
+    """(1, pA, pB, pAB) of a non-signaling 3322 system, read off its pmfs
+    alone, outcomes by their place in the alphabet."""
+    xs, ys = system.a_settings, system.b_settings
+    alphabets = list(system.a_alphabet.values()) + list(system.b_alphabet.values())
+    if (len(xs), len(ys), len(system.contexts)) != (3, 3, 9) or {len(al) for al in alphabets} != {2}:
+        raise ValueError("the 3322 oracle needs three binary settings per side and every context")
+    first_a = {x: system.a_alphabet[x][0] for x in xs}
+    first_b = {y: system.b_alphabet[y][0] for y in ys}
+    pmfs = system.pmfs
+    p_a = [sum((p for (a, _), p in pmfs[(x, ys[0])].items() if a == first_a[x]), ZERO) for x in xs]
+    p_b = [sum((p for (_, b), p in pmfs[(xs[0], y)].items() if b == first_b[y]), ZERO) for y in ys]
+    p_ab = [pmfs[(x, y)].get((first_a[x], first_b[y]), ZERO) for x in xs for y in ys]
+    return (ONE, *p_a, *p_b, *p_ab)
+
+
+def violated_3322(point) -> list[tuple[str, tuple[int, ...]]]:
+    """The (orbit, form) of every facet (`facets_3322`) that a point (1, pA,
+    pB, pAB) violates, read over its entries' common denominator."""
+    point = [Fraction(v) for v in point]
+    scale = lcm(*(v.denominator for v in point))
+    q = [v.numerator * (scale // v.denominator) for v in point]
+    return [
+        (name, form)
+        for name, orbit in facets_3322().items()
+        for form in orbit
+        if sum(map(mul, form, q)) > 0
+    ]
+
+
+def local_3322_oracle(system: SystemSpec) -> str:
+    """Verdict of a non-signaling 3322 system, with no LP and no call into
+    the library: noncontextual iff it satisfies every facet of the local
+    polytope (`facets_3322`).  Those facets are the whole description, so
+    a system outside the polytope violates one of them."""
+    return "contextual" if violated_3322(cg_point_3322(system)) else "noncontextual"
+
+
+def system_3322(point, name: str = "3322") -> SystemSpec:
+    """The 3322 system, settings "1".."3" and outcomes ("0", "1"), at a
+    point (1, pA, pB, pAB) whose entries are rational: each P(a, b|x, y)
+    from the Collins-Gisin expansion (`_cg_form`)."""
+    p_a, p_b, p_ab = point[1:4], point[4:7], point[7:]
+    pmfs = {}
+    for x in range(3):
+        for y in range(3):
+            both = p_ab[3 * x + y]
+            pmf = {
+                ("0", "0"): both,
+                ("0", "1"): p_a[x] - both,
+                ("1", "0"): p_b[y] - both,
+                ("1", "1"): 1 - p_a[x] - p_b[y] + both,
+            }
+            pmfs[(str(x + 1), str(y + 1))] = {pair: Fraction(p) for pair, p in pmf.items() if p}
+    alph = {str(i): BIN for i in range(1, 4)}
+    return make_system(name, alph, alph, pmfs)
+
+
+def reproduces_by_fraction_sums(system: SystemSpec, decomposition) -> bool:
+    """The definition of a decomposition reproducing a system, over
+    Fractions: positive weights summing to 1, and one sum per (context,
+    pair) of the alphabet product."""
+    weights = [w for _, w in decomposition.components]
+    if sum(weights, ZERO) != 1 or any(w <= 0 for w in weights):
+        return False
+    return all(
+        sum((w for r, w in decomposition.components if r.values[ctx] == pair), ZERO)
+        == system.prob(ctx, pair)
+        for ctx in system.contexts
+        for pair in system.pairs(ctx)
+    )
 
 
 def full_membership_problem(system: SystemSpec, columns, supported):

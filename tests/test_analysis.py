@@ -1,7 +1,11 @@
+import collections
 import gc
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -36,9 +40,13 @@ from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, 
 from contextuality.systems import Context, marginal, mix_context_dependent
 
 from helpers import (
+    cg_point_3322,
     chained_box,
     checker_accepts,
     chsh_2xn_oracle,
+    deterministic_3322,
+    facets_3322,
+    local_3322_oracle,
     dense_problem,
     every_pair,
     full_support,
@@ -50,7 +58,10 @@ from helpers import (
     random_ns_mixture,
     random_shape,
     rational_tableau,
+    reproduces_by_fraction_sums,
     restrict,
+    system_3322,
+    violated_3322,
     uniform_system,
     verify,
 )
@@ -640,22 +651,6 @@ class TestDecompositionReproduces:
         )
         assert not decomposition_reproduces(m, bad)
 
-    @staticmethod
-    def reference(system, decomposition):
-        """The definition over Fractions: one sum per (context, pair)."""
-        weights = [w for _, w in decomposition.components]
-        if sum(weights, Fraction(0)) != 1 or any(w <= 0 for w in weights):
-            return False
-        return all(
-            sum(
-                (w for r, w in decomposition.components if r.values[ctx] == pair),
-                Fraction(0),
-            )
-            == system.prob(ctx, pair)
-            for ctx in system.contexts
-            for pair in system.pairs(ctx)
-        )
-
     def test_matches_fraction_sums_on_mutated_decompositions(self):
         rng = random.Random(29)
         mutated = reproduced = 0
@@ -674,13 +669,16 @@ class TestDecompositionReproduces:
                 shifted = list(comps)
                 shifted[i], shifted[j] = (ri, wi - moved), (rj, wj + moved)
                 variants.append(shifted)
+                # Every pair the rest hits can still match: only the weight
+                # sum tells that a component is missing.
+                variants.append(comps[:i] + comps[i + 1:])
             for components in variants:
                 d = Decomposition(components=tuple(components))
-                expected = self.reference(m, d)
+                expected = reproduces_by_fraction_sums(m, d)
                 assert decomposition_reproduces(m, d) == expected
                 mutated += components is not comps
                 reproduced += expected
-        assert mutated > 350 and reproduced >= 150  # 410 and 150 here
+        assert mutated > 450 and reproduced >= 150  # 520 and 150 here
 
     def test_hand_built(self):
         m = mix([(get("d1").system, HALF), (get("d2").system, HALF)])
@@ -795,6 +793,135 @@ class TestTwoByNOracle:
                 assert kind == chsh_2xn_oracle(system)
                 kinds.append(kind)
         assert kinds.count("contextual") >= 1000 and kinds.count("noncontextual") >= 1000
+
+
+def _dot(form, point):
+    return sum(map(operator.mul, form, point))
+
+
+def _rank(rows) -> int:
+    """The rank of integer rows, by fraction-free elimination."""
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        p = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                row = [p[col] * a - rows[i][col] * b for a, b in zip(rows[i], p)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        rank += 1
+    return rank
+
+
+_DRAWS_3322 = ("local", "on a facet", "past a CHSH facet", "past an I3322 facet", "PR box and noise")
+
+
+def _3322_draws(rng: random.Random, count: int):
+    """`count` 3322 systems, each with how it was drawn, the five ways in
+    turn (`_DRAWS_3322`), so each has a fixed share:
+    - a mixture of one to four deterministic points: noncontextual;
+    - the point inside a random facet that weighs each of its tight
+      deterministic points by 1 to 5: on the boundary, noncontextual;
+    - that point for a CHSH or an I3322 facet, pushed out along the facet's
+      normal by a random share of the way to the nearest other facet: it
+      violates that facet alone, and is contextual;
+    - a PR box on a random 2x2 sub-box (uniform elsewhere), mixed with a
+      mixture of deterministic points at a random weight: either verdict.
+    The facets are those of `facets_3322`, checked by `test_facets`."""
+    facets = facets_3322()
+    every = [form for orbit in facets.values() for form in orbit]
+    points = deterministic_3322()
+
+    def local_point():
+        chosen = rng.sample(points, rng.randint(1, 4))
+        weights = [rng.randint(1, 5) for _ in chosen]
+        return [Fraction(sum(w * p[i] for w, p in zip(weights, chosen)), sum(weights))
+                for i in range(16)]
+
+    for k in range(count):
+        how = _DRAWS_3322[k % len(_DRAWS_3322)]
+        if how == "local":
+            point = local_point()
+        elif how == "PR box and noise":
+            # b = a on the sub-box's contexts but an odd number of them,
+            # where b != a: pAB is 1/2 or 0 there, and 1/4 elsewhere.
+            box = list(product(rng.sample(range(3), 2), rng.sample(range(3), 2)))
+            odd = rng.choice([1, 3])
+            anti = set(rng.sample(box, odd))
+            pr = [1] + [Fraction(1, 2)] * 6 + [
+                Fraction(0 if ctx in anti else 2, 4) if ctx in box else Fraction(1, 4)
+                for ctx in product(range(3), range(3))
+            ]
+            weight = Fraction(rng.randint(1, 9), 10)
+            point = [weight * a + (1 - weight) * b for a, b in zip(pr, local_point())]
+        else:
+            orbit = {"on a facet": every, "past a CHSH facet": facets["chsh"],
+                     "past an I3322 facet": facets["i3322"]}[how]
+            facet = rng.choice(orbit)
+            tight = [p for p in points if _dot(facet, p) == 0]
+            weights = [rng.randint(1, 5) for _ in tight]
+            inside = [sum(w * p[i] for w, p in zip(weights, tight)) for i in range(16)]
+            step = Fraction(0)
+            if how != "on a facet":
+                normal = (0, *facet[1:])
+                # The nearest other facet along the normal, at -slack / rate.
+                slack, rate = None, None
+                for other in every:
+                    r = _dot(other, normal)
+                    if r > 0 and other != facet:
+                        v = -_dot(other, inside)
+                        if slack is None or v * rate < slack * r:
+                            slack, rate = v, r
+                step = Fraction(slack, rate) * Fraction(rng.randint(1, 9), 10)
+                inside = [v + step * n for v, n in zip(inside, normal)]
+            point = [Fraction(v, sum(weights)) for v in inside]
+        yield system_3322(point, name=how), how
+
+
+class TestOracle3322:
+    """`classify` against the complete facet list of the 3322 local polytope
+    (three binary settings per side) on 1,000 systems: no LP on the
+    oracle's side."""
+
+    def test_facets(self):
+        facets = facets_3322()
+        assert {name: len(orbit) for name, orbit in facets.items()} == {
+            "positivity": 36, "chsh": 72, "i3322": 576,
+        }
+        points = deterministic_3322()
+        for orbit in facets.values():
+            for form in orbit:
+                values = [_dot(form, p) for p in points]
+                # Valid on every deterministic point, and tight on enough of
+                # them to span a hyperplane of the 15-dimensional polytope.
+                assert max(values) == 0
+                assert _rank([p for p, v in zip(points, values) if v == 0]) == 15
+
+    def test_agrees_with_classify(self):
+        rng = random.Random(3322)
+        tally = collections.Counter()
+        for system, how in _3322_draws(rng, 1000):
+            v = classify(system)
+            assert v.kind == local_3322_oracle(system), how
+            if how.startswith("past"):
+                violated = violated_3322(cg_point_3322(system))
+                assert [name for name, _ in violated] == [how.split()[2].lower()]
+            if v.kind == "contextual":
+                assert checker_accepts(system, v.witness.coefficients, v.witness.bound)
+            else:
+                assert decomposition_reproduces(system, v.decomposition)
+                assert reproduces_by_fraction_sums(system, v.decomposition)
+            tally[how, v.kind] += 1
+        share = 1000 // len(_DRAWS_3322)
+        assert tally["local", "noncontextual"] == tally["on a facet", "noncontextual"] == share
+        assert tally["past a CHSH facet", "contextual"] == share
+        assert tally["past an I3322 facet", "contextual"] == share
+        assert min(tally["PR box and noise", kind] for kind in ("contextual", "noncontextual")) >= 40
 
 
 class TestWitness:

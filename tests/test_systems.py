@@ -313,6 +313,31 @@ class TestNonsignaling:
             make_system("x", {"1": ("0", "1")}, {"1": ("0", "1")}, pmfs)
         assert str(exc.value) == message
 
+    def test_first_witness_is_canonical_when_a_later_one_is_met_first(self):
+        # Settings "2" and "10" order differently as numbers and as strings.
+        # A signals at "10" only and B at both settings.  The one scan of
+        # the contexts, in canonical order, meets B's mismatch at ("10", "2")
+        # before A's at ("10", "10"); the witness is still A's, the first in
+        # canonical order, with "2" before "10".
+        alph = {"2": ("0", "1"), "10": ("0", "1")}
+        pairs = {("2", "2"): ("0", "0"), ("2", "10"): ("0", "0"),
+                 ("10", "2"): ("0", "1"), ("10", "10"): ("1", "1")}
+        s = make_system("both-sides", alph, alph, {ctx: {pair: 1} for ctx, pair in pairs.items()})
+        one, zero = Fraction(1), Fraction(0)
+        expected = SignalingWitness(
+            "A", "10", Context("10", "2"), Context("10", "10"),
+            {"0": one, "1": zero}, {"0": zero, "1": one},
+        )
+        assert check_nonsignaling(s) == expected == self.reference_witness(s)
+        # With A's signal removed, B's first witness is at "2", not "10".
+        pairs[("10", "10")] = ("0", "1")
+        s = make_system("b-only", alph, alph, {ctx: {pair: 1} for ctx, pair in pairs.items()})
+        expected = SignalingWitness(
+            "B", "2", Context("2", "2"), Context("10", "2"),
+            {"0": one, "1": zero}, {"0": zero, "1": one},
+        )
+        assert check_nonsignaling(s) == expected == self.reference_witness(s)
+
     @staticmethod
     def reference_witness(system):
         """The first witness in canonical order, from Fraction marginals."""
@@ -534,49 +559,89 @@ def test_support_that_is_no_collection_is_a_violation():
 
 
 @pytest.mark.parametrize(
-    "build, a_alphabet, table, violation",
+    "build, name, a_alphabet, table, violation",
     [
         (
-            make_system, ONE_SETTING, {(None, "1"): {("0", "0"): 1}},
+            make_system, "malformed", ONE_SETTING, {(None, "1"): {("0", "0"): 1}},
             "table key (None, '1') has a setting that is not a string, "
             "which the canonical order cannot place",
         ),
         (
-            make_system, ONE_SETTING, {(1, "1"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
+            make_system, "malformed", ONE_SETTING,
+            {(1, "1"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
             "table key (1, '1') has a setting that is not a string, "
             "which the canonical order cannot place",
         ),
         (
-            make_system, ONE_SETTING, [("1", "1")],
+            make_system, "malformed", ONE_SETTING, [("1", "1")],
             "table [('1', '1')] is not a mapping from contexts to pmfs",
         ),
         (
-            make_support, ONE_SETTING, [("1", "1")],
+            make_support, "malformed", ONE_SETTING, [("1", "1")],
             "table [('1', '1')] is not a mapping from contexts to supports",
         ),
         (
-            make_system, ["1"], {("1", "1"): {("0", "0"): 1}},
+            make_system, "malformed", ["1"], {("1", "1"): {("0", "0"): 1}},
             "A-alphabet ['1'] is not a mapping from settings to outcomes",
         ),
         (
-            make_support, {"1": 5}, {("1", "1"): [("0", "0")]},
+            make_support, "malformed", {"1": 5}, {("1", "1"): [("0", "0")]},
             "A-setting '1': alphabet 5 is not a collection of outcomes",
         ),
         (
-            make_system, {1: ("0", "1"), "1": ("0", "1")}, {("1", "1"): {("0", "0"): 1}},
+            make_system, "malformed", {1: ("0", "1"), "1": ("0", "1")},
+            {("1", "1"): {("0", "0"): 1}},
             "A-settings [1, '1'] cannot be put in canonical order",
+        ),
+        (
+            make_system, ["x"], ONE_SETTING, {("1", "1"): {("0", "0"): 1}},
+            "name ['x'] is not a string",
+        ),
+        (
+            make_support, ("x",), ONE_SETTING, [("1", "1")],
+            "name ('x',) is not a string",
         ),
     ],
     ids=["none-setting", "int-and-string-settings", "list-table", "list-support-table",
-         "list-alphabet", "int-outcomes", "int-and-string-alphabet-settings"],
+         "list-alphabet", "int-outcomes", "int-and-string-alphabet-settings", "list-name",
+         "tuple-name-and-list-table"],
 )
-def test_malformed_plain_data_is_a_violation(build, a_alphabet, table, violation):
+def test_malformed_plain_data_is_a_violation(build, name, a_alphabet, table, violation):
     # Each of these once raised TypeError or AttributeError while the spec
-    # was stored, before `validate` could run, but the last: it built a
-    # spec that `classify` raised TypeError on.
+    # was stored, before `validate` could run, but three: the int and
+    # string alphabet settings built a spec that `classify` raised TypeError
+    # on, and a name that is no string built a spec, whose hash raised
+    # TypeError when the name was a list.
     with pytest.raises(InvalidSystemError) as exc:
-        build("malformed", a_alphabet, ONE_SETTING, table)
+        build(name, a_alphabet, ONE_SETTING, table)
     assert exc.value.violations[0] == violation
+
+
+@pytest.mark.parametrize("unordered", [set, frozenset])
+@pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
+def test_alphabet_given_as_a_set_is_a_violation(build, unordered):
+    # The order of an alphabet carries meaning: the LP drops each setting's
+    # last outcome, and `chsh` codes the first as -1.  A set's order changes
+    # with the string-hash seed, so it is refused, not stored in one of its
+    # orders; CI runs this module under two seeds.
+    table = {("1", "1"): {("a", "0"): 1}} if build is make_system else {("1", "1"): [("a", "0")]}
+    with pytest.raises(InvalidSystemError) as exc:
+        build("x", {"1": unordered("abc")}, {"1": unordered("0")}, table)
+    assert exc.value.violations == [
+        "A-setting '1': alphabet is a set, which has no outcome order",
+        "B-setting '1': alphabet is a set, which has no outcome order",
+    ]
+    # Beside an alphabet that cannot be stored at all, it is still reported.
+    with pytest.raises(InvalidSystemError) as exc:
+        build("x", ["1"], {"1": unordered("0")}, table)
+    assert exc.value.violations == [
+        "A-alphabet ['1'] is not a mapping from settings to outcomes",
+        "B-setting '1': alphabet is a set, which has no outcome order",
+    ]
+    # Ordered collections keep their order: a dict's keys, a list, a tuple.
+    for ordered in (dict.fromkeys("cab"), list("cab"), tuple("cab")):
+        spec = build("x", {"1": ordered}, {"1": ("0",)}, table)
+        assert spec.a_alphabet["1"] == ("c", "a", "b")
 
 
 def test_support_pairs_outside_the_alphabet_are_listed_in_one_order():
@@ -648,7 +713,7 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
         make_support: ["fuzz", dict(BIN), dict(BIN), {ctx: list(pmf) for ctx in contexts}],
     }
     rng = random.Random(21)
-    outcomes = {"built": 0, "refused": 0}
+    outcomes = {"built": 0, "refused": 0, "junk name": 0}
     start = time.perf_counter()
     for _ in range(3000):
         build = rng.choice([make_system, make_support])
@@ -659,6 +724,9 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
             while in_key and not systems._hashable(new):
                 new = _junk(rng, rng.randint(1, 2))
             args = _replace(args, path, new)
+        if rng.random() < 0.1:  # the name slot, drawn more often than the rest
+            args = [_junk(rng, rng.randint(0, 2))] + args[1:]
+        outcomes["junk name"] += not isinstance(args[0], str)
         try:
             spec = build(*args)
         except InvalidSystemError as exc:
@@ -666,6 +734,7 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
             outcomes["refused"] += 1
         else:
             assert validate(spec) == []
+            assert type(spec.name) is str and hash(spec) == hash(build(*args))
             outcomes["built"] += 1
     assert time.perf_counter() - start < 2
     assert min(outcomes.values()) >= 20, outcomes
