@@ -47,7 +47,6 @@ from .systems import (
     SystemSpec,
     check_nonsignaling,
     count_assignments,
-    expectation_product,
     make_support,
     make_system,
     marginal,
@@ -87,7 +86,6 @@ __all__ = [
     "decomposition_reproduces",
     "dot",
     "enumerate_ns_realizations",
-    "expectation_product",
     "fine_oracle",
     "get",
     "incidence_tableau",

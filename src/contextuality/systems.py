@@ -6,20 +6,21 @@ alphabet of that context.  All probabilities are `fractions.Fraction`;
 nothing in this module touches floating point.  Fractions stay at the
 boundary: a system holds them, and every function takes and returns them.
 A spec kind has one builder, its constructor, also named `make_system` or
-`make_support`: it stores plain data frozen, its contexts being the keys of
-its table, in canonical order.  A spec that exists is valid: its
-constructor runs `validate` and raises `InvalidSystemError` with every
-violation, so no function taking a spec checks it again.  A signaling
-system is a valid spec; `check_nonsignaling` tells it apart.
+`make_support`: one walk over the plain data stores it frozen, its contexts
+being the keys of its table, in canonical order, or names each piece it
+cannot store.  A spec that exists is valid: its constructor runs `validate`
+and raises `InvalidSystemError` with every violation, so no function taking
+a spec checks it again.  A signaling system is a valid spec;
+`check_nonsignaling` tells it apart.
 Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
 one common denominator, built once per system (`SystemSpec._counts`), so
 their sums and comparisons run over ints.  `check_nonsignaling` scans the
-counts once, both sides' marginals together, and scans them again in
-canonical order only when a system signals, to name its first witness;
-`decomposition_reproduces` compares only the pairs the mixture hits, which
-the weights summing to 1 make complete.  The support of a system is built
-once the same way as its counts (`SystemSpec.supports`).
+counts once, both sides' marginals together; only when a system signals
+does it read each side's `marginal`s in canonical order, to name its first
+witness.  `decomposition_reproduces` compares only the pairs the mixture
+hits, which the weights summing to 1 make complete.  The support of a
+system is built once the same way as its counts (`SystemSpec.supports`).
 """
 
 from __future__ import annotations
@@ -80,11 +81,13 @@ class Spec:
     in canonical order (`setting_key`).  Every spec answers `supports`, a read-only
     {context: frozenset of pairs} of the pairs each context allows: a
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
-    a spec checks it: one `validate` rejects raises `InvalidSystemError`,
-    and so does a name that is no string, an alphabet or table that is no
+    a spec checks it.  One walk stores the alphabets and the table, or
+    names each piece it cannot store: an alphabet or table that is no
     mapping, outcomes that are no collection or are a set (whose order
-    changes from process to process), settings that cannot be ordered, or a
-    table key that is no 2-tuple or cannot be ordered.
+    changes from process to process), settings that cannot be ordered.
+    Such a piece, a name that is no string, a table key that is no 2-tuple
+    or cannot be ordered, and whatever `validate` rejects each raise
+    `InvalidSystemError`, once per build.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -100,17 +103,49 @@ class Spec:
     def __init__(self, name, a_alphabet, b_alphabet, table):
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
-        malformed = [] if isinstance(name, str) else [f"name {name!r} is not a string"]
+        violations = [] if isinstance(name, str) else [f"name {name!r} is not a string"]
+        malformed = []  # what the walk below cannot store
+        for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
+            try:
+                items = alphabets.items()
+            except AttributeError:
+                malformed.append(
+                    f"{side}-alphabet {alphabets!r} is not a mapping from settings to outcomes"
+                )
+                continue
+            stored = {}
+            for s, outcomes in items:
+                # The order of outcomes carries meaning (the LP drops each
+                # setting's last outcome, and `chsh` codes the first as -1),
+                # and a set's order changes with the string hash.
+                if isinstance(outcomes, (set, frozenset)):
+                    malformed.append(
+                        f"{side}-setting {s!r}: alphabet is a set, which has no outcome order"
+                    )
+                    continue
+                try:
+                    stored[s] = tuple(outcomes)
+                except TypeError:
+                    malformed.append(
+                        f"{side}-setting {s!r}: alphabet {outcomes!r} is not a collection of outcomes"
+                    )
+            try:
+                settings = tuple(sorted(alphabets, key=setting_key))
+            except TypeError:
+                malformed.append(
+                    f"{side}-settings {list(alphabets)!r} cannot be put in canonical order"
+                )
+                continue
+            fields[f"{side.lower()}_alphabet"] = MappingProxyType(stored)
+            fields[f"{side.lower()}_settings"] = settings
         try:
-            for side, alphabets in (("a", a_alphabet), ("b", b_alphabet)):
-                stored = {s: _ordered(outcomes) for s, outcomes in alphabets.items()}
-                fields[f"{side}_alphabet"] = MappingProxyType(stored)
-                fields[f"{side}_settings"] = tuple(sorted(stored, key=setting_key))
             items = table.items()
-        except (AttributeError, TypeError):
-            raise InvalidSystemError(
-                name, malformed + self._shape_violations(a_alphabet, b_alphabet, table)
-            ) from None
+        except AttributeError:
+            malformed.append(
+                f"table {table!r} is not a mapping from contexts to {self._fields[-1]}"
+            )
+        if malformed:
+            raise InvalidSystemError(name, violations + malformed)
         # A key that is no 2-tuple names no context: it is left out, and
         # reported with the violations `validate` finds.
         given = {}
@@ -118,14 +153,14 @@ class Spec:
             if isinstance(key, tuple) and len(key) == 2:
                 given[Context._make(key)] = value
             else:
-                malformed.append(f"table key {key!r} is not an (A-setting, B-setting) pair")
+                violations.append(f"table key {key!r} is not an (A-setting, B-setting) pair")
         try:
             contexts = tuple(sorted(given, key=context_key))
         except TypeError:
             # A setting that is no string can have no place in the canonical
             # order: such keys are left out and reported too.
             unordered = [ctx for ctx in given if not all(isinstance(s, str) for s in ctx)]
-            malformed += [
+            violations += [
                 f"table key {tuple(ctx)!r} has a setting that is not a string, "
                 "which the canonical order cannot place"
                 for ctx in unordered
@@ -136,47 +171,9 @@ class Spec:
         fields[self._fields[-1]] = MappingProxyType(
             {ctx: self._freeze(given[ctx]) for ctx in contexts}
         )
-        violations = malformed + validate(self)
+        violations += validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
-
-    def _shape_violations(self, a_alphabet, b_alphabet, table) -> list[str]:
-        """Why plain data that the constructor cannot even store is refused:
-        an alphabet that is no mapping, or whose outcomes are no collection
-        or a set or whose settings cannot be ordered, or a table that is no
-        mapping."""
-        violations = []
-        for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
-            try:
-                items = alphabets.items()
-            except AttributeError:
-                violations.append(
-                    f"{side}-alphabet {alphabets!r} is not a mapping from settings to outcomes"
-                )
-                continue
-            for s, outcomes in items:
-                if isinstance(outcomes, (set, frozenset)):
-                    violations.append(
-                        f"{side}-setting {s!r}: alphabet is a set, which has no outcome order"
-                    )
-                    continue
-                try:
-                    tuple(outcomes)
-                except TypeError:
-                    violations.append(
-                        f"{side}-setting {s!r}: alphabet {outcomes!r} is not a collection of outcomes"
-                    )
-            try:
-                sorted(alphabets, key=setting_key)
-            except TypeError:
-                violations.append(
-                    f"{side}-settings {list(alphabets)!r} cannot be put in canonical order"
-                )
-        if not hasattr(table, "items"):
-            violations.append(
-                f"table {table!r} is not a mapping from contexts to {self._fields[-1]}"
-            )
-        return violations
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -222,11 +219,6 @@ class SystemSpec(Spec):
             {pair: Fraction(p) if isinstance(p, int) else p for pair, p in items}
         )
 
-    def pmf(self, ctx: Context) -> Mapping[Pair, Fraction]:
-        if ctx not in self.pmfs:
-            raise KeyError(f"unknown context {ctx}")
-        return self.pmfs[ctx]
-
     def prob(self, ctx: Context, pair: Pair) -> Fraction:
         return self.pmfs[ctx].get(pair, ZERO)
 
@@ -271,16 +263,6 @@ class SupportSpec(Spec):
             return frozenset(pairs)
         except TypeError:
             return pairs
-
-
-def _ordered(outcomes) -> tuple[Outcome, ...]:
-    """An alphabet's outcomes in the order given.  That order carries
-    meaning (the LP drops each setting's last outcome, and `chsh` codes the
-    first as -1), so a set, whose order changes from process to process
-    with the string hash, raises TypeError: the constructor reports it."""
-    if isinstance(outcomes, (set, frozenset)):
-        raise TypeError("a set of outcomes has no order")
-    return tuple(outcomes)
 
 
 # The one builder of each spec kind, under the names the package has long used.
@@ -441,9 +423,11 @@ def _hashable(value) -> bool:
 def marginal(
     system: SystemSpec, context: Context, side: str
 ) -> dict[Outcome, Fraction]:
-    """Exact one-sided marginal of the context's joint pmf."""
+    """Exact one-sided marginal of the context's joint pmf, keyed by the
+    side's alphabet in its order; an unknown context raises KeyError.
+    `check_nonsignaling` reads it to name a signaling system's witness."""
     context = Context(*context)
-    pmf = system.pmf(context)
+    pmf = system.pmfs[context]
     if side == "A":
         outcomes = system.a_alphabet[context.x]
         out = {o: ZERO for o in outcomes}
@@ -468,7 +452,7 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     marginals of each context and compares them with those of the first
     context holding each setting.  Whether any context differs does not
     depend on the order of the scan, so only when one does is the
-    canonical witness looked for (`_first_witness`).
+    canonical witness looked for (`_first_witness`), from the `marginal`s.
     """
     _, counts = system._counts
     a_alphabet, b_alphabet = system.a_alphabet, system.b_alphabet
@@ -488,32 +472,16 @@ def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
 
 def _first_witness(system: SystemSpec) -> SignalingWitness:
     """The first witness in canonical order of a signaling system.  Each
-    side is one scan over the integer counts: A in the stored (canonical)
-    order, B in that order stably sorted by its setting.  Each context's
-    marginal is compared with that of the first context holding its
-    setting; only a mismatch reads the two as Fractions."""
-    scale, counts = system._counts
-    by_y = sorted(system.contexts, key=lambda ctx: setting_key(ctx.y))
-    for side, index, alphabets, contexts in (
-        ("A", 0, system.a_alphabet, system.contexts),
-        ("B", 1, system.b_alphabet, by_y),
-    ):
-        first: dict[str, tuple[Context, dict[Outcome, int]]] = {}
-        for ctx in contexts:
-            setting = ctx[index]
-            sums = dict.fromkeys(alphabets[setting], 0)
-            for pair, c in counts[ctx].items():
-                sums[pair[index]] += c
-            ref_ctx, ref = first.setdefault(setting, (ctx, sums))
-            if ref != sums:
-                return SignalingWitness(
-                    side=side,
-                    setting=setting,
-                    context1=ref_ctx,
-                    context2=ctx,
-                    marginal1={o: Fraction(c, scale) for o, c in ref.items()},
-                    marginal2={o: Fraction(c, scale) for o, c in sums.items()},
-                )
+    side is one scan over its contexts, stably sorted by that side's
+    setting: each context's `marginal` is compared with that of the first
+    context holding the same setting."""
+    for side, index in (("A", 0), ("B", 1)):
+        first: dict[str, tuple[Context, dict[Outcome, Fraction]]] = {}
+        for ctx in sorted(system.contexts, key=lambda ctx: setting_key(ctx[index])):
+            m = marginal(system, ctx, side)
+            ref_ctx, ref = first.setdefault(ctx[index], (ctx, m))
+            if ref != m:
+                return SignalingWitness(side, ctx[index], ref_ctx, ctx, ref, m)
     raise RuntimeError("a marginal differs, yet no witness was found")
 
 
@@ -580,9 +548,9 @@ def mix_context_dependent(
     context; the result need not be non-signaling even when every
     component is.
     """
-    if not rule:
+    base = next((components[0][0] for components in rule.values() if components), None)
+    if base is None:
         raise ValueError("empty rule")
-    base = next(iter(rule.values()))[0][0]
     pmfs: dict[Context, dict[Pair, Fraction]] = {}
     for ctx, components in rule.items():
         total = ZERO
@@ -604,43 +572,5 @@ def mix_context_dependent(
         name=name,
         a_alphabet=base.a_alphabet,
         b_alphabet=base.b_alphabet,
-        pmfs=pmfs,
-    )
-
-
-def expectation_product(
-    system: SystemSpec,
-    context: Context,
-    coding: Mapping[Outcome, Fraction] | None = None,
-) -> Fraction:
-    """Expectation of code(a)*code(b) in one context.
-
-    Default coding maps each outcome label to its integer reading
-    (so "0"/"1" outcomes give the usual 0/1 product expectation).
-    """
-    context = Context(*context)
-    pmf = system.pmf(context)
-    out = ZERO
-    for (a, b), p in pmf.items():
-        if coding is None:
-            ca, cb = Fraction(int(a)), Fraction(int(b))
-        else:
-            if a not in coding or b not in coding:
-                missing = a if a not in coding else b
-                raise KeyError(f"no code for outcome {missing!r}")
-            ca, cb = coding[a], coding[b]
-        out += p * ca * cb
-    return out
-
-
-def realization_system(
-    realization: Realization, shape: Spec, name: str = "realization"
-) -> SystemSpec:
-    """View a realization as a deterministic system of the given shape."""
-    pmfs = {ctx: {pair: ONE} for ctx, pair in realization.values.items()}
-    return SystemSpec(
-        name=name,
-        a_alphabet=shape.a_alphabet,
-        b_alphabet=shape.b_alphabet,
         pmfs=pmfs,
     )

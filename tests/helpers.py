@@ -218,7 +218,7 @@ def chsh_2xn_oracle(system: SystemSpec) -> str:
     are coded -1 and +1 by their place in the alphabet.  That is why it
     stays a test reference for `classify` rather than a widened
     `analysis.fine_oracle`, which reads the correlators through
-    `expectation_product` and refuses signaling input first.
+    `chsh` and refuses signaling input first.
     """
     xs, ys = system.a_settings, system.b_settings
     alphabets = list(system.a_alphabet.values()) + list(system.b_alphabet.values())

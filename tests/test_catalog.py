@@ -8,7 +8,6 @@ from contextuality import (
     SupportSpec,
     check_nonsignaling,
     conspiracy_system,
-    expectation_product,
     get,
     marginal,
     pair_as_mixture,
@@ -127,11 +126,11 @@ class TestConspiracy:
                 assert marginal(s, ctx, side) == {"0": HALF, "1": HALF}
 
     def test_product_expectations(self):
+        # E[ab] under 0/1 coding is P(a=1, b=1).
         s = conspiracy_system()
-        assert expectation_product(s, Context("1", "1")) == HALF
-        assert expectation_product(s, Context("2", "1")) == HALF
-        assert expectation_product(s, Context("2", "2")) == HALF
-        assert expectation_product(s, Context("1", "2")) == 0
+        expected = {("1", "1"): HALF, ("2", "1"): HALF, ("2", "2"): HALF, ("1", "2"): 0}
+        for ctx, value in expected.items():
+            assert s.pmfs[Context(*ctx)].get(("1", "1"), 0) == value
 
     def test_nonsignaling(self):
         assert check_nonsignaling(conspiracy_system()) is None

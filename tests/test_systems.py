@@ -9,7 +9,6 @@ import pytest
 from contextuality import (
     Context,
     InvalidSystemError,
-    Realization,
     SignalingSystemError,
     SignalingWitness,
     SupportSpec,
@@ -18,7 +17,6 @@ from contextuality import (
     classify,
     count_assignments,
     enumerate_ns_realizations,
-    expectation_product,
     get,
     make_support,
     make_system,
@@ -29,9 +27,9 @@ from contextuality import (
     validate,
 )
 from contextuality import systems
-from contextuality.systems import context_key, realization_system
+from contextuality.systems import context_key
 
-from helpers import random_deterministic_ns, random_ns_mixture, random_shape
+from helpers import random_ns_mixture
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
 
@@ -337,6 +335,20 @@ class TestNonsignaling:
             {"0": one, "1": zero}, {"0": zero, "1": one},
         )
         assert check_nonsignaling(s) == expected == self.reference_witness(s)
+        # B alone signals, at both its settings.  Scanned in context order,
+        # B's first mismatch is at setting "2", ("1", "2") against ("2", "2");
+        # the canonical witness is at setting "1", ("1", "1") against ("3", "1").
+        a_alph = {x: ("0", "1") for x in ("1", "2", "3")}
+        b_alph = {y: ("0", "1") for y in ("1", "2")}
+        b_of = {("1", "1"): "0", ("2", "1"): "0", ("1", "2"): "0",
+                ("3", "1"): "1", ("2", "2"): "1", ("3", "2"): "1"}
+        s = make_system("b-at-both", a_alph, b_alph,
+                        {ctx: {("0", b): 1} for ctx, b in b_of.items()})
+        expected = SignalingWitness(
+            "B", "1", Context("1", "1"), Context("3", "1"),
+            {"0": one, "1": zero}, {"0": zero, "1": one},
+        )
+        assert check_nonsignaling(s) == expected == self.reference_witness(s)
 
     @staticmethod
     def reference_witness(system):
@@ -601,17 +613,37 @@ def test_support_that_is_no_collection_is_a_violation():
             make_support, ("x",), ONE_SETTING, [("1", "1")],
             "name ('x',) is not a string",
         ),
+        (
+            # Every piece that cannot be stored, the whole list in order.
+            # The order check sorts all the given settings, not only the
+            # one that could be stored.
+            make_system, ["n"], {1: {"a"}, "1": 5, "2": ("0",)}, [("1", "1")],
+            [
+                "name ['n'] is not a string",
+                "A-setting 1: alphabet is a set, which has no outcome order",
+                "A-setting '1': alphabet 5 is not a collection of outcomes",
+                "A-settings [1, '1', '2'] cannot be put in canonical order",
+                "B-alphabet ['1'] is not a mapping from settings to outcomes",
+                "table [('1', '1')] is not a mapping from contexts to pmfs",
+            ],
+        ),
     ],
     ids=["none-setting", "int-and-string-settings", "list-table", "list-support-table",
          "list-alphabet", "int-outcomes", "int-and-string-alphabet-settings", "list-name",
-         "tuple-name-and-list-table"],
+         "tuple-name-and-list-table", "everything-unstorable"],
 )
 def test_malformed_plain_data_is_a_violation(build, name, a_alphabet, table, violation):
     # Each of these once raised TypeError or AttributeError while the spec
     # was stored, before `validate` could run, but three: the int and
     # string alphabet settings built a spec that `classify` raised TypeError
     # on, and a name that is no string built a spec, whose hash raised
-    # TypeError when the name was a list.
+    # TypeError when the name was a list.  A list of violations pins the
+    # whole list, its B-alphabet being no mapping.
+    if isinstance(violation, list):
+        with pytest.raises(InvalidSystemError) as exc:
+            build(name, a_alphabet, ["1"], table)
+        assert exc.value.violations == violation
+        return
     with pytest.raises(InvalidSystemError) as exc:
         build(name, a_alphabet, ONE_SETTING, table)
     assert exc.value.violations[0] == violation
@@ -901,31 +933,15 @@ class TestMixContextDependent:
         with pytest.raises(ValueError):
             mix_context_dependent(rule)
 
-
-class TestExpectationProduct:
-    def test_conspiracy_values(self):
-        from contextuality import conspiracy_system
-
-        s = conspiracy_system()
-        assert expectation_product(s, Context("1", "1")) == Fraction(1, 2)
-        assert expectation_product(s, Context("1", "2")) == Fraction(0)
-
-    def test_deterministic_one(self):
-        s = binary_system("det", {("1", "1"): {("1", "1"): Fraction(1)}})
-        assert expectation_product(s, Context("1", "1")) == 1
-
-    def test_missing_code(self):
-        s = binary_system("det", {("1", "1"): {("1", "1"): Fraction(1)}})
-        with pytest.raises(KeyError):
-            expectation_product(s, Context("1", "1"), coding={"0": Fraction(0)})
-
-
-def test_realization_system_round_trip():
-    rng = random.Random(23)
-    a_alph, b_alph = random_shape(rng)
-    det = random_deterministic_ns(rng, a_alph, b_alph)
-    values = {ctx: next(iter(det.pmfs[ctx])) for ctx in det.contexts}
-    f = {ctx.x: a for ctx, (a, _) in values.items()}
-    g = {ctx.y: b for ctx, (_, b) in values.items()}
-    again = realization_system(Realization(f=f, g=g, values=values), det)
-    assert again.pmfs == det.pmfs
+    def test_context_with_no_components(self):
+        # The shape comes from the first context that has components, and
+        # a rule with none anywhere is empty.  Otherwise a context with
+        # none, first or not, has weights summing to 0.
+        d1 = get("d1").system
+        with pytest.raises(ValueError, match="^empty rule$"):
+            mix_context_dependent({Context("1", "1"): []})
+        with pytest.raises(ValueError, match="^empty rule$"):
+            mix_context_dependent({Context("1", "1"): [], Context("1", "2"): []})
+        rule = {Context("1", "1"): [], Context("1", "2"): [(d1, Fraction(1))]}
+        with pytest.raises(ValueError, match=r"context \('1', '1'\): weights sum to 0, not 1"):
+            mix_context_dependent(rule)
