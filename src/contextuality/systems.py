@@ -16,9 +16,11 @@ Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
 one common denominator, built once per system (`SystemSpec._counts`), so
 their sums and comparisons run over ints.  `check_nonsignaling` scans the
-counts once, both sides' marginals together; only when a system signals
-does it read each side's `marginal`s in canonical order, to name its first
-witness.  `decomposition_reproduces` compares only the pairs the mixture
+counts once, both sides' marginals together, and names the first witness
+in canonical order from that scan; `marginal` sums one context the same
+way, and gives the witness its two marginals.  A refused spec's messages
+quote plain data as `repr` does, but list a set sorted, the same in every
+process.  `decomposition_reproduces` compares only the pairs the mixture
 hits, which the weights summing to 1 make complete.  The support of a
 system is built once the same way as its counts (`SystemSpec.supports`).
 """
@@ -62,8 +64,34 @@ class InvalidSystemError(ValueError):
     """Raised when a spec is built that breaks an invariant `validate` checks."""
 
     def __init__(self, name: str, violations: list[str]):
+        name = name if isinstance(name, str) else _render(name)
         super().__init__(f"{name}: " + "; ".join(violations))
         self.violations = violations
+
+
+def _render(value, atom=repr, _open=()) -> str:
+    """`repr` of plain data, or `atom` of what holds no other value, but a
+    set's members are listed sorted by their own text, which the string hash
+    does not change: refused plain data is quoted through it.  Lists, tuples
+    and dicts are read recursively."""
+    kind = type(value)
+    if kind not in (list, tuple, dict, set, frozenset):
+        return atom(value)
+    if id(value) in _open:  # a container holding itself, shown as `repr` shows it
+        return "[...]" if kind is list else "{...}"
+    _open += (id(value),)
+    if kind is dict:
+        return "{" + ", ".join(f"{_render(k, repr, _open)}: {_render(v, repr, _open)}"
+                               for k, v in value.items()) + "}"
+    items = [_render(v, repr, _open) for v in value]
+    if kind is list:
+        return "[" + ", ".join(items) + "]"
+    if kind is tuple:
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    if not items:
+        return repr(value)
+    text = "{" + ", ".join(sorted(items)) + "}"
+    return text if kind is set else f"frozenset({text})"
 
 
 class Spec:
@@ -103,14 +131,15 @@ class Spec:
     def __init__(self, name, a_alphabet, b_alphabet, table):
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
-        violations = [] if isinstance(name, str) else [f"name {name!r} is not a string"]
+        violations = [] if isinstance(name, str) else [f"name {_render(name)} is not a string"]
         malformed = []  # what the walk below cannot store
         for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
             try:
                 items = alphabets.items()
             except AttributeError:
                 malformed.append(
-                    f"{side}-alphabet {alphabets!r} is not a mapping from settings to outcomes"
+                    f"{side}-alphabet {_render(alphabets)} is not a mapping from settings "
+                    "to outcomes"
                 )
                 continue
             stored = {}
@@ -120,20 +149,22 @@ class Spec:
                 # and a set's order changes with the string hash.
                 if isinstance(outcomes, (set, frozenset)):
                     malformed.append(
-                        f"{side}-setting {s!r}: alphabet is a set, which has no outcome order"
+                        f"{side}-setting {_render(s)}: alphabet is a set, which has no "
+                        "outcome order"
                     )
                     continue
                 try:
                     stored[s] = tuple(outcomes)
                 except TypeError:
                     malformed.append(
-                        f"{side}-setting {s!r}: alphabet {outcomes!r} is not a collection of outcomes"
+                        f"{side}-setting {_render(s)}: alphabet {_render(outcomes)} is not "
+                        "a collection of outcomes"
                     )
             try:
                 settings = tuple(sorted(alphabets, key=setting_key))
             except TypeError:
                 malformed.append(
-                    f"{side}-settings {list(alphabets)!r} cannot be put in canonical order"
+                    f"{side}-settings {_render(list(alphabets))} cannot be put in canonical order"
                 )
                 continue
             fields[f"{side.lower()}_alphabet"] = MappingProxyType(stored)
@@ -142,7 +173,7 @@ class Spec:
             items = table.items()
         except AttributeError:
             malformed.append(
-                f"table {table!r} is not a mapping from contexts to {self._fields[-1]}"
+                f"table {_render(table)} is not a mapping from contexts to {self._fields[-1]}"
             )
         if malformed:
             raise InvalidSystemError(name, violations + malformed)
@@ -153,7 +184,7 @@ class Spec:
             if isinstance(key, tuple) and len(key) == 2:
                 given[Context._make(key)] = value
             else:
-                violations.append(f"table key {key!r} is not an (A-setting, B-setting) pair")
+                violations.append(f"table key {_render(key)} is not an (A-setting, B-setting) pair")
         try:
             contexts = tuple(sorted(given, key=context_key))
         except TypeError:
@@ -161,7 +192,7 @@ class Spec:
             # order: such keys are left out and reported too.
             unordered = [ctx for ctx in given if not all(isinstance(s, str) for s in ctx)]
             violations += [
-                f"table key {tuple(ctx)!r} has a setting that is not a string, "
+                f"table key {_render(tuple(ctx))} has a setting that is not a string, "
                 "which the canonical order cannot place"
                 for ctx in unordered
             ]
@@ -324,13 +355,15 @@ def validate(spec: Spec) -> list[str]:
             try:
                 outcome_set = set(outcomes)
             except TypeError:  # an outcome that cannot sit in a pair; check the rest
-                violations.append(f"{side}-setting {s!r}: alphabet has an unhashable outcome")
+                violations.append(
+                    f"{side}-setting {_render(s)}: alphabet has an unhashable outcome"
+                )
                 outcomes = [o for o in outcomes if _hashable(o)]
                 outcome_set = set(outcomes)
             sets[s] = outcome_set
             if not outcomes or len(outcome_set) != len(outcomes):
                 violations.append(
-                    f"{side}-setting {s!r}: alphabet must be non-empty and duplicate-free"
+                    f"{side}-setting {_render(s)}: alphabet must be non-empty and duplicate-free"
                 )
     if not spec.contexts:
         violations.append("no contexts")
@@ -349,12 +382,13 @@ def validate(spec: Spec) -> list[str]:
                 if not isinstance(pmf, Mapping):
                     malformed.append(ctx)
                     violations.append(
-                        f"context {tuple(ctx)}: pmf {pmf!r} is not a mapping from pairs "
+                        f"context {tuple(ctx)}: pmf {_render(pmf)} is not a mapping from pairs "
                         "to probabilities"
                     )
                     continue
                 violations += [
-                    f"context {tuple(ctx)}: probability {p!r} at {pair} is not an int or Fraction"
+                    f"context {tuple(ctx)}: probability {_render(p)} at {_render(pair, str)} "
+                    "is not an int or Fraction"
                     for pair, p in pmf.items()
                     if not isinstance(p, (int, Fraction))
                 ]
@@ -363,14 +397,14 @@ def validate(spec: Spec) -> list[str]:
             if not isinstance(pairs, (frozenset, tuple)):
                 malformed.append(ctx)
                 violations.append(
-                    f"context {tuple(ctx)}: support {pairs!r} is not a collection of pairs"
+                    f"context {tuple(ctx)}: support {_render(pairs)} is not a collection of pairs"
                 )
     for ctx in spec.contexts:
         if ctx.x not in spec.a_alphabet:
-            violations.append(f"context {tuple(ctx)}: unknown A-setting {ctx.x!r}")
+            violations.append(f"context {tuple(ctx)}: unknown A-setting {_render(ctx.x)}")
             continue
         if ctx.y not in spec.b_alphabet:
-            violations.append(f"context {tuple(ctx)}: unknown B-setting {ctx.y!r}")
+            violations.append(f"context {tuple(ctx)}: unknown B-setting {_render(ctx.y)}")
             continue
         if ctx in malformed:
             continue
@@ -390,7 +424,9 @@ def validate(spec: Spec) -> list[str]:
             if not inside:
                 if first is None:
                     first = len(violations)
-                violations.append(f"context {tuple(ctx)}: pair {pair} outside alphabet product")
+                violations.append(
+                    f"context {tuple(ctx)}: pair {_render(pair, str)} outside alphabet product"
+                )
         if first is not None:
             # A support iterates in string-hash order, which changes from
             # process to process: its pairs are listed sorted instead.
@@ -403,7 +439,7 @@ def validate(spec: Spec) -> list[str]:
             if c < 0:
                 violations.append(
                     f"context {tuple(ctx)}: negative probability {table[pair]} "
-                    f"at {pair}"
+                    f"at {_render(pair, str)}"
                 )
         total = sum(counts[ctx].values())
         if total != scale:
@@ -420,69 +456,59 @@ def _hashable(value) -> bool:
     return True
 
 
-def marginal(
-    system: SystemSpec, context: Context, side: str
-) -> dict[Outcome, Fraction]:
+def marginal(system: SystemSpec, context: Context, side: str) -> dict[Outcome, Fraction]:
     """Exact one-sided marginal of the context's joint pmf, keyed by the
-    side's alphabet in its order; an unknown context raises KeyError.
-    `check_nonsignaling` reads it to name a signaling system's witness."""
-    context = Context(*context)
-    pmf = system.pmfs[context]
-    if side == "A":
-        outcomes = system.a_alphabet[context.x]
-        out = {o: ZERO for o in outcomes}
-        for (a, _b), p in pmf.items():
-            out[a] += p
-    elif side == "B":
-        outcomes = system.b_alphabet[context.y]
-        out = {o: ZERO for o in outcomes}
-        for (_a, b), p in pmf.items():
-            out[b] += p
-    else:
+    side's alphabet in its order; an unknown context raises KeyError."""
+    x, y = context = Context(*context)
+    scale, counts = system._counts
+    sums = _marginal_counts(system.a_alphabet[x], system.b_alphabet[y], counts[context])
+    if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    return out
+    return {o: Fraction(c, scale) for o, c in sums[side == "B"].items()}
+
+
+def _marginal_counts(a_outcomes, b_outcomes, pmf):
+    """Both one-sided marginals of one context's counts, in alphabet order."""
+    a_sums, b_sums = dict.fromkeys(a_outcomes, 0), dict.fromkeys(b_outcomes, 0)
+    for (a, b), c in pmf.items():
+        a_sums[a] += c
+        b_sums[b] += c
+    return a_sums, b_sums
 
 
 def check_nonsignaling(system: SystemSpec) -> SignalingWitness | None:
     """None if every shared setting has context-independent marginals.
 
     Otherwise the first witness in canonical order: A-side settings before
-    B-side, settings and contexts in canonical label order.  One scan over
-    the integer counts, in the stored (canonical) order, sums both sides'
-    marginals of each context and compares them with those of the first
-    context holding each setting.  Whether any context differs does not
-    depend on the order of the scan, so only when one does is the
-    canonical witness looked for (`_first_witness`), from the `marginal`s.
+    B-side, settings and contexts in canonical label order.  One scan of
+    the integer counts, in the stored (canonical) order, compares each
+    context's marginals with those of the first context holding its
+    setting.  A's first mismatch is the witness at once; else the least
+    B-setting's first mismatch is, and only its marginals are `Fraction`s.
     """
     _, counts = system._counts
     a_alphabet, b_alphabet = system.a_alphabet, system.b_alphabet
-    first_a: dict[str, dict[Outcome, int]] = {}
-    first_b: dict[str, dict[Outcome, int]] = {}
+    ref_x = None  # the stored order holds each A-setting's contexts together
+    first_b, b_found = {}, {}  # each B-setting's first (context, sums), first mismatch
     for ctx, pmf in counts.items():
         x, y = ctx
-        a_sums = dict.fromkeys(a_alphabet[x], 0)
-        b_sums = dict.fromkeys(b_alphabet[y], 0)
-        for (a, b), c in pmf.items():
-            a_sums[a] += c
-            b_sums[b] += c
-        if first_a.setdefault(x, a_sums) != a_sums or first_b.setdefault(y, b_sums) != b_sums:
-            return _first_witness(system)
-    return None
-
-
-def _first_witness(system: SystemSpec) -> SignalingWitness:
-    """The first witness in canonical order of a signaling system.  Each
-    side is one scan over its contexts, stably sorted by that side's
-    setting: each context's `marginal` is compared with that of the first
-    context holding the same setting."""
-    for side, index in (("A", 0), ("B", 1)):
-        first: dict[str, tuple[Context, dict[Outcome, Fraction]]] = {}
-        for ctx in sorted(system.contexts, key=lambda ctx: setting_key(ctx[index])):
-            m = marginal(system, ctx, side)
-            ref_ctx, ref = first.setdefault(ctx[index], (ctx, m))
-            if ref != m:
-                return SignalingWitness(side, ctx[index], ref_ctx, ctx, ref, m)
-    raise RuntimeError("a marginal differs, yet no witness was found")
+        a_sums, b_sums = _marginal_counts(a_alphabet[x], b_alphabet[y], pmf)
+        if x != ref_x:
+            ref_x, ref_ctx, ref_sums = x, ctx, a_sums
+        elif a_sums != ref_sums:
+            found = ("A", x, ref_ctx, ctx)
+            break
+        first = first_b.get(y)
+        if first is None:
+            first_b[y] = ctx, b_sums
+        elif first[1] != b_sums:
+            b_found.setdefault(y, ("B", y, first[0], ctx))
+    else:
+        if not b_found:
+            return None
+        found = b_found[min(b_found, key=setting_key)]
+    side, _, ctx1, ctx2 = found
+    return SignalingWitness(*found, marginal(system, ctx1, side), marginal(system, ctx2, side))
 
 
 def support_of(system: SystemSpec) -> SupportSpec:

@@ -400,6 +400,50 @@ class TestNonsignaling:
             signaling += expected is not None
         assert 100 < signaling < 250  # 148 of 300
 
+    def test_b_witness_is_canonical_on_labels_in_three_orders(self):
+        # Settings and outcomes are "b", "2" and "10": in canonical order
+        # "2", "10", "b"; as strings "10", "2", "b"; and given in a random
+        # order, with the contexts shuffled too.  Each system is a mixture
+        # of deterministic non-signaling systems, then up to two of its
+        # contexts move mass between two pairs with the same `a`.  That keeps
+        # A's marginals, so side B decides: its witness is the least
+        # B-setting's first mismatch, whichever setting the scan meets first.
+        labels = ["b", "2", "10"]
+        rng = random.Random(24)
+        witnesses = {None: 0, "2": 0, "10": 0, "b": 0}
+        start = time.perf_counter()
+        for _ in range(1000):
+            xs = rng.sample(labels, rng.randint(2, 3))
+            ys = rng.sample(labels, rng.randint(2, 3))
+            a_alph = {x: tuple(rng.sample(labels, rng.randint(1, 2))) for x in xs}
+            b_alph = {y: tuple(rng.sample(labels, 2)) for y in ys}
+            parts = [
+                ({x: rng.choice(a_alph[x]) for x in xs}, {y: rng.choice(b_alph[y]) for y in ys},
+                 rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))
+            ]
+            total = sum(w for _, _, w in parts)
+            contexts = [(x, y) for x in xs for y in ys]
+            rng.shuffle(contexts)
+            pmfs = {ctx: {} for ctx in contexts}
+            for (x, y), pmf in pmfs.items():
+                for f, g, w in parts:
+                    pmf[(f[x], g[y])] = pmf.get((f[x], g[y]), 0) + Fraction(w, total)
+            for x, y in rng.sample(contexts, rng.randint(0, 2)):
+                pmf = pmfs[(x, y)]
+                a, b = rng.choice(sorted(pmf))
+                other = next(o for o in b_alph[y] if o != b)
+                share = pmf[(a, b)] * Fraction(rng.randint(1, 4), 4)
+                pmf[(a, b)] -= share
+                pmf[(a, other)] = pmf.get((a, other), 0) + share
+            s = SystemSpec("three-orders", a_alph, b_alph, pmfs)
+            expected = self.reference_witness(s)
+            assert check_nonsignaling(s) == expected
+            assert expected is None or expected.side == "B"
+            witnesses[expected and expected.setting] += 1
+        assert time.perf_counter() - start < 2
+        assert witnesses == {None: 327, "2": 297, "10": 226, "b": 150}
+
 
 def test_direct_spec_stores_contexts_in_canonical_order():
     # Labels "10" and "9" sort differently as numbers and as strings; "b"
@@ -674,6 +718,49 @@ def test_alphabet_given_as_a_set_is_a_violation(build, unordered):
     for ordered in (dict.fromkeys("cab"), list("cab"), tuple("cab")):
         spec = build("x", {"1": ordered}, {"1": ("0",)}, table)
         assert spec.a_alphabet["1"] == ("c", "a", "b")
+
+
+def test_refused_sets_are_quoted_in_one_order():
+    # A message quotes refused plain data as `repr` does, but lists each
+    # set's members sorted by their own text: a set's order changes with
+    # the string-hash seed, and CI runs this module under two seeds.
+    table = {("1", "1"): {("0", "0"): 1}}
+    with pytest.raises(InvalidSystemError) as exc:
+        make_system("x", set("hgfedcba"), ONE_SETTING, table)
+    assert exc.value.violations == [
+        "A-alphabet {'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'} is not a mapping "
+        "from settings to outcomes"
+    ]
+    key = frozenset({"y", "10", "x", "1", "b", "2"})
+    with pytest.raises(InvalidSystemError) as exc:
+        make_support("x", ONE_SETTING, ONE_SETTING, {key: [("0", "0")], ("1", "1"): [("0", "0")]})
+    assert exc.value.violations == [
+        "table key frozenset({'1', '10', '2', 'b', 'x', 'y'}) is not an "
+        "(A-setting, B-setting) pair"
+    ]
+    # Inside a tuple, a dict or another set, and as the name.
+    name = frozenset({("q", frozenset({"d", "c"})), "p"})
+    with pytest.raises(InvalidSystemError) as exc:
+        make_system(name, ONE_SETTING, ONE_SETTING, {(key, "1"): {("0", "0"): 1}, **table})
+    assert str(exc.value) == (
+        "frozenset({'p', ('q', frozenset({'c', 'd'}))}): "
+        "name frozenset({'p', ('q', frozenset({'c', 'd'}))}) is not a string; "
+        "table key (frozenset({'1', '10', '2', 'b', 'x', 'y'}), '1') has a setting that "
+        "is not a string, which the canonical order cannot place"
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, 2.5, "x", Fraction(1, 3), (), ("a",), [1, ("b", [])], {"a": [None], 1: ()},
+     set(), frozenset(), {1}, frozenset({2}), Context("1", "2")],
+)
+def test_renderer_is_repr_but_for_set_order(value):
+    assert systems._render(value) == repr(value)
+    looped = [value]
+    looped.append(looped)
+    assert systems._render(looped) == repr(looped)
+    assert systems._render({"k": looped}) == repr({"k": looped})
 
 
 def test_support_pairs_outside_the_alphabet_are_listed_in_one_order():
