@@ -170,10 +170,10 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
     Both drop only outcomes that no realization extending the assignment
     takes, so none is lost.  The A-setting with the fewest live outcomes is
     assigned first, ties to the earlier one.  Once the last is assigned,
-    f's product is listed at once, in the order a stack would have given.
-    RealizationLimitExceeded is raised as soon as the realizations found
-    and the next product together exceed `limit`, before that product is
-    built.
+    f's product is listed at once.  The walk order is free: the tuples are
+    sorted at the end, and whether RealizationLimitExceeded is raised (as
+    soon as the realizations found and the next product together exceed
+    `limit`, before that product is built) depends only on their total.
     """
     a_settings, b_settings = spec.a_settings, spec.b_settings
     a_index = {x: i for i, x in enumerate(a_settings)}
@@ -227,21 +227,18 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
         var = min(free, key=lambda i: len(a_live[i]))
         rest = [i for i in free if i != var]
         unassigned = set(rest)
-        children = []
-        for value in sorted(a_live[var]):
+        for value in a_live[var]:
             a_next, b_next = list(a_live), list(b_live)
             if not assign(a_next, b_next, var, value, unassigned):
                 continue
             if rest:
-                children.append((a_next, b_next, rest))
+                stack.append((a_next, b_next, rest))
                 continue
-            # Every A-setting is assigned: list f's product of B-domains now,
-            # in the order the stack would have.
+            # Every A-setting is assigned: list f's product of B-domains now.
             if len(found) + prod(map(len, b_next)) > limit:
                 raise RealizationLimitExceeded(limit)
             f = tuple(chain.from_iterable(a_next))
             found += map(f.__add__, product(*b_next))
-        stack += reversed(children)  # the first value is searched first
     found.sort()
     return found
 
@@ -546,14 +543,17 @@ def decomposition_reproduces(
         return False
     values = [r.values for r, _ in decomposition.components]
     system_scale, counts = system._counts
-    for ctx, pmf in counts.items():
-        sums: dict[Pair, int] = {}
-        for assignment, w in zip(values, weights):
-            pair = assignment[ctx]
-            sums[pair] = sums.get(pair, 0) + w
-        for pair, total in sums.items():
-            if total * system_scale != pmf.get(pair, 0) * scale:
-                return False
+    try:
+        for ctx, pmf in counts.items():
+            sums: dict[Pair, int] = {}
+            for assignment, w in zip(values, weights):
+                pair = assignment[ctx]
+                sums[pair] = sums.get(pair, 0) + w
+            for pair, total in sums.items():
+                if total * system_scale != pmf.get(pair, 0) * scale:
+                    return False
+    except KeyError:  # a component without one of the system's contexts
+        return False
     return True
 
 

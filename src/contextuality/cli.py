@@ -164,10 +164,7 @@ def cmd_peres(args) -> int:
     if args.emit == "triads":
         index = {ray: i + 1 for i, ray in enumerate(rays)}
         # pair-completion rays fall outside the 33; number them 34 onwards
-        extras = sorted(
-            {r for t in triads for r in t.rays if r not in index},
-            key=lambda r: r.key(),
-        )
+        extras = sorted({r for t in triads for r in t.rays if r not in index})
         for j, ray in enumerate(extras, start=len(rays) + 1):
             index[ray] = j
         for i, t in enumerate(triads, start=1):

@@ -65,14 +65,13 @@ SQRT2 = Zr2(0, 1)
 
 
 class Ray(NamedTuple):
-    """A direction in Z[sqrt(2)]^3, canonical up to Z[sqrt(2)] scaling and sign.
+    """A direction in Z[sqrt(2)]^3, canonical up to integer and sqrt(2)
+    factors and sign.
 
-    Built by `canonical_ray`, which rejects the zero vector."""
+    Built by `canonical_ray`, which rejects the zero vector.  Rays order
+    as their coordinate tuples."""
 
     coords: tuple[Zr2, Zr2, Zr2]
-
-    def key(self):
-        return tuple((c.a, c.b) for c in self.coords)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
@@ -86,15 +85,13 @@ def canonical_ray(coords: tuple[Zr2, Zr2, Zr2]) -> Ray:
     while True:
         g = 0
         for c in cs:
-            g = gcd(g, gcd(abs(c.a), abs(c.b)))
+            g = gcd(g, c.a, c.b)
         if g > 1:
             cs = [Zr2(c.a // g, c.b // g) for c in cs]
         # divisible by sqrt(2) iff every a-part is even: (a + b r)/r = b + (a/2) r
-        if all(c.a % 2 == 0 for c in cs):
-            cs = [Zr2(c.b, c.a // 2) for c in cs]
-            continue
-        if g <= 1:
+        if any(c.a % 2 for c in cs):
             break
+        cs = [Zr2(c.b, c.a // 2) for c in cs]
     lead = next(c for c in cs if not c.is_zero())
     if lead.sign() < 0:
         cs = [-c for c in cs]
@@ -137,7 +134,7 @@ def peres_rays() -> list[Ray]:
     rays: set[Ray] = set()
     for seed in seeds:
         rays |= _orbit(seed)
-    return sorted(rays, key=Ray.key)
+    return sorted(rays)
 
 
 def cross(u: Ray, v: Ray) -> tuple[Zr2, Zr2, Zr2]:
@@ -155,32 +152,23 @@ def collinear(u: Ray, v: Ray) -> bool:
 
 
 def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
-    """All mutually orthogonal triples formed from the given rays.
+    """Every orthogonal pair of the given rays closed into a triad by the
+    canonical ray of its cross product, each triad once, sorted.
 
-    Triples entirely inside the set come first.  Then every orthogonal pair
-    lying in no such triple is closed into one by its cross product, so the
-    completing ray lies outside the input set.  On the 33 Peres rays this
-    yields 16 internal triads plus 24 completions, the classic count of 40
-    triples over 57 rays in total.
+    Two orthogonal rays have exactly one common orthogonal direction, so a
+    triple inside the set is the closure of each of its three pairs, and
+    the set of triads holds it once; any other pair is closed outside the
+    set.  On the 33 Peres rays this yields 16 internal triads plus 24
+    completions, the classic count of 40 triples over 57 rays.  The rays
+    must name distinct directions, as the Peres rays do: a closure is the
+    canonical ray of its line, and `canonical_ray` does not divide out the
+    unit 1 + sqrt(2), so another given ray may lie on that line.
     """
-    ordered = sorted(set(rays), key=Ray.key)
-    orth = {
-        (i, j)
-        for i, j in combinations(range(len(ordered)), 2)
-        if dot(ordered[i], ordered[j]).is_zero()
-    }
-    triads = []
-    used_pairs: set[tuple[int, int]] = set()
-    for i, j, k in combinations(range(len(ordered)), 3):
-        if (i, j) in orth and (i, k) in orth and (j, k) in orth:
-            triads.append(Triad(rays=(ordered[i], ordered[j], ordered[k])))
-            used_pairs |= {(i, j), (i, k), (j, k)}
-    for i, j in sorted(orth - used_pairs):
-        w = canonical_ray(cross(ordered[i], ordered[j]))
-        members = tuple(sorted((ordered[i], ordered[j], w), key=Ray.key))
-        triads.append(Triad(rays=members))
-    triads.sort(key=lambda t: tuple(r.key() for r in t.rays))
-    return triads
+    return sorted({
+        Triad(rays=tuple(sorted((u, v, canonical_ray(cross(u, v))))))
+        for u, v in combinations(set(rays), 2)
+        if dot(u, v).is_zero()
+    })
 
 
 class SearchResult(NamedTuple):
@@ -213,7 +201,7 @@ def ks_search(
     universe = set(rays)
     for t in triads:
         universe.update(t.rays)
-    ray_list = sorted(universe, key=Ray.key)
+    ray_list = sorted(universe)
     triads_of: dict[Ray, list[int]] = {r: [] for r in ray_list}
     for ti, t in enumerate(triads):
         for r in t.rays:
@@ -253,7 +241,7 @@ def ks_search(
             for ti in triads_of[r]
             if any(q not in values for q in triads[ti].rays)
         )
-        return (-unresolved, r.key())
+        return (-unresolved, r)
 
     def recurse() -> bool:
         nonlocal nodes

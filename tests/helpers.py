@@ -25,6 +25,7 @@ from typing import Mapping
 
 from contextuality import feasibility, make_system, mix
 from contextuality.feasibility import SCALE, FarkasCertificate, FeasibleSolution, Tableau
+from contextuality.peres import Triad, canonical_ray, cross, dot
 from contextuality.systems import ONE, ZERO, SupportSpec, SystemSpec
 
 BIN = ("0", "1")
@@ -410,6 +411,34 @@ def reproduces_by_fraction_sums(system: SystemSpec, decomposition) -> bool:
         for ctx in system.contexts
         for pair in system.pairs(ctx)
     )
+
+
+@cache
+def _orthogonal(u, v) -> bool:
+    return dot(u, v).is_zero()
+
+
+def reference_orthogonal_triads(rays) -> list:
+    """`peres.orthogonal_triads` as first defined: every pairwise
+    orthogonal triple inside the set, then each orthogonal pair lying in
+    none of them closed by the canonical ray of its cross product; rays
+    ordered by their (a, b) coordinate pairs, triads by their rays'."""
+
+    def key(ray):
+        return tuple((c.a, c.b) for c in ray.coords)
+
+    ordered = sorted(set(rays), key=key)
+    orth = {(u, v) for u, v in combinations(ordered, 2) if _orthogonal(u, v)}
+    triads, used = [], set()
+    for u, v in orth:
+        for w in ordered:
+            # (u, w) and (v, w) in `orth` put w after v: each triple once
+            if (u, w) in orth and (v, w) in orth:
+                triads.append(Triad(rays=(u, v, w)))
+                used |= {(u, v), (u, w), (v, w)}
+    for u, v in orth - used:
+        triads.append(Triad(rays=tuple(sorted((u, v, canonical_ray(cross(u, v))), key=key))))
+    return sorted(triads, key=lambda t: tuple(map(key, t.rays)))
 
 
 def full_membership_problem(system: SystemSpec, columns, supported):

@@ -689,6 +689,21 @@ class TestDecompositionReproduces:
         )
         assert decomposition_reproduces(m, hand)
 
+    def test_component_missing_a_context_fails(self):
+        # The decomposition of a one-context system has realizations over
+        # that context only; a system with one more context that agrees on
+        # the first is not reproduced by it, and the check says so.
+        one = make_system("one", {"1": ("0",)}, {"1": ("0",)}, {("1", "1"): {("0", "0"): 1}})
+        two = make_system(
+            "two",
+            {"1": ("0",)},
+            {"1": ("0",), "2": ("0",)},
+            {("1", "1"): {("0", "0"): 1}, ("1", "2"): {("0", "0"): 1}},
+        )
+        decomposition = classify(one).decomposition
+        assert decomposition_reproduces(one, decomposition)
+        assert not decomposition_reproduces(two, decomposition)
+
 
 class TestChsh:
     def test_conspiracy_is_4(self):

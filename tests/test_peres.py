@@ -4,7 +4,6 @@ import random
 import pytest
 
 from contextuality import (
-    Ray,
     Zr2,
     build_ksp_support,
     canonical_ray,
@@ -23,6 +22,8 @@ from contextuality.peres import (
     coloring_from_ns_function,
     cross,
 )
+
+from helpers import reference_orthogonal_triads
 
 
 def ray(*coords):
@@ -152,7 +153,7 @@ class TestTriads:
         assert len(extras) == 24
 
     def test_coordinate_triad_present(self):
-        assert Triad(rays=tuple(sorted([X, Y, Z], key=Ray.key))) in orthogonal_triads(
+        assert Triad(rays=tuple(sorted([X, Y, Z]))) in orthogonal_triads(
             peres_rays()
         )
 
@@ -160,6 +161,33 @@ class TestTriads:
         triads = orthogonal_triads(peres_rays())
         covered = {r for t in triads for r in t.rays}
         assert set(peres_rays()) <= covered
+
+    def test_matches_reference_on_peres_subsets(self):
+        rng = random.Random(41)
+        peres = peres_rays()
+        internal = completed = 0
+        for _ in range(500):
+            rays = rng.sample(peres, rng.randint(0, len(peres)))
+            expected = reference_orthogonal_triads(rays)
+            assert orthogonal_triads(rays) == expected
+            inside = sum(set(t.rays) <= set(rays) for t in expected)
+            internal += inside
+            completed += len(expected) - inside
+        assert internal > 1500 and completed > 5000  # 1,908 and 5,896 here
+
+    def test_matches_reference_on_random_rays(self):
+        rng = random.Random(43)
+        closed = 0
+        for _ in range(200):
+            rays = []
+            for _ in range(rng.randint(0, 12)):
+                coords = tuple(Zr2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3))
+                if any(c != Z0 for c in coords):
+                    rays.append(canonical_ray(coords))
+            expected = reference_orthogonal_triads(rays)
+            assert orthogonal_triads(rays) == expected
+            closed += len(expected)
+        assert closed > 20  # 30 here, every one a completed pair
 
 
 def two_disjoint_triads():
@@ -171,8 +199,8 @@ def two_disjoint_triads():
     ]
     rays = t1 + t2
     triads = [
-        Triad(rays=tuple(sorted(t1, key=Ray.key))),
-        Triad(rays=tuple(sorted(t2, key=Ray.key))),
+        Triad(rays=tuple(sorted(t1))),
+        Triad(rays=tuple(sorted(t2))),
     ]
     return rays, triads
 
@@ -187,7 +215,7 @@ class TestKsSearch:
             assert result.nodes > 0
 
     def test_single_triad_three_solutions(self):
-        triad = Triad(rays=tuple(sorted([X, Y, Z], key=Ray.key)))
+        triad = Triad(rays=tuple(sorted([X, Y, Z])))
         result = ks_search([X, Y, Z], [triad], "exactly-one-zero")
         assert result.feasible
         assert sum(1 for v in result.coloring.values() if v == 0) == 1
@@ -226,7 +254,7 @@ class TestKsSearch:
             if not triads:
                 continue
             result = ks_search(rays, triads, "exactly-one-zero", count_solutions=True)
-            universe = sorted({r for t in triads for r in t.rays} | set(rays), key=Ray.key)
+            universe = sorted({r for t in triads for r in t.rays} | set(rays))
             brute = 0
             for bits in itertools.product((0, 1), repeat=len(universe)):
                 val = dict(zip(universe, bits))
@@ -265,7 +293,7 @@ class TestKspSupport:
         from contextuality import make_support
 
         rays, triads = two_disjoint_triads()
-        rays = sorted(rays, key=Ray.key)
+        rays = sorted(rays)
         patterns = ("011", "101", "110")
         a_alph = {str(i + 1): patterns for i in range(len(triads))}
         b_alph = {str(j + 1): ("0", "1") for j in range(len(rays))}
