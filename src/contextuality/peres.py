@@ -1,7 +1,7 @@
 """Exact Z[sqrt(2)] geometry of the Peres 33-ray construction.
 
 Rays are directions in 3-space with components a + b*sqrt(2), a, b integer,
-held in a canonical form that quotients out scaling (including by sqrt(2))
+held in a canonical form that quotients out integer and sqrt(2) factors
 and overall sign.  Orthogonality is exact ring arithmetic, so the 40
 mutually-orthogonal triples and the noncolorability search carry no
 numerical tolerance at all.
@@ -152,22 +152,30 @@ def collinear(u: Ray, v: Ray) -> bool:
 
 
 def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
-    """Every orthogonal pair of the given rays closed into a triad by the
-    canonical ray of its cross product, each triad once, sorted.
+    """Every orthogonal pair of the given rays closed into a triad, each
+    triad once, sorted.
 
-    Two orthogonal rays have exactly one common orthogonal direction, so a
-    triple inside the set is the closure of each of its three pairs, and
-    the set of triads holds it once; any other pair is closed outside the
-    set.  On the 33 Peres rays this yields 16 internal triads plus 24
-    completions, the classic count of 40 triples over 57 rays.  The rays
-    must name distinct directions, as the Peres rays do: a closure is the
-    canonical ray of its line, and `canonical_ray` does not divide out the
-    unit 1 + sqrt(2), so another given ray may lie on that line.
+    A pair is closed by each given ray orthogonal to both or, when there is
+    none, by the canonical ray of its cross product.  A triple inside the
+    set closes each of its three pairs, and the set of triads holds it
+    once.  Given rays close a pair by orthogonality, not by `Ray` equality:
+    `canonical_ray` keeps the unit 1 + sqrt(2), so (0, 0, 1 + sqrt(2)) lies
+    on the line of (0, 0, 1) but is another `Ray`.  On the 33 Peres rays
+    this yields 16 internal triads plus 24 completions, the classic count
+    of 40 triples over 57 rays.
     """
+    given = set(rays)
+    orth: dict[Ray, set[Ray]] = {u: set() for u in given}
+    for u, v in combinations(given, 2):
+        if dot(u, v).is_zero():
+            orth[u].add(v)
+            orth[v].add(u)
     return sorted({
-        Triad(rays=tuple(sorted((u, v, canonical_ray(cross(u, v))))))
-        for u, v in combinations(set(rays), 2)
-        if dot(u, v).is_zero()
+        Triad(rays=tuple(sorted((u, v, w))))
+        for u in given
+        for v in orth[u]
+        if u < v
+        for w in orth[u] & orth[v] or {canonical_ray(cross(u, v))}
     })
 
 

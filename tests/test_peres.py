@@ -176,18 +176,43 @@ class TestTriads:
         assert internal > 1500 and completed > 5000  # 1,908 and 5,896 here
 
     def test_matches_reference_on_random_rays(self):
+        # Every other set also holds an orthogonal triple whose third ray is
+        # the pair's cross product times a factor: a unit such as 1 + sqrt2
+        # or a prime such as 3 + sqrt2 leaves it off the canonical ray of
+        # its line, which the triple must still close.
         rng = random.Random(43)
-        closed = 0
-        for _ in range(200):
-            rays = []
-            for _ in range(rng.randint(0, 12)):
+        factors = [Z1, Zr2(1, 1), Zr2(-1, 1), Zr2(3, 2), Zr2(3, 1), SQRT2]
+
+        def random_ray():
+            while True:
                 coords = tuple(Zr2(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3))
                 if any(c != Z0 for c in coords):
-                    rays.append(canonical_ray(coords))
+                    return canonical_ray(coords)
+
+        internal = completed = off_line = 0
+        for i in range(200):
+            rays = [random_ray() for _ in range(rng.randint(0, 9))]
+            if i % 2:
+                u, t = random_ray(), random_ray()
+                if not collinear(u, t):
+                    v = canonical_ray(cross(u, t))
+                    f = rng.choice(factors)
+                    w = canonical_ray(tuple(f * c for c in cross(u, v)))
+                    rays += [u, v, w]
+                    off_line += w != canonical_ray(cross(u, v))
             expected = reference_orthogonal_triads(rays)
             assert orthogonal_triads(rays) == expected
-            closed += len(expected)
-        assert closed > 20  # 30 here, every one a completed pair
+            inside = sum(set(t.rays) <= set(rays) for t in expected)
+            internal += inside
+            completed += len(expected) - inside
+        assert internal > 80 and completed > 20 and off_line > 40  # 100, 35 and 64 here
+
+    def test_unit_multiple_closes_its_pair(self):
+        # (0, 0, 1 + sqrt2) is Z's direction but not Z: the pair X, Y closes
+        # on it, with no second triad through Z itself.
+        z = ray((0, 0), (0, 0), (1, 1))
+        assert z != Z and collinear(z, Z)
+        assert orthogonal_triads([X, Y, z]) == [Triad(rays=tuple(sorted([X, Y, z])))]
 
 
 def two_disjoint_triads():
