@@ -34,7 +34,7 @@ from .peres import (
     build_ksp_support,
     canonical_ray,
     dot,
-    ks_search,
+    ks_support,
     orthogonal_triads,
     peres_rays,
 )
@@ -89,7 +89,7 @@ __all__ = [
     "fine_oracle",
     "get",
     "incidence_tableau",
-    "ks_search",
+    "ks_support",
     "make_support",
     "make_system",
     "marginal",

@@ -21,7 +21,7 @@ from .analysis import (
     classify,
     enumerate_ns_realizations,
 )
-from .peres import ks_search, orthogonal_triads, peres_rays
+from .peres import RULES, ks_support, orthogonal_triads, peres_rays
 from .serialize import SystemFileError, format_rational, loads_system
 from .systems import (
     LARGE_COUNT,
@@ -171,9 +171,8 @@ def cmd_peres(args) -> int:
             members = " ".join(str(index[r]) for r in t.rays)
             print(f"{i}: rays {members}")
         return EXIT_OK
-    result = ks_search(rays, triads, rule=args.rule)
-    print("FEASIBLE" if result.feasible else "INFEASIBLE")
-    print(f"nodes: {result.nodes}")
+    colorings = enumerate_ns_realizations(ks_support(triads, args.rule))
+    print("FEASIBLE" if colorings else "INFEASIBLE")
     return EXIT_OK
 
 
@@ -234,11 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("peres", help="Peres rays, triads, and the KS search")
     p.add_argument("--emit", choices=["rays", "triads", "search"], required=True)
-    p.add_argument(
-        "--rule",
-        choices=["exactly-one-zero", "exactly-one-one"],
-        default="exactly-one-zero",
-    )
+    p.add_argument("--rule", choices=list(RULES), default="exactly-one-zero")
     p.set_defaults(func=cmd_peres)
 
     p = sub.add_parser("chsh", help="CHSH value of a 2x2 binary system")

@@ -3,8 +3,9 @@
 Rays are directions in 3-space with components a + b*sqrt(2), a, b integer,
 held in a canonical form that quotients out integer and sqrt(2) factors
 and overall sign.  Orthogonality is exact ring arithmetic, so the 40
-mutually-orthogonal triples and the noncolorability search carry no
-numerical tolerance at all.
+mutually-orthogonal triples carry no numerical tolerance at all.  The
+Kochen-Specker decision is the library's realization search run on
+`ks_support`, whose non-signaling realizations are the ray colorings.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from itertools import combinations, permutations, product
 from math import gcd
 from typing import NamedTuple
+
+from .systems import SupportSpec, make_support
 
 
 class Zr2(NamedTuple):
@@ -54,9 +57,9 @@ class Zr2(NamedTuple):
     def __str__(self) -> str:
         if self.b == 0:
             return str(self.a)
-        if self.a == 0:
-            return f"{self.b}√2" if self.b != 1 else "√2"
-        return f"{self.a}{self.b:+}√2"
+        # A unit b-part prints as its sign alone: 1+√2, 1-√2, -√2.
+        b = {1: "+", -1: "-"}.get(self.b, f"{self.b:+}")
+        return f"{self.a or ''}{b}√2".removeprefix("+")
 
 
 Z0 = Zr2(0, 0)
@@ -105,10 +108,10 @@ class Triad(NamedTuple):
 
 
 def dot(u: Ray, v: Ray) -> Zr2:
-    out = Z0
-    for cu, cv in zip(u.coords, v.coords):
-        out = out + cu * cv
-    return out
+    a = b = 0
+    for (ua, ub), (va, vb) in zip(u.coords, v.coords):
+        a, b = a + ua * va + 2 * ub * vb, b + ua * vb + ub * va
+    return Zr2(a, b)
 
 
 def _orbit(seed: tuple[Zr2, Zr2, Zr2]) -> set[Ray]:
@@ -179,108 +182,44 @@ def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
     })
 
 
-class SearchResult(NamedTuple):
-    coloring: dict | None
-    nodes: int
-    feasible: bool
-    solution_count: int | None = None
+RULES = {
+    "exactly-one-zero": ("011", "101", "110"),
+    "exactly-one-one": ("100", "010", "001"),
+}
 
 
-def ks_search(
-    rays: list[Ray],
-    triads: list[Triad],
-    rule: str = "exactly-one-zero",
-    count_solutions: bool = False,
-) -> SearchResult:
-    """Complete search for a 0/1 ray coloring with one designated value per triad.
+def ks_support(triads: list[Triad], rule: str = "exactly-one-zero") -> SupportSpec:
+    """The support spec whose non-signaling realizations are the 0/1 ray
+    colorings with one designated value per triad.
 
     rule "exactly-one-zero": each triad carries exactly one 0 and two 1s;
-    "exactly-one-one" is the complement.  Backtracking with forward
-    checking, most-constrained ray first.  Returns a coloring when one
-    exists (the whole count if asked), or infeasibility with node
-    statistics.
+    "exactly-one-one" is the complement.  A-settings are the triads (labels
+    "1".."T" in the given order); their outcomes are the rule's three
+    patterns, read as the triad's ray values in canonical ray order.
+    B-settings are every ray of every triad, closing rays included (labels
+    "1".."R" in sorted ray order); outcomes are 0/1.  One context per
+    (triad, ray on it) makes the ray's outcome the pattern's value there.
+    A realization (f, g) is then a coloring g of the rays with f naming its
+    pattern on each triad, so the realization search decides colorability.
     """
-    if rule not in ("exactly-one-zero", "exactly-one-one"):
+    if rule not in RULES:
         raise ValueError(f"unknown rule {rule!r}")
-    lone = 0 if rule == "exactly-one-zero" else 1
-    pair = 1 - lone
-
-    # Triads may reach outside the seed set (pair completions); color the union.
-    universe = set(rays)
-    for t in triads:
-        universe.update(t.rays)
-    ray_list = sorted(universe)
-    triads_of: dict[Ray, list[int]] = {r: [] for r in ray_list}
-    for ti, t in enumerate(triads):
-        for r in t.rays:
-            triads_of[r].append(ti)
-
-    values: dict[Ray, int] = {}
-    nodes = 0
-    solutions: list[dict[Ray, int]] = []
-
-    def propagate(trail: list[Ray]) -> bool:
-        """Close the state under the triad rule after coloring trail[0].
-
-        The state before was closed, so only triads through a newly colored
-        ray can force anything or break.
-        """
-        queue = list(triads_of[trail[0]])
-        while queue:
-            free, lones = [], 0
-            for q in triads[queue.pop()].rays:
-                if q not in values:
-                    free.append(q)
-                elif values[q] == lone:
-                    lones += 1
-            if lones > 1 or not (free or lones):
-                return False
-            if lones or len(free) == 1:
-                # a lone value makes the others pair; two pairs make the last lone
-                for q in free:
-                    values[q] = pair if lones else lone
-                    trail.append(q)
-                    queue.extend(triads_of[q])
-        return True
-
-    def constrained_key(r: Ray):
-        unresolved = sum(
-            1
-            for ti in triads_of[r]
-            if any(q not in values for q in triads[ti].rays)
-        )
-        return (-unresolved, r)
-
-    def recurse() -> bool:
-        nonlocal nodes
-        free = [r for r in ray_list if r not in values]
-        if not free:
-            solutions.append(dict(values))
-            return not count_solutions
-        r = min(free, key=constrained_key)
-        for v in (lone, pair):
-            nodes += 1
-            trail: list[Ray] = [r]
-            values[r] = v
-            if propagate(trail) and recurse():
-                return True
-            for q in trail:
-                del values[q]
-        return False
-
-    stopped_early = recurse()
-    return SearchResult(
-        coloring=dict(solutions[0]) if solutions else None,
-        nodes=nodes,
-        feasible=bool(solutions),
-        solution_count=None if stopped_early else len(solutions),
+    patterns = RULES[rule]
+    rays = sorted({r for t in triads for r in t.rays})
+    label = {r: str(j + 1) for j, r in enumerate(rays)}
+    return make_support(
+        "ks_support",
+        {str(i + 1): patterns for i in range(len(triads))},
+        {label[r]: ("0", "1") for r in rays},
+        {
+            (str(i + 1), label[r]): [(pat, pat[pos]) for pat in patterns]
+            for i, t in enumerate(triads)
+            for pos, r in enumerate(t.rays)
+        },
     )
 
 
-A_PATTERNS = ("011", "101", "110")
-
-
-def build_ksp_support():
+def build_ksp_support() -> SupportSpec:
     """The possibilistic 40-triad by 33-ray compound system.
 
     A-settings are the 40 triads (labels "1".."40" in canonical triad
@@ -290,20 +229,19 @@ def build_ksp_support():
     Alice's triad the outcomes must agree on that ray, which cuts the
     context support from 6 pairs to 3.
     """
-    from .systems import make_support
-
     rays = peres_rays()
     triads = orthogonal_triads(rays)
-    a_alphabet = {str(i + 1): A_PATTERNS for i in range(len(triads))}
+    patterns = RULES["exactly-one-zero"]
+    a_alphabet = {str(i + 1): patterns for i in range(len(triads))}
     b_alphabet = {str(j + 1): ("0", "1") for j in range(len(rays))}
     supports = {}
     for i, t in enumerate(triads):
         for j, r in enumerate(rays):
             if r in t.rays:
                 pos = t.rays.index(r)
-                supp = [(pat, pat[pos]) for pat in A_PATTERNS]
+                supp = [(pat, pat[pos]) for pat in patterns]
             else:
-                supp = [(pat, b) for pat in A_PATTERNS for b in ("0", "1")]
+                supp = [(pat, b) for pat in patterns for b in ("0", "1")]
             supports[(str(i + 1), str(j + 1))] = supp
     return make_support("ksp_support", a_alphabet, b_alphabet, supports)
 

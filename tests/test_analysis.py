@@ -36,7 +36,7 @@ from contextuality.feasibility import (
     incidence_tableau,
     solve_feasibility,
 )
-from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_search
+from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_support
 from contextuality.systems import Context, marginal, mix_context_dependent
 
 from helpers import (
@@ -1136,7 +1136,7 @@ def _one_context(name):
          ValueError, "negative weight -1/2 at context ('1', '1')"),
         (lambda: mix([(get("d1").system, HALF), (_one_context("one"), HALF)]),
          ValueError, "shape mismatch between 'd1' and 'one'"),
-        (lambda: ks_search([], [], rule="exactly-two-ones"), ValueError,
+        (lambda: ks_support([], rule="exactly-two-ones"), ValueError,
          "unknown rule 'exactly-two-ones'"),
         (lambda: coloring_from_ns_function(*_disagreeing_triads()), ValueError,
          "inconsistent valuation at ray (1, √2, -1+2√2)"),

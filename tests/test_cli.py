@@ -344,8 +344,7 @@ class TestPeres:
     def test_search_infeasible(self, capsys):
         code, out, err = run(capsys, "peres", "--emit", "search")
         assert code == 0
-        assert out.startswith("INFEASIBLE")
-        assert "nodes:" in out
+        assert out == "INFEASIBLE\n"
 
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}

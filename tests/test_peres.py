@@ -9,11 +9,12 @@ from contextuality import (
     canonical_ray,
     dot,
     enumerate_ns_realizations,
-    ks_search,
+    ks_support,
     orthogonal_triads,
     peres_rays,
 )
 from contextuality.peres import (
+    RULES,
     SQRT2,
     Z0,
     Z1,
@@ -45,6 +46,10 @@ class TestRing:
     def test_is_zero(self):
         assert Zr2(0, 0).is_zero()
         assert not Zr2(2, -1).is_zero()
+
+    def test_str_drops_unit_coefficients(self):
+        shown = [Zr2(1, 1), Zr2(1, -1), Zr2(0, -1), Zr2(0, 1), Zr2(3, -2)]
+        assert [str(z) for z in shown] == ["1+√2", "1-√2", "-√2", "√2", "3-2√2"]
 
     def test_sign_near_sqrt2(self):
         # 3 - 2*sqrt(2) > 0 > 2 - 2*sqrt(2)
@@ -230,65 +235,73 @@ def two_disjoint_triads():
     return rays, triads
 
 
+def colorings(triads, rule="exactly-one-zero"):
+    """Every non-signaling realization of `ks_support`, read as a ray
+    coloring; its B-side must name the same one."""
+    rays = sorted({r for t in triads for r in t.rays})
+    out = []
+    for realization in enumerate_ns_realizations(ks_support(triads, rule)):
+        coloring = coloring_from_ns_function(realization.f, triads)
+        assert {str(j + 1): str(coloring[r]) for j, r in enumerate(rays)} == realization.g
+        out.append(coloring)
+    return out
+
+
 class TestKsSearch:
     def test_peres_infeasible_both_rules(self):
-        rays = peres_rays()
-        triads = orthogonal_triads(rays)
-        for rule in ("exactly-one-zero", "exactly-one-one"):
-            result = ks_search(rays, triads, rule)
-            assert not result.feasible
-            assert result.nodes > 0
+        triads = orthogonal_triads(peres_rays())
+        for rule in RULES:
+            assert colorings(triads, rule) == []
 
     def test_single_triad_three_solutions(self):
         triad = Triad(rays=tuple(sorted([X, Y, Z])))
-        result = ks_search([X, Y, Z], [triad], "exactly-one-zero")
-        assert result.feasible
-        assert sum(1 for v in result.coloring.values() if v == 0) == 1
-        counted = ks_search([X, Y, Z], [triad], "exactly-one-zero", count_solutions=True)
-        assert counted.solution_count == 3
+        found = colorings([triad])
+        assert len(found) == 3
+        assert all(list(c.values()).count(0) == 1 for c in found)
 
     def test_two_disjoint_triads_nine_solutions(self):
-        rays, triads = two_disjoint_triads()
-        counted = ks_search(rays, triads, "exactly-one-zero", count_solutions=True)
-        assert counted.feasible
-        assert counted.solution_count == 9
+        _, triads = two_disjoint_triads()
+        assert len(colorings(triads)) == 9
 
     def test_complement_duality(self):
-        rays, triads = two_disjoint_triads()
-        a = ks_search(rays, triads, "exactly-one-zero")
-        b = ks_search(rays, triads, "exactly-one-one")
-        assert a.feasible == b.feasible
         # the bijection v -> 1 - v maps solutions across the two rules
-        flipped = {r: 1 - v for r, v in a.coloring.items()}
-        for t in triads:
-            assert [flipped[r] for r in t.rays].count(1) == 1
+        _, triads = two_disjoint_triads()
+        flipped = {frozenset((r, 1 - v) for r, v in c.items()) for c in colorings(triads)}
+        assert flipped == {frozenset(c.items()) for c in colorings(triads, "exactly-one-one")}
+        assert len(flipped) == 9
 
     def test_completeness_against_brute_force(self):
+        # random sets of Peres triads on <= 13 rays, closing rays included,
+        # checked against a 2^n scan of their rays under both rules
         rng = random.Random(83)
-        pool = peres_rays()[:12]
-        orth = {
-            (i, j)
-            for i, j in itertools.combinations(range(len(pool)), 2)
-            if dot(pool[i], pool[j]).is_zero()
-        }
-        # random triad structures over <= 12 rays, checked against 2^n scan
-        for trial in range(20):
-            k = rng.randint(6, 12)
-            rays = pool[:k]
-            triads = [t for t in orthogonal_triads(rays) if set(t.rays) <= set(rays)]
-            if not triads:
+        peres_triads = orthogonal_triads(peres_rays())
+        checked = shared = 0
+        for trial in range(40):
+            triads = rng.sample(peres_triads, rng.randint(1, 6))
+            universe = sorted({r for t in triads for r in t.rays})
+            if len(universe) > 13:
                 continue
-            result = ks_search(rays, triads, "exactly-one-zero", count_solutions=True)
-            universe = sorted({r for t in triads for r in t.rays} | set(rays))
-            brute = 0
-            for bits in itertools.product((0, 1), repeat=len(universe)):
-                val = dict(zip(universe, bits))
-                if all(
-                    [val[r] for r in t.rays].count(0) == 1 for t in triads
-                ):
-                    brute += 1
-            assert result.feasible == (brute > 0)
-            assert result.solution_count == brute
+            for rule, lone in (("exactly-one-zero", 0), ("exactly-one-one", 1)):
+                brute = 0
+                for bits in itertools.product((0, 1), repeat=len(universe)):
+                    val = dict(zip(universe, bits))
+                    if all(
+                        [val[r] for r in t.rays].count(lone) == 1 for t in triads
+                    ):
+                        brute += 1
+                assert len(colorings(triads, rule)) == brute
+            checked += 1
+            shared += len(universe) < 3 * len(triads)
+        assert checked > 20 and shared > 5  # 29 and 11 here
+
+    def test_spec_shape(self):
+        # one context per (triad, ray on it): 40 x 3 on 33 + 24 rays
+        for rule, patterns in RULES.items():
+            spec = ks_support(orthogonal_triads(peres_rays()), rule)
+            assert (len(spec.a_settings), len(spec.b_settings)) == (40, 57)
+            assert len(spec.contexts) == 120
+            assert all(spec.a_alphabet[x] == patterns for x in spec.a_settings)
+            assert all(len(pairs) == 3 for pairs in spec.supports.values())
 
 
 class TestKspSupport:
