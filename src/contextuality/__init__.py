@@ -17,10 +17,9 @@ from .analysis import (
     classify,
     decomposition_reproduces,
     enumerate_ns_realizations,
-    fine_oracle,
     witness_score,
 )
-from .catalog import NamedSystem, PairMixture, conspiracy_system, get, pair_as_mixture
+from .catalog import NamedSystem, conspiracy_system, get
 from .feasibility import (
     FarkasCertificate,
     FeasibleSolution,
@@ -50,7 +49,6 @@ from .systems import (
     make_support,
     make_system,
     marginal,
-    mix,
     mix_context_dependent,
     support_of,
     validate,
@@ -65,7 +63,6 @@ __all__ = [
     "FeasibleSolution",
     "InvalidSystemError",
     "NamedSystem",
-    "PairMixture",
     "Ray",
     "Realization",
     "RealizationLimitExceeded",
@@ -86,17 +83,14 @@ __all__ = [
     "decomposition_reproduces",
     "dot",
     "enumerate_ns_realizations",
-    "fine_oracle",
     "get",
     "incidence_tableau",
     "ks_support",
     "make_support",
     "make_system",
     "marginal",
-    "mix",
     "mix_context_dependent",
     "orthogonal_triads",
-    "pair_as_mixture",
     "peres_rays",
     "solve_feasibility",
     "support_of",

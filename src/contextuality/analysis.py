@@ -594,12 +594,3 @@ def chsh(system: SystemSpec) -> Fraction:
             ))
     total = sum(corr)
     return Fraction(max(abs(total - 2 * c) for c in corr), scale)
-
-
-def fine_oracle(system: SystemSpec) -> str:
-    """Independent 2x2-binary oracle: noncontextual iff all CHSH values <= 2.
-
-    Raises SignalingSystemError on signaling input.
-    """
-    _require_nonsignaling(system)
-    return "noncontextual" if chsh(system) <= 2 else "contextual"

@@ -104,51 +104,3 @@ def conspiracy_system() -> SystemSpec:
         rule[Context(x, "1")] = [(d1, HALF), (d2, HALF)]
         rule[Context(x, "2")] = [(d3, HALF), (d4, HALF)]
     return mix_context_dependent(rule, name="conspiracy")
-
-
-class PairMixture(NamedTuple):
-    """One AB-pair written as a two-component mixture.
-
-    Components are pmfs over the pairs (1,1) and (1,0); the mixing weight q
-    and component masses satisfy q*p1 + (1-q)*p2 = p exactly.
-    """
-
-    q: Fraction
-    x_pmf: dict[tuple[str, str], Fraction]
-    y_pmf: dict[tuple[str, str], Fraction]
-
-    def mixed_probability(self) -> Fraction:
-        key = ("1", "1")
-        return self.q * self.x_pmf.get(key, Fraction(0)) + (1 - self.q) * (
-            self.y_pmf.get(key, Fraction(0))
-        )
-
-
-def pair_as_mixture(p: Fraction, q: Fraction, p1: Fraction) -> PairMixture:
-    """Split a pair distributed {(1,1): p, (1,0): 1-p} into two components.
-
-    The first component puts mass p1 on (1,1) and gets weight q; the second
-    component's mass p2 is solved from q*p1 + (1-q)*p2 = p and must land in
-    [0, 1].  With p1 in {0, 1} and p2 in {0, 1} both components are
-    deterministic.
-    """
-    p, q, p1 = Fraction(p), Fraction(q), Fraction(p1)
-    for label, v in (("p", p), ("q", q), ("p1", p1)):
-        if not 0 <= v <= 1:
-            raise ValueError(f"{label} = {v} outside [0, 1]")
-    if q == 1:
-        if p1 != p:
-            raise ValueError("q = 1 requires p1 = p (second component has no weight)")
-        p2 = p
-    else:
-        p2 = (p - q * p1) / (1 - q)
-        if not 0 <= p2 <= 1:
-            raise ValueError(f"p2 = {p2} outside [0, 1] for (p={p}, q={q}, p1={p1})")
-    def pmf(mass: Fraction) -> dict[tuple[str, str], Fraction]:
-        out = {}
-        if mass > 0:
-            out[("1", "1")] = mass
-        if mass < 1:
-            out[("1", "0")] = 1 - mass
-        return out
-    return PairMixture(q=q, x_pmf=pmf(p1), y_pmf=pmf(p2))

@@ -149,11 +149,6 @@ def cross(u: Ray, v: Ray) -> tuple[Zr2, Zr2, Zr2]:
     )
 
 
-def collinear(u: Ray, v: Ray) -> bool:
-    """Cross product zero, tested exactly in the ring."""
-    return all(c.is_zero() for c in cross(u, v))
-
-
 def orthogonal_triads(rays: list[Ray]) -> list[Triad]:
     """Every orthogonal pair of the given rays closed into a triad, each
     triad once, sorted.
@@ -244,19 +239,3 @@ def build_ksp_support() -> SupportSpec:
                 supp = [(pat, b) for pat in patterns for b in ("0", "1")]
             supports[(str(i + 1), str(j + 1))] = supp
     return make_support("ksp_support", a_alphabet, b_alphabet, supports)
-
-
-def coloring_from_ns_function(f: dict[str, str], triads: list[Triad]) -> dict[Ray, int]:
-    """Read a per-triad pattern choice as a per-ray 0/1 valuation.
-
-    Raises if two triads sharing a ray disagree, which is exactly what the
-    Kochen-Specker obstruction forbids.
-    """
-    values: dict[Ray, int] = {}
-    for i, t in enumerate(triads):
-        pattern = f[str(i + 1)]
-        for pos, r in enumerate(t.rays):
-            v = int(pattern[pos])
-            if values.setdefault(r, v) != v:
-                raise ValueError(f"inconsistent valuation at ray {r}")
-    return values

@@ -31,7 +31,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
@@ -112,7 +112,9 @@ class Spec:
     a spec checks it.  One walk stores the alphabets and the table, or
     names each piece it cannot store: an alphabet or table that is no
     mapping, outcomes that are no collection or are a set (whose order
-    changes from process to process), settings that cannot be ordered.
+    changes from process to process), outcomes of one setting that
+    cannot be ordered, as when strings and ints meet, and settings that
+    cannot be ordered.
     Such a piece, a name that is no string, a table key that is no 2-tuple
     or cannot be ordered, and whatever `validate` rejects each raise
     `InvalidSystemError`, once per build.
@@ -154,11 +156,19 @@ class Spec:
                     )
                     continue
                 try:
-                    stored[s] = tuple(outcomes)
+                    stored[s] = outcomes = tuple(outcomes)
                 except TypeError:
                     malformed.append(
                         f"{side}-setting {_render(s)}: alphabet {_render(outcomes)} is not "
                         "a collection of outcomes"
+                    )
+                    continue
+                # `classify` sorts each setting's outcomes, in its pairs and
+                # realizations; an unhashable outcome is left to `validate`.
+                if _hashable(outcomes) and not _orderable(outcomes):
+                    malformed.append(
+                        f"{side}-setting {_render(s)}: outcomes {_render(outcomes)} cannot "
+                        "be put in order"
                     )
             try:
                 settings = tuple(sorted(alphabets, key=setting_key))
@@ -249,9 +259,6 @@ class SystemSpec(Spec):
         return MappingProxyType(
             {pair: Fraction(p) if isinstance(p, int) else p for pair, p in items}
         )
-
-    def prob(self, ctx: Context, pair: Pair) -> Fraction:
-        return self.pmfs[ctx].get(pair, ZERO)
 
     @cached_property
     def _counts(self) -> tuple[int, dict[Context, dict[Pair, int]]]:
@@ -456,6 +463,16 @@ def _hashable(value) -> bool:
     return True
 
 
+def _orderable(values) -> bool:
+    """Whether `<` compares every two of the values, as a sort may."""
+    try:
+        for a, b in combinations(values, 2):
+            a < b
+    except TypeError:
+        return False
+    return True
+
+
 def marginal(system: SystemSpec, context: Context, side: str) -> dict[Outcome, Fraction]:
     """Exact one-sided marginal of the context's joint pmf, keyed by the
     side's alphabet in its order; an unknown context raises KeyError."""
@@ -552,16 +569,6 @@ def _check_same_shape(a: SystemSpec, b: SystemSpec) -> None:
         or a.b_alphabet != b.b_alphabet
     ):
         raise ValueError(f"shape mismatch between {a.name!r} and {b.name!r}")
-
-
-def mix(
-    components: list[tuple[SystemSpec, Fraction]], name: str = "mixture"
-) -> SystemSpec:
-    """Context-wise convex combination of systems sharing one shape."""
-    if not components:
-        raise ValueError("empty mixture")
-    rule = {ctx: components for ctx in components[0][0].contexts}
-    return mix_context_dependent(rule, name=name)
 
 
 def mix_context_dependent(

@@ -1,5 +1,6 @@
-"""Shared random generators, dense and sparse reference LPs, a tableau
-builder for rational LPs, and a 2xn and a 3322 verdict oracle for tests.
+"""Shared random generators and mixtures, dense and sparse reference LPs,
+a tableau builder for rational LPs, a 2x2 (Fine), a 2xn and a 3322 verdict
+oracle, and ray and coloring helpers for the Peres tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -23,9 +24,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-from contextuality import feasibility, make_system, mix
+from contextuality import chsh, feasibility, make_system, mix_context_dependent
+from contextuality.analysis import _require_nonsignaling
 from contextuality.feasibility import SCALE, FarkasCertificate, FeasibleSolution, Tableau
-from contextuality.peres import Triad, canonical_ray, cross, dot
+from contextuality.peres import Ray, Triad, canonical_ray, cross, dot
 from contextuality.systems import ONE, ZERO, SupportSpec, SystemSpec
 
 BIN = ("0", "1")
@@ -83,6 +85,16 @@ def random_deterministic_ns(rng: random.Random, a_alph, b_alph) -> SystemSpec:
     g = {y: rng.choice(b_alph[y]) for y in b_alph}
     pmfs = {c: {(f[c[0]], g[c[1]]): Fraction(1)} for c in contexts}
     return make_system("det", a_alph, b_alph, pmfs)
+
+
+def mix(
+    components: list[tuple[SystemSpec, Fraction]], name: str = "mixture"
+) -> SystemSpec:
+    """Context-wise convex combination of systems sharing one shape."""
+    if not components:
+        raise ValueError("empty mixture")
+    rule = {ctx: components for ctx in components[0][0].contexts}
+    return mix_context_dependent(rule, name=name)
 
 
 def random_ns_mixture(rng: random.Random, max_components: int = 5) -> SystemSpec:
@@ -218,8 +230,8 @@ def chsh_2xn_oracle(system: SystemSpec) -> str:
     Written from the pmfs alone, with no call into the library: outcomes
     are coded -1 and +1 by their place in the alphabet.  That is why it
     stays a test reference for `classify` rather than a widened
-    `analysis.fine_oracle`, which reads the correlators through
-    `chsh` and refuses signaling input first.
+    `fine_oracle`, which reads the correlators through `chsh` and refuses
+    signaling input first.
     """
     xs, ys = system.a_settings, system.b_settings
     alphabets = list(system.a_alphabet.values()) + list(system.b_alphabet.values())
@@ -239,6 +251,15 @@ def chsh_2xn_oracle(system: SystemSpec) -> str:
         if any(abs(total - 2 * c) > 2 for c in corr):
             return "contextual"
     return "noncontextual"
+
+
+def fine_oracle(system: SystemSpec) -> str:
+    """Independent 2x2-binary oracle: noncontextual iff all CHSH values <= 2.
+
+    Raises SignalingSystemError on signaling input.
+    """
+    _require_nonsignaling(system)
+    return "noncontextual" if chsh(system) <= 2 else "contextual"
 
 
 # The 3322 scenario: three binary settings per side.  In Collins-Gisin
@@ -407,7 +428,7 @@ def reproduces_by_fraction_sums(system: SystemSpec, decomposition) -> bool:
         return False
     return all(
         sum((w for r, w in decomposition.components if r.values[ctx] == pair), ZERO)
-        == system.prob(ctx, pair)
+        == system.pmfs[ctx].get(pair, ZERO)
         for ctx in system.contexts
         for pair in system.pairs(ctx)
     )
@@ -441,6 +462,27 @@ def reference_orthogonal_triads(rays) -> list:
     return sorted(triads, key=lambda t: tuple(map(key, t.rays)))
 
 
+def collinear(u: Ray, v: Ray) -> bool:
+    """Cross product zero, tested exactly in the ring."""
+    return all(c.is_zero() for c in cross(u, v))
+
+
+def coloring_from_ns_function(f: dict[str, str], triads: list[Triad]) -> dict[Ray, int]:
+    """Read a per-triad pattern choice as a per-ray 0/1 valuation.
+
+    Raises if two triads sharing a ray disagree, which is exactly what the
+    Kochen-Specker obstruction forbids.
+    """
+    values: dict[Ray, int] = {}
+    for i, t in enumerate(triads):
+        pattern = f[str(i + 1)]
+        for pos, r in enumerate(t.rays):
+            v = int(pattern[pos])
+            if values.setdefault(r, v) != v:
+                raise ValueError(f"inconsistent valuation at ray {r}")
+    return values
+
+
 def full_membership_problem(system: SystemSpec, columns, supported):
     """The membership LP with a row for every supported (context, pair), the
     form the kept-row rule reduces: sparse rows, rhs and the row keys."""
@@ -450,7 +492,7 @@ def full_membership_problem(system: SystemSpec, columns, supported):
         for key in r.values.items():
             rows[index[key]][j] = 1
     rows.append(dict.fromkeys(range(len(columns)), 1))
-    return rows, [system.prob(ctx, pair) for ctx, pair in supported] + [ONE], supported
+    return rows, [system.pmfs[ctx].get(pair, ZERO) for ctx, pair in supported] + [ONE], supported
 
 
 @dataclass(frozen=True)

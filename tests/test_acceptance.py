@@ -18,22 +18,20 @@ from contextuality import (
     decomposition_reproduces,
     dot,
     enumerate_ns_realizations,
-    fine_oracle,
     get,
     ks_support,
     marginal,
-    mix,
     orthogonal_triads,
-    pair_as_mixture,
     peres_rays,
     solve_feasibility,
     witness_score,
 )
 from contextuality.feasibility import FarkasCertificate, FeasibleSolution
-from contextuality.peres import collinear
 from contextuality.systems import Context
 
 from helpers import (
+    collinear,
+    fine_oracle,
     full_support,
     noisy_mixture,
     nonnegative_problem,
@@ -266,28 +264,3 @@ def test_certificate_soundness():
         if isinstance(outcome, FarkasCertificate):
             ok &= not verify(problem, FarkasCertificate(y=tuple(Fraction(0) for _ in rhs)))
     report("Certificate soundness: witnesses and Farkas outcomes all verify", ok)
-
-
-def test_pair_mixture_identity():
-    rng = random.Random(5150)
-    ok = True
-    done = 0
-    while done < 1000:
-        p = Fraction(rng.randint(0, 20), 20)
-        q = Fraction(rng.randint(0, 19), 20)
-        p1 = Fraction(rng.randint(0, 20), 20)
-        if q != 1:
-            p2 = (p - q * p1) / (1 - q)
-            if not 0 <= p2 <= 1:
-                continue
-        pm = pair_as_mixture(p, q, p1)
-        done += 1
-        x11 = pm.x_pmf.get(("1", "1"), Fraction(0))
-        y11 = pm.y_pmf.get(("1", "1"), Fraction(0))
-        if pm.q * x11 + (1 - pm.q) * y11 != p:
-            ok = False
-            break
-    split = pair_as_mixture(HALF, HALF, Fraction(1))
-    ok &= split.x_pmf == {("1", "1"): Fraction(1)}
-    ok &= split.y_pmf == {("1", "0"): Fraction(1)}
-    report("Pair-as-mixture identity: 1000 feasible triples, p=1/2 split", ok)

@@ -19,38 +19,39 @@ from contextuality import (
     conspiracy_system,
     decomposition_reproduces,
     enumerate_ns_realizations,
-    fine_oracle,
     get,
     make_support,
     make_system,
-    mix,
     support_of,
     witness_score,
 )
 from contextuality import analysis
 from contextuality.analysis import BellWitness, Decomposition
-from contextuality.catalog import catalog_ids, pair_as_mixture
+from contextuality.catalog import catalog_ids
 from contextuality.feasibility import (
     FarkasCertificate,
     FeasibleSolution,
     incidence_tableau,
     solve_feasibility,
 )
-from contextuality.peres import Ray, Triad, Z0, Zr2, coloring_from_ns_function, ks_support
-from contextuality.systems import Context, marginal, mix_context_dependent
+from contextuality.peres import Ray, Triad, Z0, Zr2, ks_support
+from contextuality.systems import ZERO, Context, marginal, mix_context_dependent
 
 from helpers import (
     cg_point_3322,
     chained_box,
     checker_accepts,
     chsh_2xn_oracle,
+    coloring_from_ns_function,
     deterministic_3322,
     facets_3322,
+    fine_oracle,
     local_3322_oracle,
     dense_problem,
     every_pair,
     full_support,
     full_membership_problem,
+    mix,
     noisy_mixture,
     perfect_chained_box,
     random_deterministic_ns,
@@ -119,7 +120,7 @@ class TestEnumerate:
         # signaling one into none
         d = get("d_eprb").system
         (r,) = enumerate_ns_realizations(support_of(d))
-        assert all(d.prob(c, r.values[c]) == 1 for c in d.contexts)
+        assert all(d.pmfs[c].get(r.values[c], ZERO) == 1 for c in d.contexts)
         assert enumerate_ns_realizations(support_of(get("d_prime_eprb").system)) == ()
 
     def test_ksp_empty(self):
@@ -1104,7 +1105,7 @@ class TestHiddenVariableModel:
                         for r, w in model
                         if (r.f[ctx.x], r.g[ctx.y]) == pair
                     )
-                    assert p == m.prob(ctx, pair)
+                    assert p == m.pmfs[ctx].get(pair, ZERO)
 
 
 def _disagreeing_triads():
@@ -1126,8 +1127,6 @@ def _one_context(name):
         (lambda: chsh(make_system("three", BIN, BIN, {
             ctx: {("0", "0"): 1} for ctx in [("1", "1"), ("1", "2"), ("2", "1")]
         })), ValueError, "CHSH needs all four contexts"),
-        (lambda: pair_as_mixture(Fraction(3, 2), HALF, HALF), ValueError,
-         "p = 3/2 outside [0, 1]"),
         (lambda: marginal(get("d1").system, Context("1", "1"), "C"), ValueError,
          "side must be 'A' or 'B', got 'C'"),
         (lambda: mix([]), ValueError, "empty mixture"),
@@ -1142,7 +1141,7 @@ def _one_context(name):
          "inconsistent valuation at ray (1, √2, -1+2√2)"),
     ],
     ids=[
-        "chsh-three-contexts", "pair-mixture-range", "marginal-side", "mix-empty",
+        "chsh-three-contexts", "marginal-side", "mix-empty",
         "mix-context-dependent-empty", "mix-negative-weight", "mix-two-shapes",
         "ks-search-rule", "coloring-disagrees",
     ],

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,10 @@ from contextuality import (
     conspiracy_system,
     get,
     marginal,
-    pair_as_mixture,
 )
 from contextuality.catalog import UnknownSystemError, catalog_ids, provenance
 from contextuality.serialize import dumps_system, loads_system
 
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -134,47 +131,3 @@ class TestConspiracy:
 
     def test_nonsignaling(self):
         assert check_nonsignaling(conspiracy_system()) is None
-
-
-class TestPairAsMixture:
-    def test_deterministic_split(self):
-        pm = pair_as_mixture(HALF, HALF, ONE)
-        assert pm.q == HALF
-        assert pm.x_pmf == {("1", "1"): ONE}
-        assert pm.y_pmf == {("1", "0"): ONE}
-
-    def test_q_one_degenerate(self):
-        pm = pair_as_mixture(Fraction(1, 3), ONE, Fraction(1, 3))
-        assert pm.mixed_probability() == Fraction(1, 3)
-        with pytest.raises(ValueError):
-            pair_as_mixture(Fraction(1, 3), ONE, Fraction(1, 2))
-
-    def test_p2_out_of_range(self):
-        with pytest.raises(ValueError):
-            pair_as_mixture(Fraction(9, 10), HALF, Fraction(0))
-
-    def test_random_feasible_triples(self):
-        rng = random.Random(61)
-        done = 0
-        while done < 300:
-            p = Fraction(rng.randint(0, 12), 12)
-            q = Fraction(rng.randint(0, 11), 12)
-            p1 = Fraction(rng.randint(0, 12), 12)
-            p2_num = p - q * p1
-            if q == 1 or not 0 <= p2_num / (1 - q) <= 1:
-                continue
-            pm = pair_as_mixture(p, q, p1)
-            done += 1
-            # the mixture constraint holds exactly and the reconstructed
-            # pmf is {(1,1): p, (1,0): 1-p}
-            assert pm.mixed_probability() == p
-            mixed = {}
-            for pmf, w in ((pm.x_pmf, pm.q), (pm.y_pmf, 1 - pm.q)):
-                for k, v in pmf.items():
-                    mixed[k] = mixed.get(k, Fraction(0)) + w * v
-            expect = {}
-            if p > 0:
-                expect[("1", "1")] = p
-            if p < 1:
-                expect[("1", "0")] = 1 - p
-            assert {k: v for k, v in mixed.items() if v != 0} == expect

@@ -14,7 +14,7 @@ from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
 from contextuality.systems import Context
 
-from helpers import uniform_system
+from helpers import mix, uniform_system
 
 
 def pmf_file(p: str) -> bytes:
@@ -104,7 +104,7 @@ class TestAnalyze:
         assert witness_score(witness, system) > witness.bound
 
     def test_decomposition_reverifies_from_report_alone(self, capsys, tmp_path):
-        from contextuality import Realization, decomposition_reproduces, mix
+        from contextuality import Realization, decomposition_reproduces
 
         half = Fraction(1, 2)
         m = mix([(get("d1").system, half), (get("d3").system, half)], name="m")
@@ -384,8 +384,6 @@ class TestChsh:
         assert out.strip() == "0"
 
     def test_d1_d2_mix_2(self, capsys, tmp_path):
-        from contextuality import mix
-
         half = Fraction(1, 2)
         m = mix([(get("d1").system, half), (get("d2").system, half)], name="m")
         path = tmp_path / "m.json"

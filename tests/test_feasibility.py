@@ -16,7 +16,6 @@ from contextuality import (
     enumerate_ns_realizations,
     feasibility,
     incidence_tableau,
-    mix,
     solve_feasibility,
     support_of,
 )
@@ -29,6 +28,7 @@ from helpers import (
     full_support,
     incidence_rows,
     make_problem,
+    mix,
     noisy_mixture,
     nonnegative_problem,
     random_deterministic_ns,

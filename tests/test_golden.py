@@ -1,5 +1,6 @@
-"""Byte-for-byte CLI output of the README commands and a few more, and
-the README's Python blocks, run as they stand.
+"""Byte-for-byte CLI output of the README commands and a few more, the
+README's Python blocks, run as they stand, and the package's exports, each
+used by its code or named in README.
 
 `golden/commands.json` lists each command with its expected exit code; its
 stdout is stored in `golden/<name>.out`.  Arguments ending in `.json` name
@@ -7,6 +8,7 @@ fixture files in `golden/` (`system.json` stands in for the README's
 `path/to/system.json`).
 """
 
+import ast
 import json
 import re
 from fractions import Fraction
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import contextuality
 from contextuality import conspiracy_system
 from contextuality.cli import main
 from contextuality.systems import Context
@@ -23,6 +26,7 @@ from helpers import checker_accepts
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "contextuality").glob("*.py"))
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, re.DOTALL | re.MULTILINE)
 
 
@@ -38,6 +42,30 @@ def test_readme_command_bytes(command, capsys):
 @pytest.mark.parametrize("block", PYTHON_BLOCKS, ids=["library-sketch", "support-of"])
 def test_readme_python_block_runs(block):
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_export_is_used_by_the_package_or_named_in_readme():
+    # A public name that no module of the package uses and README does not
+    # name has only tests for callers: it belongs with them, in helpers.py.
+    # A use is a name or attribute read, or an import, in a module other
+    # than `__init__.py`; its own `def`, `class` or assignment is none.
+    used = set()
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    # README names code in backticks and in its fenced blocks.
+    code = " ".join(re.findall(r"^```.*?^```$|`[^`\n]+`", README, re.DOTALL | re.MULTILINE))
+    named = set(re.findall(r"[A-Za-z_]\w*", code))
+    assert len(SOURCES) > 1
+    assert [name for name in contextuality.__all__ if not hasattr(contextuality, name)] == []
+    assert sorted(set(contextuality.__all__) - used - named) == []
 
 
 def test_benchmark_checker_accepts_old_and_new_conspiracy_witness():

@@ -19,12 +19,10 @@ from contextuality.peres import (
     Z0,
     Z1,
     Triad,
-    collinear,
-    coloring_from_ns_function,
     cross,
 )
 
-from helpers import reference_orthogonal_triads
+from helpers import collinear, coloring_from_ns_function, reference_orthogonal_triads
 
 
 def ray(*coords):

@@ -9,6 +9,7 @@ import pytest
 from contextuality import (
     Context,
     InvalidSystemError,
+    RealizationLimitExceeded,
     SignalingSystemError,
     SignalingWitness,
     SupportSpec,
@@ -21,15 +22,14 @@ from contextuality import (
     make_support,
     make_system,
     marginal,
-    mix,
     mix_context_dependent,
     support_of,
     validate,
 )
 from contextuality import systems
-from contextuality.systems import context_key
+from contextuality.systems import ZERO, context_key
 
-from helpers import random_ns_mixture
+from helpers import mix, random_ns_mixture
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
 
@@ -720,6 +720,37 @@ def test_alphabet_given_as_a_set_is_a_violation(build, unordered):
         assert spec.a_alphabet["1"] == ("c", "a", "b")
 
 
+@pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
+def test_outcomes_that_cannot_be_ordered_are_a_violation(build):
+    # `classify` sorts a context's pairs and the search its realizations,
+    # so a string and an int outcome of one setting once built a spec that
+    # `classify` raised TypeError on.  Outcomes of different settings are
+    # never compared, and may differ in type.
+    mixed = {"1": ("0", 1), "2": ("0", 1)}
+    pairs = [("0", "0"), (1, 1)]
+    contexts = [(x, y) for x in BIN for y in BIN]
+    if build is make_system:
+        table = {ctx: dict.fromkeys(pairs, Fraction(1, 2)) for ctx in contexts}
+    else:
+        table = {ctx: pairs for ctx in contexts}
+    with pytest.raises(InvalidSystemError) as exc:
+        build("m", mixed, mixed, table)
+    assert exc.value.violations == [
+        f"{side}-setting '{s}': outcomes ('0', 1) cannot be put in order"
+        for side in "AB"
+        for s in "12"
+    ]
+    # Each setting's outcomes of one type, string or int: the spec builds
+    # and is decided.
+    a_alphabet = {"1": ("0", "1"), "2": (0, 1)}
+    table = {(x, y): [(a_alphabet[x][0], "0")] for x, y in contexts}
+    if build is make_system:
+        table = {ctx: dict.fromkeys(support, 1) for ctx, support in table.items()}
+        assert classify(build("m", a_alphabet, BIN, table)).kind == "noncontextual"
+    else:
+        assert len(enumerate_ns_realizations(build("m", a_alphabet, BIN, table))) == 1
+
+
 def test_refused_sets_are_quoted_in_one_order():
     # A message quotes refused plain data as `repr` does, but lists each
     # set's members sorted by their own text: a set's order changes with
@@ -818,12 +849,35 @@ def _replace(value, path, new):
     return type(value)(items)
 
 
+def _relabel(args, side, setting, old, new):
+    """A copy of plain spec data with outcome `old` of one setting named
+    `new`, in its alphabet and in the pairs of every context holding it."""
+    name, a_alphabet, b_alphabet, table = args
+    i = "AB".index(side)
+    alphabets = [dict(a_alphabet), dict(b_alphabet)]
+    alphabets[i][setting] = tuple(new if o == old else o for o in alphabets[i][setting])
+
+    def pair(p):
+        return tuple(new if j == i and o == old else o for j, o in enumerate(p))
+
+    table = {
+        ctx: ({pair(p): v for p, v in pairs.items()} if isinstance(pairs, dict)
+              else [pair(p) for p in pairs]) if ctx[i] == setting else pairs
+        for ctx, pairs in table.items()
+    }
+    return [name, *alphabets, table]
+
+
 def test_constructors_build_or_refuse_fuzzed_plain_data():
     # Seeded junk in every slot of both constructors' plain data: the
     # name, the alphabets, their settings and outcomes, the table, its keys
     # and settings, the pmfs, their pairs, outcomes and probabilities, and
     # the supports' pairs.  A call builds a valid spec or raises
-    # InvalidSystemError, and nothing else.
+    # InvalidSystemError, and nothing else.  Junk in one outcome slot
+    # leaves the pairs outside their alphabet product, so outcomes are also
+    # relabelled with junk wherever they occur.  Every spec that builds,
+    # either way, is then decided or refused with a documented error: a
+    # system by `classify`, a support by the realization search.
     half = Fraction(1, 2)
     pmf = {("0", "0"): half, ("1", "1"): half}
     contexts = [(x, y) for x in BIN for y in BIN]
@@ -833,6 +887,7 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
     }
     rng = random.Random(21)
     outcomes = {"built": 0, "refused": 0, "junk name": 0}
+    built = []
     start = time.perf_counter()
     for _ in range(3000):
         build = rng.choice([make_system, make_support])
@@ -855,8 +910,31 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
             assert validate(spec) == []
             assert type(spec.name) is str and hash(spec) == hash(build(*args))
             outcomes["built"] += 1
+            built.append(spec)
     assert time.perf_counter() - start < 2
     assert min(outcomes.values()) >= 20, outcomes
+    relabelled = {"built": 0, "refused": 0}
+    for _ in range(300):
+        build = rng.choice([make_system, make_support])
+        args = plain[build]
+        for _ in range(rng.randint(1, 2)):
+            side, setting, old = rng.choice("AB"), rng.choice("12"), rng.choice("01")
+            args = _relabel(args, side, setting, old, rng.choice(_ATOMS))
+        try:
+            built.append(build(*args))
+        except InvalidSystemError:
+            relabelled["refused"] += 1
+        else:
+            relabelled["built"] += 1
+    assert min(relabelled.values()) >= 20, relabelled
+    for spec in built:
+        try:
+            if isinstance(spec, SupportSpec):
+                enumerate_ns_realizations(spec)
+            else:
+                classify(spec)
+        except (SignalingSystemError, ValueError, RealizationLimitExceeded):
+            pass
 
 
 def test_counts_built_once_per_system(monkeypatch):
@@ -907,14 +985,14 @@ class TestSupport:
             s = random_ns_mixture(rng)
             if trial % 2:
                 s = make_system(s.name, s.a_alphabet, s.b_alphabet, {
-                    ctx: {pair: s.prob(ctx, pair) for pair in s.pairs(ctx)}
+                    ctx: {pair: s.pmfs[ctx].get(pair, ZERO) for pair in s.pairs(ctx)}
                     for ctx in s.contexts
                 })
             assert s.supports == support_of(s).supports
             assert tuple(s.supports) == s.contexts
             for ctx in s.contexts:
                 assert s.supports[ctx] == {
-                    pair for pair in s.pairs(ctx) if s.prob(ctx, pair) > 0
+                    pair for pair in s.pairs(ctx) if s.pmfs[ctx].get(pair, ZERO) > 0
                 }
 
     def test_deterministic_singletons(self):
