@@ -1,4 +1,4 @@
-"""The JSON system-file format used by the CLI and the built-in catalog.
+"""The JSON system-file format used by the CLI.
 
 Probabilities travel as "num/den" strings, never JSON numbers: the whole
 toolkit is exact, and accepting floats would silently break that contract.

@@ -586,6 +586,8 @@ def mix_context_dependent(
         raise ValueError("empty rule")
     pmfs: dict[Context, dict[Pair, Fraction]] = {}
     for ctx, components in rule.items():
+        if ctx not in base.pmfs:
+            raise ValueError(f"context {tuple(ctx)} is not a context of {base.name!r}")
         total = ZERO
         acc: dict[Pair, Fraction] = {}
         for sys_i, w in components:

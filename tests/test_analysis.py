@@ -116,11 +116,16 @@ class TestEnumerate:
             assert [(r.f, r.g) for r in ns] == brute
 
     def test_deterministic_tables(self):
-        # the non-signaling table factors into exactly one (f, g); the
-        # signaling one into none
-        d = get("d_eprb").system
-        (r,) = enumerate_ns_realizations(support_of(d))
-        assert all(d.pmfs[c].get(r.values[c], ZERO) == 1 for c in d.contexts)
+        # each non-signaling table factors into exactly one (f, g), the
+        # functions the catalog builds it from (outcomes on settings 1 and
+        # 2); the signaling one into none
+        named = {"d_eprb": ("10", "01"), "d1": ("11", "11"), "d2": ("00", "00"),
+                 "d3": ("01", "01"), "d4": ("10", "00")}
+        for id, (f, g) in named.items():
+            d = get(id).system
+            (r,) = enumerate_ns_realizations(support_of(d))
+            assert all(d.pmfs[c].get(r.values[c], ZERO) == 1 for c in d.contexts)
+            assert (dict(r.f), dict(r.g)) == (dict(zip("12", f)), dict(zip("12", g)))
         assert enumerate_ns_realizations(support_of(get("d_prime_eprb").system)) == ()
 
     def test_ksp_empty(self):

@@ -108,6 +108,13 @@ class TestGet:
         assert deterministic_values(get("d1").system) == before
         assert get("d1").system.a_settings == ("1", "2")
 
+    def test_lookups_share_one_spec(self):
+        # Every lookup of an id gets the spec built on the first, and the
+        # conspiracy's own function gets the catalog's.
+        for id in catalog_ids():
+            assert get(id).system is get(id).system
+        assert conspiracy_system() is get("conspiracy").system
+
     def test_specs_hashable(self):
         systems = {get(i).system for i in catalog_ids()}
         assert len(systems) == 9

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import contextuality
-from contextuality import catalog, get, peres, witness_score
+from contextuality import catalog, get, witness_score
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
@@ -427,13 +427,15 @@ class TestCatalogCmd:
             assert id in out
 
     def test_builds_no_system(self, capsys, monkeypatch):
-        # Listing provenance needs no system: with the KS support unbuildable
-        # and its cache empty, the command still prints the golden lines.
-        def unbuildable():
-            raise RuntimeError("catalog built the KS support")
+        # Listing provenance needs no system: with every built-in unbuildable
+        # and the catalog's cache empty, the command still prints the golden
+        # lines.
+        def unbuildable(id):
+            raise RuntimeError(f"catalog built {id}")
 
-        monkeypatch.setattr(peres, "build_ksp_support", unbuildable)
-        catalog._ksp_support.cache_clear()
+        for id, (description, _) in list(catalog._BUILTINS.items()):
+            monkeypatch.setitem(catalog._BUILTINS, id, (description, unbuildable))
+        catalog._build.cache_clear()
         code, out, err = run(capsys, "catalog")
         assert code == 0
         golden = Path(__file__).parent / "golden" / "catalog.out"

@@ -1110,3 +1110,11 @@ class TestMixContextDependent:
         rule = {Context("1", "1"): [], Context("1", "2"): [(d1, Fraction(1))]}
         with pytest.raises(ValueError, match=r"context \('1', '1'\): weights sum to 0, not 1"):
             mix_context_dependent(rule)
+
+    def test_context_the_components_lack(self):
+        # refused by name, as the other malformed rules are, not by a bare
+        # KeyError from the components' pmfs
+        d1 = get("d1").system
+        rule = {Context("1", "1"): [(d1, Fraction(1))], Context("9", "9"): [(d1, Fraction(1))]}
+        with pytest.raises(ValueError, match=r"^context \('9', '9'\) is not a context of 'd1'$"):
+            mix_context_dependent(rule)
