@@ -243,23 +243,17 @@ def _ns_outcomes(spec: SystemSpec | SupportSpec, limit: int) -> list[tuple[Outco
     return found
 
 
-def witness_score(
-    witness: BellWitness, target: SystemSpec | Realization
-) -> Fraction:
-    """Sum of coefficients times probabilities (realizations read as 0/1 pmfs);
-    on a system, over ints: coefficients and counts (`SystemSpec._counts`)
-    each over their common denominator."""
+def witness_score(witness: BellWitness, system: SystemSpec) -> Fraction:
+    """Sum of coefficients times probabilities, over ints: coefficients and
+    counts (`SystemSpec._counts`) each over their common denominator."""
     coefficients = witness.coefficients
-    if isinstance(target, SystemSpec):
-        system_scale, counts = target._counts
-        scale = lcm(*(c.denominator for c in coefficients.values()))
-        total = sum(
-            c.numerator * (scale // c.denominator) * counts[ctx].get((a, b), 0)
-            for (ctx, a, b), c in coefficients.items()
-        )
-        return Fraction(total, scale * system_scale)
-    values = target.values
-    return sum((c for (ctx, a, b), c in coefficients.items() if values[ctx] == (a, b)), ZERO)
+    system_scale, counts = system._counts
+    scale = lcm(*(c.denominator for c in coefficients.values()))
+    total = sum(
+        c.numerator * (scale // c.denominator) * counts[ctx].get((a, b), 0)
+        for (ctx, a, b), c in coefficients.items()
+    )
+    return Fraction(total, scale * system_scale)
 
 
 def _membership_problem(

@@ -9,8 +9,8 @@ A spec kind has one builder, its constructor, also named `make_system` or
 `make_support`: one walk over the plain data stores it frozen, its contexts
 being the keys of its table, in canonical order, or names each piece it
 cannot store.  A spec that exists is valid: its constructor runs `validate`
-and raises `InvalidSystemError` with every violation, so no function taking
-a spec checks it again.  A signaling system is a valid spec;
+on what it stored and raises `InvalidSystemError` with every violation, so
+no function taking a spec checks it again.  A signaling system is a valid spec;
 `check_nonsignaling` tells it apart.
 Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
@@ -61,7 +61,7 @@ def context_key(ctx: Context):
 
 
 class InvalidSystemError(ValueError):
-    """Raised when a spec is built that breaks an invariant `validate` checks."""
+    """Raised on spec data that cannot be stored or that `validate` rejects."""
 
     def __init__(self, name: str, violations: list[str]):
         name = name if isinstance(name, str) else _render(name)
@@ -110,14 +110,15 @@ class Spec:
     {context: frozenset of pairs} of the pairs each context allows: a
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
     a spec checks it.  One walk stores the alphabets and the table, or
-    names each piece it cannot store: an alphabet or table that is no
-    mapping, outcomes that are no collection or are a set (whose order
-    changes from process to process), outcomes of one setting that
-    cannot be ordered, as when strings and ints meet, and settings that
-    cannot be ordered.
-    Such a piece, a name that is no string, a table key that is no 2-tuple
-    or cannot be ordered, and whatever `validate` rejects each raise
-    `InvalidSystemError`, once per build.
+    raises `InvalidSystemError` before `validate` runs, naming each piece
+    it cannot store: an alphabet, table or pmf that is no mapping,
+    outcomes or a support that is no collection, outcomes given as a set
+    (whose order changes from process to process), outcomes of a setting,
+    or settings, that cannot be ordered, as when strings and ints meet, a
+    probability that is no int or `Fraction`, and an unhashable support
+    pair.  An unhashable outcome, and a table key that is no 2-tuple or
+    cannot be ordered, are left out and reported with what `validate`
+    finds; a name that is no string is reported with either.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -134,12 +135,13 @@ class Spec:
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
         violations = [] if isinstance(name, str) else [f"name {_render(name)} is not a string"]
-        malformed = []  # what the walk below cannot store
+        unstored = []  # what the walk below cannot store
+        left_out = []  # unhashable outcomes, reported with what `validate` finds
         for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
             try:
                 items = alphabets.items()
             except AttributeError:
-                malformed.append(
+                unstored.append(
                     f"{side}-alphabet {_render(alphabets)} is not a mapping from settings "
                     "to outcomes"
                 )
@@ -150,7 +152,7 @@ class Spec:
                 # setting's last outcome, and `chsh` codes the first as -1),
                 # and a set's order changes with the string hash.
                 if isinstance(outcomes, (set, frozenset)):
-                    malformed.append(
+                    unstored.append(
                         f"{side}-setting {_render(s)}: alphabet is a set, which has no "
                         "outcome order"
                     )
@@ -158,22 +160,27 @@ class Spec:
                 try:
                     stored[s] = outcomes = tuple(outcomes)
                 except TypeError:
-                    malformed.append(
+                    unstored.append(
                         f"{side}-setting {_render(s)}: alphabet {_render(outcomes)} is not "
                         "a collection of outcomes"
                     )
                     continue
-                # `classify` sorts each setting's outcomes, in its pairs and
-                # realizations; an unhashable outcome is left to `validate`.
-                if _hashable(outcomes) and not _orderable(outcomes):
-                    malformed.append(
+                # An outcome that cannot sit in a pair is left out, so the rest
+                # is still checked; `classify` sorts the outcomes of a setting.
+                if not _hashable(outcomes):
+                    left_out.append(
+                        f"{side}-setting {_render(s)}: alphabet has an unhashable outcome"
+                    )
+                    stored[s] = tuple(filter(_hashable, outcomes))
+                elif not _orderable(outcomes):
+                    unstored.append(
                         f"{side}-setting {_render(s)}: outcomes {_render(outcomes)} cannot "
                         "be put in order"
                     )
             try:
                 settings = tuple(sorted(alphabets, key=setting_key))
             except TypeError:
-                malformed.append(
+                unstored.append(
                     f"{side}-settings {_render(list(alphabets))} cannot be put in canonical order"
                 )
                 continue
@@ -182,11 +189,12 @@ class Spec:
         try:
             items = table.items()
         except AttributeError:
-            malformed.append(
+            unstored.append(
                 f"table {_render(table)} is not a mapping from contexts to {self._fields[-1]}"
             )
-        if malformed:
-            raise InvalidSystemError(name, violations + malformed)
+        if unstored:
+            raise InvalidSystemError(name, violations + unstored)
+        violations += left_out
         # A key that is no 2-tuple names no context: it is left out, and
         # reported with the violations `validate` finds.
         given = {}
@@ -208,10 +216,15 @@ class Spec:
             ]
             contexts = tuple(sorted(given.keys() - unordered, key=context_key))
         fields["contexts"] = contexts
+        frozen = {}
+        for ctx in contexts:
+            frozen[ctx], problems = self._freeze(given[ctx])
+            if problems:
+                unstored += [f"context {tuple(ctx)}: {problem}" for problem in problems]
+        if unstored:
+            raise InvalidSystemError(name, violations + unstored)
         # A subclass's last field names its table: `pmfs` or `supports`.
-        fields[self._fields[-1]] = MappingProxyType(
-            {ctx: self._freeze(given[ctx]) for ctx in contexts}
-        )
+        fields[self._fields[-1]] = MappingProxyType(frozen)
         violations += validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
@@ -249,21 +262,27 @@ class SystemSpec(Spec):
         super().__init__(name, a_alphabet, b_alphabet, pmfs)
 
     @staticmethod
-    def _freeze(pmf) -> Mapping[Pair, Fraction]:
-        # A float or string is kept as given, for `validate` to report, and
-        # so is a pmf that is no mapping.
+    def _freeze(pmf) -> tuple[Mapping[Pair, Fraction] | None, list[str]]:
+        # The pmf read-only, its ints made `Fraction`s, and what cannot be stored.
         try:
             items = pmf.items()
         except AttributeError:
-            return pmf
-        return MappingProxyType(
-            {pair: Fraction(p) if isinstance(p, int) else p for pair, p in items}
-        )
+            return None, [f"pmf {_render(pmf)} is not a mapping from pairs to probabilities"]
+        frozen, problems = {}, []
+        for pair, p in items:
+            if isinstance(p, int):
+                p = Fraction(p)
+            elif not isinstance(p, Fraction):
+                problems.append(
+                    f"probability {_render(p)} at {_render(pair, str)} is not an int or Fraction"
+                )
+            frozen[pair] = p
+        return MappingProxyType(frozen), problems
 
     @cached_property
     def _counts(self) -> tuple[int, dict[Context, dict[Pair, int]]]:
         """The pmfs as integer counts over D, the lcm of every denominator:
-        (D, {context: {pair: probability * D}}), for every context with a pmf.
+        (D, {context: {pair: probability * D}}), for every context.
         Built once, since the pmfs are read-only; `cached_property` writes
         the instance `__dict__` directly, past the spec's `__setattr__`."""
         pmfs = self.pmfs
@@ -292,15 +311,26 @@ class SupportSpec(Spec):
     def __init__(self, name, a_alphabet, b_alphabet, supports):
         super().__init__(name, a_alphabet, b_alphabet, supports)
 
+    @property
+    def _counts(self):  # where every function reading probabilities reads them
+        raise TypeError(f"{self.name!r} is a SupportSpec: it has no probabilities")
+
     @staticmethod
-    def _freeze(pairs) -> frozenset[Pair]:
-        # A support that is no collection, or holds an unhashable pair, is
-        # kept for `validate` to report.
+    def _freeze(pairs) -> tuple[frozenset[Pair] | None, list[str]]:
+        # An unhashable pair lies outside the alphabet product.  The pairs
+        # may come from a set, whose order changes: they are listed sorted.
         try:
             pairs = tuple(pairs)
-            return frozenset(pairs)
         except TypeError:
-            return pairs
+            return None, [f"support {_render(pairs)} is not a collection of pairs"]
+        try:
+            return frozenset(pairs), []
+        except TypeError:
+            return None, sorted(
+                f"pair {_render(pair, str)} outside alphabet product"
+                for pair in pairs
+                if not _hashable(pair)
+            )
 
 
 # The one builder of each spec kind, under the names the package has long used.
@@ -346,28 +376,19 @@ class SignalingWitness(NamedTuple):
 def validate(spec: Spec) -> list[str]:
     """Return every invariant violation; an empty list means the spec is valid.
 
-    Holds for both kinds of spec: every alphabet is non-empty,
-    duplicate-free and of hashable outcomes, contexts use declared
-    settings, and each context's pmf or support lies inside its alphabet
-    product.  A pmf is a mapping holding ints or Fractions, non-negative,
-    summing to 1; a support is a non-empty collection.  Every
-    spec constructor runs it and refuses a spec it rejects, so on a built
-    spec it returns [].
+    It reads the stored, well-typed values of either kind of spec: every
+    alphabet is non-empty and duplicate-free, there is a context, contexts
+    use declared settings, and each context's pmf or support lies inside
+    its alphabet product.  A support is non-empty; a pmf's probabilities
+    are non-negative and sum to 1.  Every spec constructor runs it and
+    refuses a spec it rejects, so on a built spec it returns [].
     """
     violations: list[str] = []
     a_sets: dict[str, set[Outcome]] = {}
     b_sets: dict[str, set[Outcome]] = {}
     for side, alphabets, sets in (("A", spec.a_alphabet, a_sets), ("B", spec.b_alphabet, b_sets)):
         for s, outcomes in alphabets.items():
-            try:
-                outcome_set = set(outcomes)
-            except TypeError:  # an outcome that cannot sit in a pair; check the rest
-                violations.append(
-                    f"{side}-setting {_render(s)}: alphabet has an unhashable outcome"
-                )
-                outcomes = [o for o in outcomes if _hashable(o)]
-                outcome_set = set(outcomes)
-            sets[s] = outcome_set
+            sets[s] = outcome_set = set(outcomes)
             if not outcomes or len(outcome_set) != len(outcomes):
                 violations.append(
                     f"{side}-setting {_render(s)}: alphabet must be non-empty and duplicate-free"
@@ -376,36 +397,8 @@ def validate(spec: Spec) -> list[str]:
         violations.append("no contexts")
     probabilistic = isinstance(spec, SystemSpec)
     tables = spec.pmfs if probabilistic else spec.supports
-    # The constructor keeps a pmf that is no mapping, or a support that is
-    # no collection, as given: such a context is reported and not checked
-    # further.  A pmf that is no mapping leaves the system no counts.
-    malformed: list[Context] = []
-    counts = None
     if probabilistic:
-        try:
-            scale, counts = spec._counts
-        except (AttributeError, TypeError):  # a pmf or probability with no exact counts
-            for ctx, pmf in tables.items():
-                if not isinstance(pmf, Mapping):
-                    malformed.append(ctx)
-                    violations.append(
-                        f"context {tuple(ctx)}: pmf {_render(pmf)} is not a mapping from pairs "
-                        "to probabilities"
-                    )
-                    continue
-                violations += [
-                    f"context {tuple(ctx)}: probability {_render(p)} at {_render(pair, str)} "
-                    "is not an int or Fraction"
-                    for pair, p in pmf.items()
-                    if not isinstance(p, (int, Fraction))
-                ]
-    else:
-        for ctx, pairs in tables.items():
-            if not isinstance(pairs, (frozenset, tuple)):
-                malformed.append(ctx)
-                violations.append(
-                    f"context {tuple(ctx)}: support {_render(pairs)} is not a collection of pairs"
-                )
+        scale, counts = spec._counts
     for ctx in spec.contexts:
         if ctx.x not in spec.a_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown A-setting {_render(ctx.x)}")
@@ -413,34 +406,24 @@ def validate(spec: Spec) -> list[str]:
         if ctx.y not in spec.b_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {_render(ctx.y)}")
             continue
-        if ctx in malformed:
-            continue
         table = tables[ctx]
-        # A pair is in the alphabet product iff it is a 2-tuple of an
-        # outcome of x and one of y; any other key is reported, not raised.
+        # A pair is in the alphabet product iff it is a 2-tuple of an outcome
+        # of x and one of y.  A support iterates in string-hash order, which
+        # changes from process to process: its pairs are listed sorted.
         a_set, b_set = a_sets[ctx.x], b_sets[ctx.y]
-        first = None
+        outside = []
         for pair in table:
-            try:
-                inside = (
-                    isinstance(pair, tuple) and len(pair) == 2
-                    and pair[0] in a_set and pair[1] in b_set
-                )
-            except TypeError:  # an unhashable outcome
-                inside = False
-            if not inside:
-                if first is None:
-                    first = len(violations)
-                violations.append(
-                    f"context {tuple(ctx)}: pair {_render(pair, str)} outside alphabet product"
-                )
-        if first is not None:
-            # A support iterates in string-hash order, which changes from
-            # process to process: its pairs are listed sorted instead.
-            violations[first:] = sorted(violations[first:])
-        if not (probabilistic or table):
-            violations.append(f"context {tuple(ctx)}: empty support")
-        if counts is None:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and pair[0] in a_set and pair[1] in b_set):
+                outside.append(pair)
+        if outside:
+            violations += sorted(
+                f"context {tuple(ctx)}: pair {_render(pair, str)} outside alphabet product"
+                for pair in outside
+            )
+        if not probabilistic:
+            if not table:
+                violations.append(f"context {tuple(ctx)}: empty support")
             continue
         for pair, c in counts[ctx].items():
             if c < 0:
@@ -592,6 +575,8 @@ def mix_context_dependent(
         acc: dict[Pair, Fraction] = {}
         for sys_i, w in components:
             _check_same_shape(base, sys_i)
+            if not isinstance(w, (int, Fraction)):
+                raise ValueError(f"weight {w!r} at context {tuple(ctx)} is not an int or Fraction")
             if w < 0:
                 raise ValueError(f"negative weight {w} at context {tuple(ctx)}")
             total += w

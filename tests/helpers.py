@@ -1,6 +1,7 @@
 """Shared random generators and mixtures, dense and sparse reference LPs,
 a tableau builder for rational LPs, a 2x2 (Fine), a 2xn and a 3322 verdict
-oracle, and ray and coloring helpers for the Peres tests.
+oracle, a Bell witness's score on a realization, and ray and coloring
+helpers for the Peres tests.
 
 Non-signaling 2x2 binary systems are drawn by fixing exact rational
 marginals per setting and a joint mass inside the Frechet bounds, so
@@ -151,6 +152,16 @@ def full_support(system: SystemSpec) -> SupportSpec:
         a_alphabet=system.a_alphabet,
         b_alphabet=system.b_alphabet,
         supports={ctx: frozenset(system.pairs(ctx)) for ctx in system.contexts},
+    )
+
+
+def realization_score(witness, realization) -> Fraction:
+    """A Bell witness's score on a realization read as a 0/1 pmf: the sum of
+    the coefficients at (f[x], g[y]) in each context (x, y)."""
+    f, g = realization.f, realization.g
+    return sum(
+        (c for (ctx, a, b), c in witness.coefficients.items() if (f[ctx.x], g[ctx.y]) == (a, b)),
+        ZERO,
     )
 
 

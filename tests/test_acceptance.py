@@ -39,6 +39,7 @@ from helpers import (
     random_ns_2x2,
     random_ns_mixture,
     rational_tableau,
+    realization_score,
     sparse_rows,
     verify,
 )
@@ -111,7 +112,7 @@ def test_conspiracy_golden_numbers():
     w = verdict.witness
     ok &= witness_score(w, s) > w.bound
     ok &= all(
-        witness_score(w, r) <= w.bound
+        realization_score(w, r) <= w.bound
         for r in enumerate_ns_realizations(full_support(s))
     )
     ok &= chsh(s) == 4
@@ -239,7 +240,7 @@ def test_certificate_soundness():
             if not witness_score(w, s) > w.bound:
                 ok = False
             base = enumerate_ns_realizations(full_support(s))
-            if not all(witness_score(w, r) <= w.bound for r in base):
+            if not all(realization_score(w, r) <= w.bound for r in base):
                 ok = False
         elif v.kind == "noncontextual":
             if not decomposition_reproduces(s, v.decomposition):

@@ -58,6 +58,7 @@ from helpers import (
     random_ns_2x2,
     random_ns_mixture,
     random_shape,
+    realization_score,
     rational_tableau,
     reproduces_by_fraction_sums,
     restrict,
@@ -952,7 +953,7 @@ class TestWitness:
         w = v.witness
         assert witness_score(w, s) > w.bound
         for r in enumerate_ns_realizations(full_support(s)):
-            assert witness_score(w, r) <= w.bound
+            assert realization_score(w, r) <= w.bound
 
     def test_all_zero_witness_invalid(self):
         from contextuality.analysis import BellWitness
@@ -961,7 +962,7 @@ class TestWitness:
         w = BellWitness(coefficients={}, bound=Fraction(-1))
         # scores 0 > -1 on everything: fails the realization-side invariant
         bad = any(
-            witness_score(w, r) > w.bound
+            realization_score(w, r) > w.bound
             for r in enumerate_ns_realizations(full_support(s))
         )
         assert bad
@@ -979,7 +980,7 @@ class TestWitness:
             # the bound holds for every realization over the full alphabets,
             # not only those classify used as columns
             for r in enumerate_ns_realizations(full_support(s)):
-                assert witness_score(v.witness, r) <= v.witness.bound
+                assert realization_score(v.witness, r) <= v.witness.bound
 
     def test_local_bound_is_best_realization_score(self):
         rng = random.Random(4242)
@@ -994,7 +995,7 @@ class TestWitness:
                 bound=Fraction(0),
             )
             best = max(
-                witness_score(w, r)
+                realization_score(w, r)
                 for r in enumerate_ns_realizations(full_support(s))
             )
             assert analysis._local_bound(w.coefficients, s) == best

@@ -124,10 +124,18 @@ class TestErrors:
             loads_system(json.dumps(doc))
 
     def test_support_outside_alphabet(self):
+        # The pairs outside are listed sorted, not in the file's order or a
+        # frozenset's, which changes with the string-hash seed.
         doc = self.base_doc()
-        doc["contexts"] = [{"x": "1", "y": "1", "support": [["7", "0"]]}]
-        with pytest.raises(SystemFileError):
+        doc["contexts"] = [
+            {"x": "1", "y": "1", "support": [["7", "0"], ["0", "1"], ["0", "9"], ["8", "8"]]}
+        ]
+        with pytest.raises(SystemFileError) as exc:
             loads_system(json.dumps(doc))
+        assert str(exc.value) == "; ".join(
+            f"context ('1', '1'): pair {pair} outside alphabet product"
+            for pair in [("0", "9"), ("7", "0"), ("8", "8")]
+        )
 
     def test_empty_support(self):
         doc = self.base_doc()

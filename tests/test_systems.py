@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -15,8 +16,10 @@ from contextuality import (
     SupportSpec,
     SystemSpec,
     check_nonsignaling,
+    chsh,
     classify,
     count_assignments,
+    decomposition_reproduces,
     enumerate_ns_realizations,
     get,
     make_support,
@@ -25,9 +28,11 @@ from contextuality import (
     mix_context_dependent,
     support_of,
     validate,
+    witness_score,
 )
 from contextuality import systems
-from contextuality.systems import ZERO, context_key
+from contextuality.analysis import BellWitness, Decomposition
+from contextuality.systems import ONE, ZERO, context_key
 
 from helpers import mix, random_ns_mixture
 
@@ -615,6 +620,54 @@ def test_support_that_is_no_collection_is_a_violation():
 
 
 @pytest.mark.parametrize(
+    "build, a_alphabet, table, violations",
+    [
+        (
+            # The pair outside the product in ('1', '2') is not listed.
+            make_system, BIN,
+            {("1", "1"): {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)}, ("1", "2"): {("0", "7"): 1}},
+            ["context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"],
+        ),
+        (
+            # Nor is the sum of ('1', '2').
+            make_system, BIN,
+            {("1", "1"): {("0", "0"): 0.5, ("1", "1"): Fraction(1, 2)},
+             ("1", "2"): {("0", "0"): Fraction(1, 2)}},
+            ["context ('1', '1'): probability 0.5 at ('0', '0') is not an int or Fraction"],
+        ),
+        (
+            # Nor is the unknown A-setting of the context holding the list.
+            make_system, BIN, {("9", "1"): [(("0", "0"), 1)], ("1", "1"): {("0", "0"): 1}},
+            ["context ('9', '1'): pmf [(('0', '0'), 1)] is not a mapping from pairs to "
+             "probabilities"],
+        ),
+        (
+            # Nor is the hashable pair outside the product beside it.
+            make_support, BIN, {("1", "1"): [("0", "0"), ["0", "1"], ("7", "0")]},
+            ["context ('1', '1'): pair ['0', '1'] outside alphabet product"],
+        ),
+        (
+            # An unhashable outcome is left out of its alphabet, not refused
+            # with what cannot be stored: it is listed in walk order, before
+            # the table's keys, and the rest of the spec is still checked.
+            make_system, {"1": [["0"], "1"]}, {"11": {("1", "0"): 1}, ("1", "1"): {("1", "0"): 1}},
+            ["A-setting '1': alphabet has an unhashable outcome",
+             "table key '11' is not an (A-setting, B-setting) pair"],
+        ),
+    ],
+    ids=["float-beside-pair", "float-beside-sum", "list-pmf-beside-setting",
+         "unhashable-pair-beside-pair", "unhashable-outcome-before-key"],
+)
+def test_what_cannot_be_stored_is_refused_alone(build, a_alphabet, table, violations):
+    # A table value that cannot be stored refuses the spec before `validate`
+    # runs, with only the pieces that cannot be stored, and what the walk
+    # reported before them.
+    with pytest.raises(InvalidSystemError) as exc:
+        build("r", a_alphabet, BIN, table)
+    assert exc.value.violations == violations
+
+
+@pytest.mark.parametrize(
     "build, name, a_alphabet, table, violation",
     [
         (
@@ -868,7 +921,7 @@ def _relabel(args, side, setting, old, new):
     return [name, *alphabets, table]
 
 
-def test_constructors_build_or_refuse_fuzzed_plain_data():
+def test_constructors_build_or_refuse_fuzzed_plain_data(monkeypatch):
     # Seeded junk in every slot of both constructors' plain data: the
     # name, the alphabets, their settings and outcomes, the table, its keys
     # and settings, the pmfs, their pairs, outcomes and probabilities, and
@@ -877,7 +930,25 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
     # leaves the pairs outside their alphabet product, so outcomes are also
     # relabelled with junk wherever they occur.  Every spec that builds,
     # either way, is then decided or refused with a documented error: a
-    # system by `classify`, a support by the realization search.
+    # system by `classify`, a support by the realization search.  What
+    # cannot be stored is refused before `validate` runs: it is only handed
+    # stored, well-typed values.
+    checked = []
+
+    def validate_well_typed(spec):
+        checked.append(spec)
+        for alphabets in (spec.a_alphabet, spec.b_alphabet):
+            assert all(systems._hashable(o) for outcomes in alphabets.values() for o in outcomes)
+        if isinstance(spec, SystemSpec):
+            assert all(
+                isinstance(pmf, MappingProxyType) and all(type(p) is Fraction for p in pmf.values())
+                for pmf in spec.pmfs.values()
+            )
+        else:  # a frozenset's pairs are hashable
+            assert all(type(pairs) is frozenset for pairs in spec.supports.values())
+        return validate(spec)
+
+    monkeypatch.setattr(systems, "validate", validate_well_typed)
     half = Fraction(1, 2)
     pmf = {("0", "0"): half, ("1", "1"): half}
     contexts = [(x, y) for x in BIN for y in BIN]
@@ -927,6 +998,7 @@ def test_constructors_build_or_refuse_fuzzed_plain_data():
         else:
             relabelled["built"] += 1
     assert min(relabelled.values()) >= 20, relabelled
+    assert len(checked) > len(built)  # every build that reached `validate` was checked
     for spec in built:
         try:
             if isinstance(spec, SupportSpec):
@@ -974,6 +1046,27 @@ def test_classify_builds_no_support_spec(monkeypatch):
     assert built == []
     support_of(mixture)  # the counter does see a SupportSpec being built
     assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        check_nonsignaling,
+        lambda support: marginal(support, ("1", "1"), "A"),
+        chsh,
+        lambda support: witness_score(BellWitness({}, ZERO), support),
+        lambda support: decomposition_reproduces(
+            support, Decomposition(((enumerate_ns_realizations(support)[0], ONE),))
+        ),
+    ],
+    ids=["check_nonsignaling", "marginal", "chsh", "witness_score", "decomposition_reproduces"],
+)
+def test_support_spec_has_no_probabilities(read):
+    # A support read where probabilities are is refused by name, not with
+    # a bare AttributeError.
+    support = get("eprb_shape").system
+    with pytest.raises(TypeError, match="^'eprb_shape' is a SupportSpec: it has no probabilities$"):
+        read(support)
 
 
 class TestSupport:
@@ -1096,6 +1189,16 @@ class TestMixContextDependent:
         d1 = get("d1").system
         rule = {Context("1", "1"): [(d1, Fraction(1, 2))]}
         with pytest.raises(ValueError):
+            mix_context_dependent(rule)
+
+    def test_float_weights_refused(self):
+        # Refused by the mixture, naming the weight the caller wrote, not by
+        # the system it would build, naming the probabilities it made.
+        d1, d2 = get("d1").system, get("d2").system
+        rule = {ctx: [(d1, 0.5), (d2, 0.5)] for ctx in d1.contexts}
+        with pytest.raises(
+            ValueError, match=r"^weight 0\.5 at context \('1', '1'\) is not an int or Fraction$"
+        ):
             mix_context_dependent(rule)
 
     def test_context_with_no_components(self):
