@@ -12,20 +12,28 @@ The rule keeps the rows Collins & Gisin (2004, arXiv:quant-ph/0306129)
 count as independent.  In context c = (x, y), let a and b be the last
 outcomes of x and y.  The row of (a, b) goes; the row of (a, b') goes
 unless c is the first context (sorted order) holding y; the row of (a', b)
-goes unless c is the first holding x.  Nothing is lost.  Every column is a
-deterministic (f, g), and the system has passed `check_nonsignaling`, so
-on both the entries of (a'', b') summed over a'' give the B-marginal of b'
-at y, the same in every context holding y.  In the first one, c_y, every
-row (a'', b') with b' not last is kept, so row (a, b') of c is that sum in
-c_y less the kept rows (a'', b'), a'' != a, of c; (a', b) is the mirror
-image, and (a, b) is normalization less every other pair of c.  Pairs
-outside the support have all-zero rows on both sides, so the identities
-hold among the supported rows alone.  Each dropped row is thus one fixed
-combination of kept rows, on every column and on the system alike: the
-two LPs have the same solutions, and a Farkas y on the kept rows, zero on
-the dropped ones, certifies the full LP.  At full support this takes 65
-rows to 25 at 4x4 binary, 82 to 49 at 3x3 ternary and 101 to 36 at 5x5
-binary.
+goes unless c is the first holding x.  Nothing is lost on a non-signaling
+system.  Every column is a deterministic (f, g), so on every column, and
+on a non-signaling system, the entries of (a'', b') summed over a'' give
+the B-marginal of b' at y, the same in every context holding y.  In the
+first one, c_y, every row (a'', b') with b' not last is kept, so row
+(a, b') of c is that sum in c_y less the kept rows (a'', b'), a'' != a,
+of c; (a', b) is the mirror image, and (a, b) is normalization less every
+other pair of c.  Pairs outside the support have all-zero rows on both
+sides, so the identities hold among the supported rows alone.  Each
+dropped row is thus one fixed combination of kept rows, on every column
+and on such a system alike: the two LPs have the same solutions, and a
+Farkas y on the kept rows, zero on the dropped ones, certifies the full
+LP.  At full support this takes 65 rows to 25 at 4x4 binary, 82 to 49 at
+3x3 ternary and 101 to 36 at 5x5 binary.
+
+No scan for signaling is needed to trust a decomposition: a positive
+mixture of columns is non-signaling, so one that reproduces the system
+(`decomposition_reproduces`) shows the system is non-signaling too.  A
+signaling system's kept rows may still be feasible, but the point fails
+that check.  So `classify` runs `check_nonsignaling` only where a result
+rests on it: when the check fails, before it builds a witness, and when
+the search exceeds its limit.
 
 Inside `classify` a realization is the search's outcome tuple, A-settings
 first, and only returned components become `Realization`s.  The LP reads
@@ -69,7 +77,6 @@ from .feasibility import (
 )
 from .systems import (
     ONE,
-    ZERO,
     Context,
     Outcome,
     Pair,
@@ -322,11 +329,6 @@ def _witness_from_certificate(
     system: SystemSpec,
     columns: list[list[int]],
 ) -> BellWitness:
-    coefficients = {
-        (ctx, pair[0], pair[1]): y
-        for (ctx, pair), y in zip(keys, certificate.y)
-        if y != 0
-    }
     # Normalize the bound to the best score of a realization that uses only
     # supported pairs.  `classify` lists every such realization as a column,
     # or raises RealizationLimitExceeded, so that score is the largest
@@ -334,13 +336,18 @@ def _witness_from_certificate(
     # the normalization row (the last) left out.  The Farkas inequalities
     # guarantee the system still scores strictly above it.  An LP over only
     # some of the columns would need the oracle limited to supported pairs
-    # instead.  The scores run over y times their common denominator.
+    # instead.  The scores run over y times their common denominator, and so
+    # does the oracle.
     scale = lcm(*(y.denominator for y in certificate.y))
     ys = [y.numerator * (scale // y.denominator) for y in certificate.y]
     bound = max(sum(map(ys.__getitem__, column)) for column in columns)
+    coefficients: dict[tuple[Context, Outcome, Outcome], Fraction] = {}
+    scaled: dict[tuple[Context, Outcome, Outcome], int] = {}
     best: dict[Context, int] = {}
-    for (ctx, _), v in zip(keys, ys):
-        best[ctx] = max(best.get(ctx, 0), v)
+    for (ctx, (a, b)), y, v in zip(keys, certificate.y, ys):
+        if v:
+            coefficients[ctx, a, b], scaled[ctx, a, b] = y, v
+            best[ctx] = max(best.get(ctx, 0), v)
     # A realization outside the columns uses some pair of probability zero.
     # On the supported pairs it scores at most the sum over contexts of
     # max(0, largest coefficient), so charging each unsupported pair -K, K
@@ -355,22 +362,26 @@ def _witness_from_certificate(
             if len(support) < len(a_outcomes) * len(b_outcomes):
                 for a, b in product(a_outcomes, b_outcomes):
                     if (a, b) not in support:
-                        coefficients[(ctx, a, b)] = charge
-    return _checked_witness(coefficients, system, Fraction(bound, scale))
+                        coefficients[ctx, a, b], scaled[ctx, a, b] = charge, -k
+    return _checked_witness(coefficients, scaled, scale, system, bound)
 
 
 def _checked_witness(
     coefficients: dict[tuple[Context, Outcome, Outcome], Fraction],
+    scaled: Mapping[tuple[Context, Outcome, Outcome], int],
+    scale: int,
     system: SystemSpec,
-    bound: Fraction | None = None,
+    bound: int | None = None,
 ) -> BellWitness:
     """The witness, once the system beats its bound and no (f, g) over the
-    full alphabets does; the bound defaults to the best such (f, g)'s score."""
-    best = _local_bound(coefficients, system)
+    full alphabets does.  `scaled` holds the coefficients times `scale`,
+    each an integer, and `bound` is over `scale` too; it defaults to the
+    best such (f, g)'s score."""
+    best = _local_bound(scaled, system)
     if bound is None:
         bound = best
-    witness = BellWitness(coefficients=coefficients, bound=bound)
-    if not witness_score(witness, system) > bound:
+    witness = BellWitness(coefficients=coefficients, bound=Fraction(bound, scale))
+    if not witness_score(witness, system) > witness.bound:
         raise CertificateError("the system does not beat the witness bound")
     if best > bound:
         raise CertificateError("a realization beats the witness bound")
@@ -378,19 +389,18 @@ def _checked_witness(
 
 
 def _local_bound(
-    coefficients: Mapping[tuple[Context, Outcome, Outcome], Fraction],
+    coefficients: Mapping[tuple[Context, Outcome, Outcome], int],
     system: SystemSpec,
-) -> Fraction:
-    """Exact largest score of the coefficients on any (f, g) over the full
-    alphabets, by branch and bound.
+) -> int:
+    """Exact largest score of integer coefficients on any (f, g) over the
+    full alphabets, by branch and bound.
 
     Each context with a coefficient gets a table over outcome indices,
-    table[a][b] the coefficient times the common denominator of all of
-    them; a context with none adds 0 to every (f, g), and so does a setting
-    in no such context.  The search runs over the A-settings: once f is
-    fixed, each B-setting y takes the outcome b with the largest sum of
-    table[f[x]][b] over its contexts (x, y), independently of the other
-    B-settings.
+    table[a][b] the coefficient; a context with none adds 0 to every
+    (f, g), and so does a setting in no such context.  The search runs
+    over the A-settings: once f is fixed, each B-setting y takes the
+    outcome b with the largest sum of table[f[x]][b] over its contexts
+    (x, y), independently of the other B-settings.
 
     The A-settings in the most contexts are assigned first.  A node's
     optimistic total takes, per B-setting, the best b of the sum so far at b
@@ -403,7 +413,6 @@ def _local_bound(
     so a good leaf comes early.  The worst case stays exponential: a local
     bound is NP-hard in general.
     """
-    scale = lcm(*(c.denominator for c in coefficients.values()))
     a_alphabet, b_alphabet = system.a_alphabet, system.b_alphabet
     tables: dict[tuple[str, str], list] = {}
     for (ctx, a, b), c in coefficients.items():
@@ -412,7 +421,7 @@ def _local_bound(
             width = len(b_alphabet[ctx.y])
             table = tables[ctx] = [[0] * width for _ in a_alphabet[ctx.x]]
         row = table[a_alphabet[ctx.x].index(a)]
-        row[b_alphabet[ctx.y].index(b)] = c.numerator * (scale // c.denominator)
+        row[b_alphabet[ctx.y].index(b)] = c
     # Per A-setting, (index of the B-setting, regrets) per context:
     # regrets[a][b] is table[a][b] less the largest entry of column b.
     # optimistic[t][b] sums those largest entries over the contexts of t.
@@ -430,7 +439,7 @@ def _local_bound(
         by_setting.setdefault(x, []).append((other[y], regrets))
     order = sorted(by_setting.values(), key=len, reverse=True)
     if not order:
-        return ZERO
+        return 0
     # Depth first, on a stack of (optimistic total, depth, sums, maxima):
     # sums[t][b] is the score of t at b so far, plus the largest entry of
     # column b of each table of t not yet assigned; maxima[t] = max(sums[t])
@@ -457,7 +466,7 @@ def _local_bound(
         # Best total first, ties in row order: pushed in reverse.
         children.sort(key=itemgetter(0), reverse=True)
         stack += reversed(children)
-    return Fraction(best, scale)
+    return best
 
 
 def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Verdict:
@@ -480,9 +489,16 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
     to the system.
 
     Raises SignalingSystemError on signaling input; contextuality is only
-    defined here for non-signaling systems.  Raises CertificateError if the
-    returned decomposition or witness fails the check a reader would run on
-    it: `decomposition_reproduces`, or the system beating the witness bound
+    defined here for non-signaling systems.  A decomposition that passes
+    `decomposition_reproduces` is itself the proof that the system is
+    non-signaling, since a positive mixture of non-signaling realizations
+    is non-signaling.  So `check_nonsignaling` runs only where a result
+    rests on it: before either witness is built, when the decomposition
+    fails its check, and when the limit is exceeded.  A signaling system
+    thus pays for its support's search, and often for the LP, before it
+    is refused.  Raises CertificateError if the returned decomposition or
+    witness fails the check a reader would run on it:
+    `decomposition_reproduces`, or the system beating the witness bound
     while no realization over the full alphabets does.
     """
     if isinstance(system, SupportSpec):
@@ -493,12 +509,17 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
                 "exist; probabilities are required to decide contextuality"
             )
         return Verdict("no_ns_realizations")
-    _require_nonsignaling(system)
-    columns = _ns_outcomes(system, limit)
+    try:
+        columns = _ns_outcomes(system, limit)
+    except RealizationLimitExceeded:
+        _require_nonsignaling(system)
+        raise
     supported = [(ctx, pair) for ctx, pairs in system.supports.items() for pair in sorted(pairs)]
     if not columns:
+        _require_nonsignaling(system)
         coefficients = {(ctx, a, b): ONE for ctx, (a, b) in supported}
-        return Verdict("contextual", witness=_checked_witness(coefficients, system))
+        witness = _checked_witness(coefficients, dict.fromkeys(coefficients, 1), 1, system)
+        return Verdict("contextual", witness=witness)
     incidence, rhs, scale, keys = _membership_problem(system, columns, supported)
     outcome = solve_feasibility(incidence_tableau(incidence, rhs, scale))
     if isinstance(outcome, FeasibleSolution):
@@ -507,8 +528,12 @@ def classify(system: SystemSpec | SupportSpec, limit: int = DEFAULT_LIMIT) -> Ve
             tuple((_realization(system, c), w) for c, w in zip(columns, outcome.p) if w != 0)
         )
         if not decomposition_reproduces(system, decomposition):
+            # The kept rows hold the whole LP only on a non-signaling system.
+            _require_nonsignaling(system)
             raise CertificateError("the decomposition does not reproduce the system")
         return Verdict("noncontextual", decomposition, realization_count=len(columns))
+    # A Farkas vector on the kept rows certifies the full LP only then too.
+    _require_nonsignaling(system)
     witness = _witness_from_certificate(keys, outcome, system, incidence)
     return Verdict("contextual", witness=witness, realization_count=len(columns))
 

@@ -35,7 +35,13 @@ from contextuality.feasibility import (
     solve_feasibility,
 )
 from contextuality.peres import Ray, Triad, Z0, Zr2, ks_support
-from contextuality.systems import ZERO, Context, marginal, mix_context_dependent
+from contextuality.systems import (
+    ZERO,
+    Context,
+    check_nonsignaling,
+    marginal,
+    mix_context_dependent,
+)
 
 from helpers import (
     cg_point_3322,
@@ -283,9 +289,31 @@ class TestClassify:
             assert v.kind == "noncontextual"
             assert decomposition_reproduces(m, v.decomposition)
 
+    # `classify` checks for signaling only where a result rests on it; each
+    # test below reaches one of those places, and fails without its check.
     def test_signaling_input_refused(self):
-        with pytest.raises(SignalingSystemError):
-            classify(get("d_prime_eprb").system)
+        # No realization: the support witness would be built next.
+        s = get("d_prime_eprb").system
+        assert analysis._ns_outcomes(s, 1) == []
+        _assert_refused_as_signaling(s)
+
+    def test_signaling_over_the_limit_refused(self):
+        s = _signaling_uniform()
+        with pytest.raises(RealizationLimitExceeded):
+            classify(support_of(s), limit=0)
+        _assert_refused_as_signaling(s, limit=0)
+
+    def test_signaling_with_infeasible_kept_rows_refused(self):
+        # A Farkas vector on the kept rows would be read as a witness.
+        s = _signaling_pr_mix()
+        assert isinstance(_kept_rows_outcome(s), FarkasCertificate)
+        _assert_refused_as_signaling(s)
+
+    def test_signaling_with_feasible_kept_rows_refused(self):
+        # The point found fails `decomposition_reproduces`.
+        s = _signaling_uniform()
+        assert isinstance(_kept_rows_outcome(s), FeasibleSolution)
+        _assert_refused_as_signaling(s)
 
     def test_ksp_possibilistic_empty(self):
         v = classify(get("ksp_support").system)
@@ -358,6 +386,49 @@ class TestClassify:
         with pytest.raises(InvalidSystemError) as exc:
             build(*args)
         assert exc.value.violations == violations
+
+
+def _assert_refused_as_signaling(s, limit=analysis.DEFAULT_LIMIT):
+    witness = check_nonsignaling(s)
+    assert witness is not None
+    with pytest.raises(SignalingSystemError) as exc:
+        classify(s, limit)
+    assert exc.value.witness == witness
+
+
+def _moved_in_2_2(s, amount):
+    """The system with `amount` moved from (0, 1) to (1, 1) in context
+    (2, 2): both are rows the Collins-Gisin rule drops, and the move changes
+    A's marginal of setting 2 there, so the result signals."""
+    pmfs = {tuple(ctx): dict(pmf) for ctx, pmf in s.pmfs.items()}
+    pmfs["2", "2"]["0", "1"] -= amount
+    pmfs["2", "2"]["1", "1"] += amount
+    return make_system(f"{s.name}-moved", s.a_alphabet, s.b_alphabet, pmfs)
+
+
+def _signaling_uniform():
+    """Signaling at dropped rows only: its kept rows are those of the
+    uniform system, a local one."""
+    return _moved_in_2_2(uniform_system(BIN, BIN), Fraction(1, 8))
+
+
+def _signaling_pr_mix():
+    """3/4 of the PR box (a = b but in context (2, 2)) and 1/4 of the
+    uniform system, CHSH 3, moved at dropped rows: full support, and
+    kept rows that no mixture of realizations meets."""
+    pr = chained_box(BIN, BIN, 2, {("2", "2"): 1})
+    s = mix([(pr, Fraction(3, 4)), (uniform_system(BIN, BIN), Fraction(1, 4))])
+    assert chsh(s) == 3
+    return _moved_in_2_2(s, Fraction(1, 16))
+
+
+def _kept_rows_outcome(s):
+    """The solver's outcome on the system's kept-row LP, as `classify`
+    builds it."""
+    columns = analysis._ns_outcomes(s, analysis.DEFAULT_LIMIT)
+    supported = [(ctx, pair) for ctx, pairs in s.supports.items() for pair in sorted(pairs)]
+    incidence, rhs, scale, _ = analysis._membership_problem(s, columns, supported)
+    return solve_feasibility(incidence_tableau(incidence, rhs, scale))
 
 
 def test_classify_leaves_no_reference_cycles():
@@ -461,11 +532,12 @@ class TestSupportWitness:
         assert checker_accepts(s, v.witness.coefficients, v.witness.bound)
 
     def test_forged_bound_raises(self, monkeypatch):
-        # An oracle that lets some (f, g) score N, as much as the system.
+        # An oracle that lets some (f, g) score N, as much as the system;
+        # the support witness's coefficients are 1, over a scale of 1.
         monkeypatch.setattr(
             analysis,
             "_local_bound",
-            lambda coefficients, system: Fraction(len(system.contexts)),
+            lambda scaled, system: len(system.contexts),
         )
         with pytest.raises(CertificateError):
             classify(conspiracy_system())
@@ -473,12 +545,14 @@ class TestSupportWitness:
     def test_realization_beating_bound_raises(self):
         # The PR box scores 4 on its support witness and the best (f, g) 3:
         # a bound of 5/2 still lies below the system, but not above every
-        # realization.
+        # realization.  The coefficients are 1: 2 over a scale of 2.
         s = conspiracy_system()
         coefficients = dict(classify(s).witness.coefficients)
-        assert analysis._checked_witness(coefficients, s).bound == 3
+        ones = dict.fromkeys(coefficients, 1)
+        assert analysis._checked_witness(coefficients, ones, 1, s).bound == 3
+        twos = dict.fromkeys(coefficients, 2)
         with pytest.raises(CertificateError, match="a realization beats the witness bound"):
-            analysis._checked_witness(coefficients, s, Fraction(5, 2))
+            analysis._checked_witness(coefficients, twos, 2, s, 5)
 
 
 def _kept_rows_case(rng: random.Random):
@@ -671,6 +745,12 @@ class TestDecompositionReproduces:
                 comps,
                 comps[:i] + [(ri, Fraction(0))] + comps[i + 1:],
                 comps[:i] + [(ri, -wi)] + comps[i + 1:],
+                # A signed mixture: the weights still sum to 1 and every
+                # pair still matches, so only the positivity check refuses
+                # it.  Signed mixtures of deterministic systems reach the
+                # PR box, and a decomposition is the only proof of a
+                # noncontextual verdict that the system is non-signaling.
+                comps + [(ri, wi), (ri, -wi)],
             ]
             if i != j:
                 shifted = list(comps)
@@ -685,7 +765,7 @@ class TestDecompositionReproduces:
                 assert decomposition_reproduces(m, d) == expected
                 mutated += components is not comps
                 reproduced += expected
-        assert mutated > 450 and reproduced >= 150  # 520 and 150 here
+        assert mutated > 600 and reproduced >= 150  # 670 and 150 here
 
     def test_hand_built(self):
         m = mix([(get("d1").system, HALF), (get("d2").system, HALF)])
@@ -998,7 +1078,7 @@ class TestWitness:
                 realization_score(w, r)
                 for r in enumerate_ns_realizations(full_support(s))
             )
-            assert analysis._local_bound(w.coefficients, s) == best
+            assert _local_bound(w.coefficients, s) == best
 
         # Context subsets, so some settings are in no context, and mixed
         # alphabet sizes, each against every (f, g) listed outright; half
@@ -1025,7 +1105,7 @@ class TestWitness:
                 else Fraction(rng.randint(-9, 9), rng.randint(1, 7))
                 for key in rng.sample(keys, rng.randint(0, len(keys)))
             }
-            assert analysis._local_bound(coefficients, s) == _brute_local_bound(
+            assert _local_bound(coefficients, s) == _brute_local_bound(
                 coefficients, s
             )
         assert analysis._local_bound({}, conspiracy_system()) == 0
@@ -1082,6 +1162,14 @@ def _assignments(alphabets):
 
 def _allows(s, f, g, allowed) -> bool:
     return allowed is None or all((ctx, (f[ctx.x], g[ctx.y])) in allowed for ctx in s.contexts)
+
+
+def _local_bound(coefficients, s):
+    """`analysis._local_bound` on `Fraction` coefficients, which it reads as
+    integers over their common denominator."""
+    scale = math.lcm(*(c.denominator for c in coefficients.values()))
+    scaled = {key: c.numerator * (scale // c.denominator) for key, c in coefficients.items()}
+    return Fraction(analysis._local_bound(scaled, s), scale)
 
 
 def _brute_local_bound(coefficients, s, allowed=None):

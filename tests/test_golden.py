@@ -1,6 +1,7 @@
 """Byte-for-byte CLI output of the README commands and a few more, the
-README's Python blocks, run as they stand, and the package's exports, each
-used by its code or named in README.
+README's Python blocks, run as they stand, the package's exports, each
+used by its code or named in README, and one digest of every verdict the
+benchmark's batch-2x2 and ladder systems get.
 
 `golden/commands.json` lists each command with its expected exit code; its
 stdout is stored in `golden/<name>.out`.  Arguments ending in `.json` name
@@ -9,6 +10,7 @@ fixture files in `golden/` (`system.json` stands in for the README's
 """
 
 import ast
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -17,11 +19,11 @@ from pathlib import Path
 import pytest
 
 import contextuality
-from contextuality import conspiracy_system
+from contextuality import SignalingSystemError, classify, conspiracy_system
 from contextuality.cli import main
 from contextuality.systems import Context
 
-from helpers import checker_accepts
+from helpers import benchmark_systems, checker_accepts
 
 GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text(encoding="utf-8"))
@@ -103,3 +105,44 @@ def test_benchmark_checker_accepts_old_and_new_conspiracy_witness():
         (new, Fraction(report["witness"]["bound"])),
     ):
         assert checker_accepts(system, coefficients, bound)
+
+
+def _verdict_text(system) -> str:
+    """Canonical text of what `classify` gives the system: the verdict kind,
+    realization count, each component's f, g and weight, and the witness's
+    terms and bound; or, for a signaling system, its witness and marginals."""
+    lines = [system.name]
+    try:
+        v = classify(system)
+    except SignalingSystemError as exc:
+        w = exc.witness
+        lines += ["signaling", w.describe(), str(sorted(w.marginal1.items())),
+                  str(sorted(w.marginal2.items()))]
+        return "\n".join(lines)
+    lines += [v.kind, str(v.realization_count)]
+    if v.decomposition is not None:
+        lines += [
+            f"{sorted(r.f.items())} {sorted(r.g.items())} {w}"
+            for r, w in v.decomposition.components
+        ]
+    if v.witness is not None:
+        lines += [
+            f"{tuple(ctx)} {a} {b} {c}"
+            for (ctx, a, b), c in sorted(v.witness.coefficients.items())
+        ]
+        lines.append(f"bound {v.witness.bound}")
+    return "\n".join(lines)
+
+
+# The digest of every verdict and certificate `classify` gives the
+# benchmark's batch-2x2 and ladder systems at seed 1.  A change that is only
+# meant to make `classify` faster must leave it as it is.
+BENCHMARK_VERDICTS = "727bf2ec563ca6d4c121e5f076266edcf8b83157678800282b2161ed88e56cfa"
+
+
+def test_benchmark_verdicts_are_unchanged():
+    digest = hashlib.sha256()
+    for workload in ("batch-2x2", "ladder"):
+        for system in benchmark_systems(workload, seed=1):
+            digest.update(_verdict_text(system).encode("utf-8") + b"\n\n")
+    assert digest.hexdigest() == BENCHMARK_VERDICTS
