@@ -8,9 +8,12 @@ boundary: a system holds them, and every function takes and returns them.
 A spec kind has one builder, its constructor, also named `make_system` or
 `make_support`: one walk over the plain data stores it frozen, its contexts
 being the keys of its table, in canonical order, or names each piece it
-cannot store.  A spec that exists is valid: its constructor runs `validate`
-on what it stored and raises `InvalidSystemError` with every violation, so
-no function taking a spec checks it again.  A signaling system is a valid spec;
+cannot store.  Every setting and outcome label is a string, and every
+declared setting is in some context: a system is the random variables of
+its contexts, and a setting in none indexes none of them.  A spec that
+exists is valid: its constructor runs `validate` on what it stored and
+raises `InvalidSystemError` with every violation, so no function taking a
+spec checks it again.  A signaling system is a valid spec;
 `check_nonsignaling` tells it apart.
 Inside, `validate`, `check_nonsignaling` and
 `analysis.decomposition_reproduces` read the pmfs as integer counts over
@@ -31,7 +34,7 @@ from collections import Counter
 from collections.abc import Mapping
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import lcm, prod
 from types import MappingProxyType
 from typing import NamedTuple
@@ -111,14 +114,11 @@ class Spec:
     `SupportSpec` stores it, a `SystemSpec` reads it off its pmfs.  Building
     a spec checks it.  One walk stores the alphabets and the table, or
     raises `InvalidSystemError` before `validate` runs, naming each piece
-    it cannot store: an alphabet, table or pmf that is no mapping,
-    outcomes or a support that is no collection, outcomes given as a set
-    (whose order changes from process to process), outcomes of a setting,
-    or settings, that cannot be ordered, as when strings and ints meet, a
-    probability that is no int or `Fraction`, and an unhashable support
-    pair.  An unhashable outcome, and a table key that is no 2-tuple or
-    cannot be ordered, are left out and reported with what `validate`
-    finds; a name that is no string is reported with either.
+    it cannot store: a name, setting or outcome that is no string, an
+    alphabet, table or pmf that is no mapping, outcomes or a support that
+    is no collection, outcomes given as a set (whose order changes from
+    process to process), a table key that is no 2-tuple, a probability
+    that is no int or `Fraction`, and an unhashable support pair.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -134,9 +134,7 @@ class Spec:
     def __init__(self, name, a_alphabet, b_alphabet, table):
         fields = self.__dict__  # past the spec's own `__setattr__`
         fields["name"] = name
-        violations = [] if isinstance(name, str) else [f"name {_render(name)} is not a string"]
-        unstored = []  # what the walk below cannot store
-        left_out = []  # unhashable outcomes, reported with what `validate` finds
+        unstored = [] if isinstance(name, str) else [f"name {_render(name)} is not a string"]
         for side, alphabets in (("A", a_alphabet), ("B", b_alphabet)):
             try:
                 items = alphabets.items()
@@ -148,6 +146,8 @@ class Spec:
                 continue
             stored = {}
             for s, outcomes in items:
+                if not isinstance(s, str):
+                    unstored.append(f"{side}-setting {_render(s)} is not a string")
                 # The order of outcomes carries meaning (the LP drops each
                 # setting's last outcome, and `chsh` codes the first as -1),
                 # and a set's order changes with the string hash.
@@ -165,67 +165,43 @@ class Spec:
                         "a collection of outcomes"
                     )
                     continue
-                # An outcome that cannot sit in a pair is left out, so the rest
-                # is still checked; `classify` sorts the outcomes of a setting.
-                if not _hashable(outcomes):
-                    left_out.append(
-                        f"{side}-setting {_render(s)}: alphabet has an unhashable outcome"
-                    )
-                    stored[s] = tuple(filter(_hashable, outcomes))
-                elif not _orderable(outcomes):
-                    unstored.append(
-                        f"{side}-setting {_render(s)}: outcomes {_render(outcomes)} cannot "
-                        "be put in order"
-                    )
-            try:
-                settings = tuple(sorted(alphabets, key=setting_key))
-            except TypeError:
-                unstored.append(
-                    f"{side}-settings {_render(list(alphabets))} cannot be put in canonical order"
-                )
-                continue
+                unstored += [
+                    f"{side}-setting {_render(s)}: outcome {_render(o)} is not a string"
+                    for o in outcomes
+                    if not isinstance(o, str)
+                ]
             fields[f"{side.lower()}_alphabet"] = MappingProxyType(stored)
-            fields[f"{side.lower()}_settings"] = settings
         try:
             items = table.items()
         except AttributeError:
             unstored.append(
                 f"table {_render(table)} is not a mapping from contexts to {self._fields[-1]}"
             )
-        if unstored:
-            raise InvalidSystemError(name, violations + unstored)
-        violations += left_out
-        # A key that is no 2-tuple names no context: it is left out, and
-        # reported with the violations `validate` finds.
+            items = ()
         given = {}
         for key, value in items:
-            if isinstance(key, tuple) and len(key) == 2:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                unstored.append(f"table key {_render(key)} is not an (A-setting, B-setting) pair")
+            elif all(isinstance(s, str) for s in key):
                 given[Context._make(key)] = value
             else:
-                violations.append(f"table key {_render(key)} is not an (A-setting, B-setting) pair")
-        try:
-            contexts = tuple(sorted(given, key=context_key))
-        except TypeError:
-            # A setting that is no string can have no place in the canonical
-            # order: such keys are left out and reported too.
-            unordered = [ctx for ctx in given if not all(isinstance(s, str) for s in ctx)]
-            violations += [
-                f"table key {_render(tuple(ctx))} has a setting that is not a string, "
-                "which the canonical order cannot place"
-                for ctx in unordered
-            ]
-            contexts = tuple(sorted(given.keys() - unordered, key=context_key))
-        fields["contexts"] = contexts
+                unstored += [
+                    f"table key {_render(key)}: {side}-setting {_render(s)} is not a string"
+                    for side, s in zip("AB", key) if not isinstance(s, str)
+                ]
+        contexts = tuple(sorted(given, key=context_key))
         frozen = {}
         for ctx in contexts:
             frozen[ctx], problems = self._freeze(given[ctx])
-            if problems:
-                unstored += [f"context {tuple(ctx)}: {problem}" for problem in problems]
+            unstored += [f"context {tuple(ctx)}: {problem}" for problem in problems]
         if unstored:
-            raise InvalidSystemError(name, violations + unstored)
+            raise InvalidSystemError(name, unstored)
+        fields["a_settings"] = tuple(sorted(self.a_alphabet, key=setting_key))
+        fields["b_settings"] = tuple(sorted(self.b_alphabet, key=setting_key))
+        fields["contexts"] = contexts
         # A subclass's last field names its table: `pmfs` or `supports`.
         fields[self._fields[-1]] = MappingProxyType(frozen)
-        violations += validate(self)
+        violations = validate(self)
         if violations:
             raise InvalidSystemError(name, violations)
 
@@ -378,10 +354,11 @@ def validate(spec: Spec) -> list[str]:
 
     It reads the stored, well-typed values of either kind of spec: every
     alphabet is non-empty and duplicate-free, there is a context, contexts
-    use declared settings, and each context's pmf or support lies inside
-    its alphabet product.  A support is non-empty; a pmf's probabilities
-    are non-negative and sum to 1.  Every spec constructor runs it and
-    refuses a spec it rejects, so on a built spec it returns [].
+    use declared settings, every declared setting is in a context, and
+    each context's pmf or support lies inside its alphabet product.  A
+    support is non-empty; a pmf's probabilities are non-negative and sum
+    to 1.  Every spec constructor runs it and refuses a spec it rejects, so
+    on a built spec it returns [].
     """
     violations: list[str] = []
     a_sets: dict[str, set[Outcome]] = {}
@@ -399,7 +376,10 @@ def validate(spec: Spec) -> list[str]:
     tables = spec.pmfs if probabilistic else spec.supports
     if probabilistic:
         scale, counts = spec._counts
+    a_unused, b_unused = set(a_sets), set(b_sets)  # settings no context holds
     for ctx in spec.contexts:
+        a_unused.discard(ctx.x)
+        b_unused.discard(ctx.y)
         if ctx.x not in spec.a_alphabet:
             violations.append(f"context {tuple(ctx)}: unknown A-setting {_render(ctx.x)}")
             continue
@@ -435,22 +415,16 @@ def validate(spec: Spec) -> list[str]:
         if total != scale:
             total = Fraction(total, scale)
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
+    if a_unused or b_unused:
+        for side, unused in (("A", a_unused), ("B", b_unused)):
+            for s in sorted(unused, key=setting_key):
+                violations.append(f"{side}-setting {s!r} is in no context")
     return violations
 
 
 def _hashable(value) -> bool:
     try:
         hash(value)
-    except TypeError:
-        return False
-    return True
-
-
-def _orderable(values) -> bool:
-    """Whether `<` compares every two of the values, as a sort may."""
-    try:
-        for a, b in combinations(values, 2):
-            a < b
     except TypeError:
         return False
     return True

@@ -214,10 +214,20 @@ def every_pair(system: SystemSpec) -> list:
     return [(ctx, pair) for ctx in system.contexts for pair in system.pairs(ctx)]
 
 
+def covered(a_alph, b_alph, contexts):
+    """Each side's alphabet cut to the settings the contexts hold: every
+    setting a spec declares must be in one of its contexts."""
+    xs, ys = {ctx[0] for ctx in contexts}, {ctx[1] for ctx in contexts}
+    return (
+        {x: outcomes for x, outcomes in a_alph.items() if x in xs},
+        {y: outcomes for y, outcomes in b_alph.items() if y in ys},
+    )
+
+
 def restrict(system: SystemSpec, contexts) -> SystemSpec:
-    """The system on a subset of its contexts, alphabets unchanged."""
+    """The system on a subset of its contexts, alphabets cut to their settings."""
     return make_system(
-        system.name, system.a_alphabet, system.b_alphabet,
+        system.name, *covered(system.a_alphabet, system.b_alphabet, contexts),
         {tuple(ctx): system.pmfs[ctx] for ctx in contexts},
     )
 

@@ -49,6 +49,7 @@ from helpers import (
     checker_accepts,
     chsh_2xn_oracle,
     coloring_from_ns_function,
+    covered,
     deterministic_3322,
     facets_3322,
     fine_oracle,
@@ -76,6 +77,7 @@ from helpers import (
 
 HALF = Fraction(1, 2)
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
+ONE_SETTING = {"1": ("0", "1")}
 
 
 class TestEnumerate:
@@ -92,8 +94,9 @@ class TestEnumerate:
             a_alph, b_alph = random_shape(rng)
             contexts = [Context(x, y) for x in a_alph for y in b_alph]
             if trial % 2:
-                # a setting in no context is left unconstrained
+                # a context subset, its alphabets cut to the settings it holds
                 contexts = rng.sample(contexts, rng.randint(1, len(contexts)))
+                a_alph, b_alph = covered(a_alph, b_alph, contexts)
             supp = make_support(
                 "rand",
                 a_alph,
@@ -189,7 +192,7 @@ def _random_support(rng: random.Random, a_alph, b_alph, full: bool):
     context left empty gets one random pair)."""
     contexts = [(x, y) for x in a_alph for y in b_alph]
     if rng.random() < 0.3:
-        # settings in no context are left unconstrained
+        # a context subset; the spec declares only the settings it holds
         contexts = rng.sample(contexts, rng.randint(1, len(contexts)))
     strategies = [
         ({x: rng.choice(a_alph[x]) for x in a_alph}, {y: rng.choice(b_alph[y]) for y in b_alph})
@@ -203,7 +206,7 @@ def _random_support(rng: random.Random, a_alph, b_alph, full: bool):
             sparse = [pair for pair in pairs if pair in kept or rng.random() < 0.2]
             pairs = sparse or [rng.choice(pairs)]
         supports[(x, y)] = pairs
-    return make_support("rand", a_alph, b_alph, supports)
+    return make_support("rand", *covered(a_alph, b_alph, contexts), supports)
 
 
 def _search_cases():
@@ -346,12 +349,13 @@ class TestClassify:
         [
             (
                 make_support,
-                ("out", BIN, BIN, {("1", "1"): [("7", "0")]}),
+                ("out", ONE_SETTING, ONE_SETTING, {("1", "1"): [("7", "0")]}),
                 ["context ('1', '1'): pair ('7', '0') outside alphabet product"],
             ),
             (
                 make_support,
-                ("unknown", BIN, BIN, {("9", "1"): [("0", "0")]}),
+                ("unknown", ONE_SETTING, ONE_SETTING,
+                 {("9", "1"): [("0", "0")], ("1", "1"): [("0", "0")]}),
                 ["context ('9', '1'): unknown A-setting '9'"],
             ),
             (
@@ -359,10 +363,11 @@ class TestClassify:
                 (
                     "empty",
                     {"1": ("0", "1"), "2": ()},
-                    BIN,
+                    ONE_SETTING,
                     {("1", "1"): {("0", "0"): Fraction(1)}},
                 ),
-                ["A-setting '2': alphabet must be non-empty and duplicate-free"],
+                ["A-setting '2': alphabet must be non-empty and duplicate-free",
+                 "A-setting '2' is in no context"],
             ),
             (
                 make_system,
@@ -1080,14 +1085,14 @@ class TestWitness:
             )
             assert _local_bound(w.coefficients, s) == best
 
-        # Context subsets, so some settings are in no context, and mixed
-        # alphabet sizes, each against every (f, g) listed outright; half
-        # with small integer coefficients, whose near ties a cut one unit
-        # too early gets wrong.
+        # Context subsets, each with its alphabets cut to the settings it
+        # holds, and mixed alphabet sizes, each against every (f, g) listed
+        # outright; half with small integer coefficients, whose near ties a
+        # cut one unit too early gets wrong.
         a_alph = {"1": ("0", "1"), "2": ("0", "1", "2"), "3": ("0", "1", "2", "3")}
         b_alph = {"1": ("0", "1", "2"), "2": ("0", "1"), "3": ("0", "1")}
         mixed = _mixture_of(rng, a_alph, b_alph)
-        # A-setting 3 and B-setting 3 in no context
+        # without A-setting 3 and B-setting 3
         cases = [(mixed, list(mixed.contexts)), (mixed, [c for c in mixed.contexts if "3" not in c])]
         cases += [
             (mixed, rng.sample(list(mixed.contexts), rng.randint(1, len(mixed.contexts))))

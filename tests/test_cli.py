@@ -271,6 +271,22 @@ class TestNonsignaling:
         assert report["nonsignaling"] is True
 
 
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["realizations", "--mode", "ns"]], ids=["analyze", "realizations-ns"]
+)
+def test_setting_in_no_context_exit_2(capsys, tmp_path, command):
+    # A-setting 2 is in no context: `realizations` once listed each of the
+    # two realizations twice, and `analyze` reported 4 of them.
+    path = tmp_path / "unused.json"
+    path.write_bytes(doc_file(
+        a_settings=["1", "2"],
+        a_alphabet={"1": ["0", "1"], "2": ["0", "1"]},
+        contexts=[{**CONTEXT, "pmf": [{"a": a, "b": "0", "p": "1/2"} for a in "01"]}],
+    ))
+    code, out, err = run(capsys, command[0], str(path), *command[1:])
+    assert (code, out, err) == (2, "", f"error: {path}: A-setting '2' is in no context\n")
+
+
 class TestRealizations:
     def test_eprb_all_count(self, capsys):
         report = run_json(

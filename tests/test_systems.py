@@ -34,13 +34,15 @@ from contextuality import systems
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.systems import ONE, ZERO, context_key
 
-from helpers import mix, random_ns_mixture
+from helpers import covered, mix, random_ns_mixture
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
+ONE_SETTING = {"1": ("0", "1")}
 
 
 def binary_system(name, pmfs):
-    return make_system(name, BIN, BIN, pmfs)
+    """A system on the settings of BIN that its contexts hold."""
+    return make_system(name, *covered(BIN, BIN, pmfs), pmfs)
 
 
 class TestValidate:
@@ -62,8 +64,14 @@ class TestValidate:
 
     def test_empty_context_list(self):
         with pytest.raises(InvalidSystemError) as exc:
-            make_system("empty", BIN, BIN, {})
+            make_system("empty", {}, {}, {})
         assert exc.value.violations == ["no contexts"]
+        # Declared settings are then each in no context, too.
+        with pytest.raises(InvalidSystemError) as exc:
+            make_system("empty", ONE_SETTING, ONE_SETTING, {})
+        assert exc.value.violations == [
+            "no contexts", "A-setting '1' is in no context", "B-setting '1' is in no context"
+        ]
 
     def test_negative_probability(self):
         with pytest.raises(InvalidSystemError) as exc:
@@ -121,7 +129,10 @@ class TestValidate:
 @pytest.mark.parametrize(
     "pmfs, message",
     [
-        ({("1", "2"): {("0", "0"): 1}}, "context ('1', '2'): unknown B-setting '2'"),
+        (
+            {("1", "2"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
+            "context ('1', '2'): unknown B-setting '2'",
+        ),
         ({("1", "1"): {("0", "2"): 1}}, "context ('1', '1'): pair ('0', '2') outside alphabet product"),
         ({("1", "1"): {("2", "0"): 1}}, "context ('1', '1'): pair ('2', '0') outside alphabet product"),
         # A key that is not a 2-tuple is reported like any pair, not raised.
@@ -148,7 +159,7 @@ def test_probe_specs_refused_at_construction(pmfs, message):
     # check nothing themselves: given these specs they would raise a bare
     # KeyError or answer, so the constructor must refuse them.
     with pytest.raises(InvalidSystemError) as exc:
-        make_system("probe", BIN, {"1": ("0", "1")}, pmfs)
+        make_system("probe", ONE_SETTING, ONE_SETTING, pmfs)
     assert exc.value.violations == [message]
     assert str(exc.value) == f"probe: {message}"
 
@@ -303,7 +314,7 @@ class TestNonsignaling:
                 "x: context ('1', '1'): pair ('0', '2') outside alphabet product",
             ),
             (
-                {("2", "1"): {("0", "0"): 1}},
+                {("2", "1"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
                 "x: context ('2', '1'): unknown A-setting '2'",
             ),
         ],
@@ -497,8 +508,8 @@ def test_spec_is_immutable_and_compares_within_its_type():
     twin = SupportSpec(s.name, s.a_alphabet, s.b_alphabet, s.pmfs)
     assert twin != s and not twin == s
     assert repr(s) == (
-        "SystemSpec(name='one', a_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
-        "b_alphabet=mappingproxy({'1': ('0', '1'), '2': ('0', '1')}), "
+        "SystemSpec(name='one', a_alphabet=mappingproxy({'1': ('0', '1')}), "
+        "b_alphabet=mappingproxy({'1': ('0', '1')}), "
         "contexts=(Context(x='1', y='1'),), "
         "pmfs=mappingproxy({Context(x='1', y='1'): mappingproxy({('0', '1'): Fraction(1, 1)})}))"
     )
@@ -569,9 +580,6 @@ def test_unhashable_support_pair_is_a_violation(pairs):
         assert exc.value.violations == [f"context ('1', '1'): pair {bad} outside alphabet product"]
 
 
-ONE_SETTING = {"1": ("0", "1")}
-
-
 @pytest.mark.parametrize(
     "table, violation",
     [
@@ -600,17 +608,15 @@ def test_malformed_table_is_a_violation(table, violation):
 
 
 def test_unhashable_alphabet_outcome_is_a_violation():
-    # An outcome that cannot sit in a pair is reported; the rest of the
-    # alphabet is still checked, so ("1", "0") is inside the product.
+    # An outcome that cannot sit in a pair is no string: it cannot be
+    # stored, and the spec is refused before `validate` runs, so the
+    # repeated "0" goes unreported.
     with pytest.raises(InvalidSystemError) as exc:
         make_system("a", {"1": [["0"], "1"]}, ONE_SETTING, {("1", "1"): {("1", "0"): 1}})
-    assert exc.value.violations == ["A-setting '1': alphabet has an unhashable outcome"]
+    assert exc.value.violations == ["A-setting '1': outcome ['0'] is not a string"]
     with pytest.raises(InvalidSystemError) as exc:
         make_support("a", {"1": ["0", "0", {}]}, ONE_SETTING, {("1", "1"): [("0", "0")]})
-    assert exc.value.violations == [
-        "A-setting '1': alphabet has an unhashable outcome",
-        "A-setting '1': alphabet must be non-empty and duplicate-free",
-    ]
+    assert exc.value.violations == ["A-setting '1': outcome {} is not a string"]
 
 
 def test_support_that_is_no_collection_is_a_violation():
@@ -647,11 +653,10 @@ def test_support_that_is_no_collection_is_a_violation():
             ["context ('1', '1'): pair ['0', '1'] outside alphabet product"],
         ),
         (
-            # An unhashable outcome is left out of its alphabet, not refused
-            # with what cannot be stored: it is listed in walk order, before
-            # the table's keys, and the rest of the spec is still checked.
+            # A non-string outcome and a key that is no pair cannot be
+            # stored either: they are listed in walk order, alphabets first.
             make_system, {"1": [["0"], "1"]}, {"11": {("1", "0"): 1}, ("1", "1"): {("1", "0"): 1}},
-            ["A-setting '1': alphabet has an unhashable outcome",
+            ["A-setting '1': outcome ['0'] is not a string",
              "table key '11' is not an (A-setting, B-setting) pair"],
         ),
     ],
@@ -672,14 +677,12 @@ def test_what_cannot_be_stored_is_refused_alone(build, a_alphabet, table, violat
     [
         (
             make_system, "malformed", ONE_SETTING, {(None, "1"): {("0", "0"): 1}},
-            "table key (None, '1') has a setting that is not a string, "
-            "which the canonical order cannot place",
+            "table key (None, '1'): A-setting None is not a string",
         ),
         (
             make_system, "malformed", ONE_SETTING,
             {(1, "1"): {("0", "0"): 1}, ("1", "1"): {("0", "0"): 1}},
-            "table key (1, '1') has a setting that is not a string, "
-            "which the canonical order cannot place",
+            "table key (1, '1'): A-setting 1 is not a string",
         ),
         (
             make_system, "malformed", ONE_SETTING, [("1", "1")],
@@ -700,7 +703,7 @@ def test_what_cannot_be_stored_is_refused_alone(build, a_alphabet, table, violat
         (
             make_system, "malformed", {1: ("0", "1"), "1": ("0", "1")},
             {("1", "1"): {("0", "0"): 1}},
-            "A-settings [1, '1'] cannot be put in canonical order",
+            "A-setting 1 is not a string",
         ),
         (
             make_system, ["x"], ONE_SETTING, {("1", "1"): {("0", "0"): 1}},
@@ -712,14 +715,12 @@ def test_what_cannot_be_stored_is_refused_alone(build, a_alphabet, table, violat
         ),
         (
             # Every piece that cannot be stored, the whole list in order.
-            # The order check sorts all the given settings, not only the
-            # one that could be stored.
             make_system, ["n"], {1: {"a"}, "1": 5, "2": ("0",)}, [("1", "1")],
             [
                 "name ['n'] is not a string",
+                "A-setting 1 is not a string",
                 "A-setting 1: alphabet is a set, which has no outcome order",
                 "A-setting '1': alphabet 5 is not a collection of outcomes",
-                "A-settings [1, '1', '2'] cannot be put in canonical order",
                 "B-alphabet ['1'] is not a mapping from settings to outcomes",
                 "table [('1', '1')] is not a mapping from contexts to pmfs",
             ],
@@ -734,7 +735,8 @@ def test_malformed_plain_data_is_a_violation(build, name, a_alphabet, table, vio
     # was stored, before `validate` could run, but three: the int and
     # string alphabet settings built a spec that `classify` raised TypeError
     # on, and a name that is no string built a spec, whose hash raised
-    # TypeError when the name was a list.  A list of violations pins the
+    # TypeError when the name was a list.  A label that is no string is
+    # refused for what it is, not for what it sorts beside.  A list of violations pins the
     # whole list, its B-alphabet being no mapping.
     if isinstance(violation, list):
         with pytest.raises(InvalidSystemError) as exc:
@@ -744,6 +746,47 @@ def test_malformed_plain_data_is_a_violation(build, name, a_alphabet, table, vio
     with pytest.raises(InvalidSystemError) as exc:
         build(name, a_alphabet, ONE_SETTING, table)
     assert exc.value.violations[0] == violation
+
+
+@pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
+def test_labels_that_are_not_strings_are_refused_in_one_wording(build):
+    # A setting that is no string once built a spec when every setting was
+    # an int, and was refused in two wordings by what the canonical sort
+    # compared it with.  Each one is now refused for what it is.
+    def table(*keys):
+        return {key: {("0", "0"): 1} if build is make_system else [("0", "0")] for key in keys}
+
+    cases = [
+        (ONE_SETTING, ONE_SETTING, table((1, "1"), ("1", "1")),
+         ["table key (1, '1'): A-setting 1 is not a string"]),
+        (ONE_SETTING, ONE_SETTING, table(("1", -1), ("1", "1")),
+         ["table key ('1', -1): B-setting -1 is not a string"]),
+        ({1: ("0", "1")}, {1: ("0", "1")}, table((1, 1)),
+         ["A-setting 1 is not a string", "B-setting 1 is not a string",
+          "table key (1, 1): A-setting 1 is not a string",
+          "table key (1, 1): B-setting 1 is not a string"]),
+        (ONE_SETTING, {"1": ("0", "1"), -1: ("0", "1")}, table(("1", "1")),
+         ["B-setting -1 is not a string"]),
+    ]
+    for a_alphabet, b_alphabet, given, violations in cases:
+        with pytest.raises(InvalidSystemError) as exc:
+            build("x", a_alphabet, b_alphabet, given)
+        assert exc.value.violations == violations
+
+
+@pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
+def test_setting_in_no_context_is_a_violation(build):
+    # The search assigns every declared setting, so a setting that no
+    # context holds once multiplied the realizations by its alphabet size:
+    # this spec listed each of its 2 realizations twice.  A system is the
+    # random variables of its contexts, and such a setting indexes none.
+    pairs = [("0", "0"), ("1", "0")]
+    given = {("1", "1"): dict.fromkeys(pairs, Fraction(1, 2)) if build is make_system else pairs}
+    with pytest.raises(InvalidSystemError) as exc:
+        build("x", BIN, {"1": ("0",)}, given)
+    assert exc.value.violations == ["A-setting '2' is in no context"]
+    spec = build("x", ONE_SETTING, {"1": ("0",)}, given)
+    assert len(enumerate_ns_realizations(spec)) == 2
 
 
 @pytest.mark.parametrize("unordered", [set, frozenset])
@@ -774,11 +817,12 @@ def test_alphabet_given_as_a_set_is_a_violation(build, unordered):
 
 
 @pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
-def test_outcomes_that_cannot_be_ordered_are_a_violation(build):
+def test_outcomes_that_are_not_strings_are_a_violation(build):
     # `classify` sorts a context's pairs and the search its realizations,
     # so a string and an int outcome of one setting once built a spec that
-    # `classify` raised TypeError on.  Outcomes of different settings are
-    # never compared, and may differ in type.
+    # `classify` raised TypeError on, and int outcomes alone built one it
+    # decided.  An outcome is a string: each other one is refused, with one
+    # message whatever it sits beside.
     mixed = {"1": ("0", 1), "2": ("0", 1)}
     pairs = [("0", "0"), (1, 1)]
     contexts = [(x, y) for x in BIN for y in BIN]
@@ -789,19 +833,17 @@ def test_outcomes_that_cannot_be_ordered_are_a_violation(build):
     with pytest.raises(InvalidSystemError) as exc:
         build("m", mixed, mixed, table)
     assert exc.value.violations == [
-        f"{side}-setting '{s}': outcomes ('0', 1) cannot be put in order"
-        for side in "AB"
-        for s in "12"
+        f"{side}-setting '{s}': outcome 1 is not a string" for side in "AB" for s in "12"
     ]
-    # Each setting's outcomes of one type, string or int: the spec builds
-    # and is decided.
-    a_alphabet = {"1": ("0", "1"), "2": (0, 1)}
-    table = {(x, y): [(a_alphabet[x][0], "0")] for x, y in contexts}
+    ints = {"1": ("0", "1"), "2": (0, 1)}
+    table = {(x, y): [(ints[x][0], "0")] for x, y in contexts}
     if build is make_system:
         table = {ctx: dict.fromkeys(support, 1) for ctx, support in table.items()}
-        assert classify(build("m", a_alphabet, BIN, table)).kind == "noncontextual"
-    else:
-        assert len(enumerate_ns_realizations(build("m", a_alphabet, BIN, table))) == 1
+    with pytest.raises(InvalidSystemError) as exc:
+        build("m", ints, BIN, table)
+    assert exc.value.violations == [
+        "A-setting '2': outcome 0 is not a string", "A-setting '2': outcome 1 is not a string"
+    ]
 
 
 def test_refused_sets_are_quoted_in_one_order():
@@ -829,8 +871,8 @@ def test_refused_sets_are_quoted_in_one_order():
     assert str(exc.value) == (
         "frozenset({'p', ('q', frozenset({'c', 'd'}))}): "
         "name frozenset({'p', ('q', frozenset({'c', 'd'}))}) is not a string; "
-        "table key (frozenset({'1', '10', '2', 'b', 'x', 'y'}), '1') has a setting that "
-        "is not a string, which the canonical order cannot place"
+        "table key (frozenset({'1', '10', '2', 'b', 'x', 'y'}), '1'): "
+        "A-setting frozenset({'1', '10', '2', 'b', 'x', 'y'}) is not a string"
     )
 
 
@@ -938,7 +980,9 @@ def test_constructors_build_or_refuse_fuzzed_plain_data(monkeypatch):
     def validate_well_typed(spec):
         checked.append(spec)
         for alphabets in (spec.a_alphabet, spec.b_alphabet):
-            assert all(systems._hashable(o) for outcomes in alphabets.values() for o in outcomes)
+            assert all(isinstance(label, str) for s, outcomes in alphabets.items()
+                       for label in (s, *outcomes))
+        assert all(isinstance(s, str) for ctx in spec.contexts for s in ctx)
         if isinstance(spec, SystemSpec):
             assert all(
                 isinstance(pmf, MappingProxyType) and all(type(p) is Fraction for p in pmf.values())
