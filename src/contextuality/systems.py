@@ -415,10 +415,9 @@ def validate(spec: Spec) -> list[str]:
         if total != scale:
             total = Fraction(total, scale)
             violations.append(f"context {tuple(ctx)}: sum {total} != 1")
-    if a_unused or b_unused:
-        for side, unused in (("A", a_unused), ("B", b_unused)):
-            for s in sorted(unused, key=setting_key):
-                violations.append(f"{side}-setting {s!r} is in no context")
+    for side, unused in (("A", a_unused), ("B", b_unused)):
+        for s in sorted(unused, key=setting_key):
+            violations.append(f"{side}-setting {_render(s)} is in no context")
     return violations
 
 

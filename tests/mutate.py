@@ -12,15 +12,15 @@ An entry marked `equivalent` holds the argument that no test can kill
 it, and is not run.  The exit status is 0 only when every run mutant is
 killed.
 
-    python tests/mutate.py [--timeout SECONDS] [ID ...]
+    python tests/mutate.py
 
-With IDs, only those mutants run.  It needs pytest, and nothing outside
-the standard library besides.
+A mutant's tests may run for `TIMEOUT` seconds, the unmutated run for
+twice that.  It needs pytest, and nothing outside the standard library
+besides.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = Path(__file__).resolve().parent / "mutants.json"
 IGNORED = (".git", "__pycache__", ".pytest_cache", ".perfbench-out", ".benchmarks", "build")
 KILLED = {"failed": "killed", "timeout": "killed (timeout)"}
+TIMEOUT = 120.0
 
 
 def mutate(source: str, line: str, replacement: str, occurrence: int | None = None) -> str:
@@ -68,26 +69,17 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> str:
     return f"error (pytest exit {result.returncode}):\n{result.stdout}"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds a mutant's tests may run (default 120)")
-    parser.add_argument("ids", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
+def main() -> int:
     entries = json.loads(MUTANTS.read_text())
-    unknown = set(args.ids) - {entry["id"] for entry in entries}
-    if unknown:
-        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
-    chosen = [e for e in entries if not args.ids or e["id"] in args.ids]
-    for entry in chosen:
+    for entry in entries:
         if "equivalent" in entry:
             print(f"equivalent  {entry['id']}: {entry['equivalent']}")
-    runnable = [e for e in chosen if "equivalent" not in e]
+    runnable = [e for e in entries if "equivalent" not in e]
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(*IGNORED))
         named = sorted({test for entry in runnable for test in entry["tests"]})
-        baseline = run_tests(copy, named, args.timeout * 2)
+        baseline = run_tests(copy, named, 2 * TIMEOUT)
         if baseline != "passed":
             print(f"the named tests do not pass unmutated: {baseline}")
             return 1
@@ -99,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 path.write_text(mutate(original, entry["line"], entry["replacement"],
                                        entry.get("occurrence")))
-                status = run_tests(copy, entry["tests"], args.timeout)
+                status = run_tests(copy, entry["tests"], TIMEOUT)
             except ValueError as exc:
                 status = f"error: {exc}"
             finally:
