@@ -2,6 +2,9 @@
 
 Probabilities travel as "num/den" strings, never JSON numbers: the whole
 toolkit is exact, and accepting floats would silently break that contract.
+The parser checks only the document's shape; what a label may be is the
+spec builders' rule, so a label fault in a file is refused in the words
+`make_system` and `make_support` use for it in Python.
 Emission is canonical (sorted contexts, lowest-terms rationals, stable key
 order), so identical inputs serialize byte-identically.
 """
@@ -23,6 +26,7 @@ from .systems import (
 
 # ASCII digits only, and `\Z`, not `$`, so a trailing newline is rejected.
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
+_SCALAR = (str, int, float, type(None))  # the JSON types of a name or label
 
 
 class SystemFileError(ValueError):
@@ -55,7 +59,7 @@ def _require(doc: dict, key: str, kind, what: str):
     return value
 
 
-def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[str, ...]]:
+def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[Any, ...]]:
     raw = _require(doc, key, dict, "system file")
     if not all(isinstance(s, str) for s in settings) or set(raw) != set(settings):
         raise SystemFileError(f"{key} keys do not match the declared settings")
@@ -63,10 +67,8 @@ def _alphabet_map(doc: dict, key: str, settings: list[str]) -> dict[str, tuple[s
         raise SystemFileError(f"{key[0]}_settings declares a setting twice")
     out = {}
     for s, labels in raw.items():
-        if not isinstance(labels, list) or not all(
-            isinstance(v, str) for v in labels
-        ):
-            raise SystemFileError(f"{key}[{s!r}] must be a list of strings")
+        if not isinstance(labels, list):
+            raise SystemFileError(f"{key}[{s!r}] must be a list")
         out[s] = tuple(labels)
     return out
 
@@ -75,20 +77,20 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
     """Parse a system-file document into a SystemSpec or SupportSpec."""
     if not isinstance(doc, dict):
         raise SystemFileError("top level must be a JSON object")
-    name = _require(doc, "name", str, "system file")
+    name = _require(doc, "name", _SCALAR, "system file")
     a_settings = _require(doc, "a_settings", list, "system file")
     b_settings = _require(doc, "b_settings", list, "system file")
     a_alphabet = _alphabet_map(doc, "a_alphabet", a_settings)
     b_alphabet = _alphabet_map(doc, "b_alphabet", b_settings)
     contexts = _require(doc, "contexts", list, "system file")
 
-    pmfs: dict[tuple[str, str], dict] = {}
-    supports: dict[tuple[str, str], list] = {}
+    pmfs: dict[tuple[Any, Any], dict] = {}
+    supports: dict[tuple[Any, Any], list] = {}
     for entry in contexts:
         if not isinstance(entry, dict):
             raise SystemFileError("each context must be an object")
-        x = _require(entry, "x", str, "context")
-        y = _require(entry, "y", str, "context")
+        x = _require(entry, "x", _SCALAR, "context")
+        y = _require(entry, "y", _SCALAR, "context")
         if (x, y) in pmfs or (x, y) in supports:
             raise SystemFileError(f"duplicate context ({x!r}, {y!r})")
         if "pmf" in entry:
@@ -97,7 +99,11 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
             rows = _require(entry, "pmf", list, "context")
             pmf = {}
             for row in rows:
-                a, b, p = _pmf_row(row)
+                if not isinstance(row, dict):
+                    raise SystemFileError("pmf entries must be objects {a, b, p}")
+                a = _require(row, "a", _SCALAR, "pmf entry")
+                b = _require(row, "b", _SCALAR, "pmf entry")
+                p = parse_rational(_require(row, "p", object, "pmf entry"))
                 if (a, b) in pmf:
                     raise SystemFileError(f"duplicate pmf entry ({a!r}, {b!r})")
                 pmf[(a, b)] = p
@@ -106,11 +112,7 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
             rows = _require(entry, "support", list, "context")
             supp = []
             for row in rows:
-                if (
-                    not isinstance(row, list)
-                    or len(row) != 2
-                    or not all(isinstance(v, str) for v in row)
-                ):
+                if not isinstance(row, list) or len(row) != 2:
                     raise SystemFileError("support entries must be [a, b] pairs")
                 supp.append((row[0], row[1]))
             supports[(x, y)] = supp
@@ -125,14 +127,6 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
         return make_support(name, a_alphabet, b_alphabet, supports)
     except InvalidSystemError as exc:
         raise SystemFileError("; ".join(exc.violations)) from exc
-
-
-def _pmf_row(row: Any) -> tuple[str, str, Fraction]:
-    if not isinstance(row, dict):
-        raise SystemFileError("pmf entries must be objects {a, b, p}")
-    a = _require(row, "a", str, "pmf entry")
-    b = _require(row, "b", str, "pmf entry")
-    return a, b, parse_rational(_require(row, "p", object, "pmf entry"))
 
 
 def system_to_doc(system: SystemSpec | SupportSpec) -> dict:

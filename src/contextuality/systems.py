@@ -44,6 +44,7 @@ Pair = tuple[Outcome, Outcome]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_RENDER_DEPTH = 100  # how many containers deep `_render` quotes refused data
 
 
 class Context(NamedTuple):
@@ -76,12 +77,13 @@ def _render(value, atom=repr, _open=()) -> str:
     """`repr` of plain data, or `atom` of what holds no other value, but a
     set's members are listed sorted by their own text, which the string hash
     does not change: refused plain data is quoted through it.  Lists, tuples
-    and dicts are read recursively."""
+    and dicts are read recursively, to `_RENDER_DEPTH` containers deep: one
+    deeper, or one holding itself, is shown as `[...]`, `(...)` or `{...}`."""
     kind = type(value)
     if kind not in (list, tuple, dict, set, frozenset):
         return atom(value)
-    if id(value) in _open:  # a container holding itself, shown as `repr` shows it
-        return "[...]" if kind is list else "{...}"
+    if id(value) in _open or len(_open) == _RENDER_DEPTH:
+        return "[...]" if kind is list else "(...)" if kind is tuple else "{...}"
     _open += (id(value),)
     if kind is dict:
         return "{" + ", ".join(f"{_render(k, repr, _open)}: {_render(v, repr, _open)}"
@@ -549,7 +551,8 @@ def mix_context_dependent(
         for sys_i, w in components:
             _check_same_shape(base, sys_i)
             if not isinstance(w, (int, Fraction)):
-                raise ValueError(f"weight {w!r} at context {tuple(ctx)} is not an int or Fraction")
+                raise ValueError(f"weight {_render(w)} at context {tuple(ctx)} "
+                                 "is not an int or Fraction")
             if w < 0:
                 raise ValueError(f"negative weight {w} at context {tuple(ctx)}")
             total += w

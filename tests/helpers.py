@@ -120,6 +120,15 @@ def uniform_system(a_alph, b_alph) -> SystemSpec:
     return make_system("uniform", a_alph, b_alph, pmfs)
 
 
+def nested(kind, depth):
+    """'0' inside `depth` one-item lists or tuples: a refused label deeper
+    than refusals quote."""
+    value = "0"
+    for _ in range(depth):
+        value = kind((value,))
+    return value
+
+
 def noisy_mixture(rng: random.Random, a_alph, b_alph) -> SystemSpec:
     """6 random deterministic systems at 1/8 each plus the uniform system
     at 1/4: full support, and an interior point of the LP's feasible set."""

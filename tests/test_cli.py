@@ -14,7 +14,7 @@ from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
 from contextuality.systems import Context
 
-from helpers import mix, uniform_system
+from helpers import mix, nested, uniform_system
 
 
 def pmf_file(p: str) -> bytes:
@@ -285,6 +285,28 @@ def test_setting_in_no_context_exit_2(capsys, tmp_path, command):
     ))
     code, out, err = run(capsys, command[0], str(path), *command[1:])
     assert (code, out, err) == (2, "", f"error: {path}: A-setting '2' is in no context\n")
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (doc_file(a_alphabet={"1": [0]}), "A-setting '1': outcome 0 is not a string"),
+        (doc_file(contexts=[{**CONTEXT, "support": [[0, "1"]]}]),
+         "context ('1', '1'): pair (0, '1') outside alphabet product"),
+        (doc_file(contexts=[{"x": 1, "y": "1", "pmf": PMF}]),
+         "table key (1, '1'): A-setting 1 is not a string"),
+        (doc_file(a_alphabet={"1": [nested(list, 900)]}),
+         "A-setting '1': outcome " + "[" * 100 + "[...]" + "]" * 100 + " is not a string"),
+    ],
+    ids=["outcome-0", "support-pair-0", "setting-1", "outcome-nested-900-deep"],
+)
+def test_label_fault_in_a_file_is_refused_in_the_builders_words(capsys, tmp_path, content, message):
+    # The parser checks only the file's shape; a label fault reads as the
+    # spec builder words it, and a deep one is quoted to a fixed depth.
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
 
 
 class TestRealizations:

@@ -53,6 +53,7 @@ class TestRing:
         # 3 - 2*sqrt(2) > 0 > 2 - 2*sqrt(2)
         assert Zr2(3, -2).sign() == 1
         assert Zr2(2, -2).sign() == -1
+        assert Zr2(0, 0).sign() == 0
 
 
 class TestDot:

@@ -34,7 +34,7 @@ from contextuality import systems
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.systems import ONE, ZERO, context_key
 
-from helpers import covered, mix, random_ns_mixture
+from helpers import covered, mix, nested, random_ns_mixture
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
 ONE_SETTING = {"1": ("0", "1")}
@@ -774,6 +774,37 @@ def test_labels_that_are_not_strings_are_refused_in_one_wording(build):
         assert exc.value.violations == violations
 
 
+def quoted(kind, depth):
+    """A refusal's quote of `nested(kind, n)` for n > `depth`, when `depth`
+    containers are left before the quoting cap: those, then a marker."""
+    return repr(nested(kind, depth)).replace("'0'", "[...]" if kind is list else "(...)")
+
+
+@pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
+def test_labels_nested_past_the_quoting_depth_are_refused(build):
+    # Quoting a refused label once recursed with no depth limit, so a label
+    # nested 5,000 deep escaped the builder as `RecursionError`.  It is
+    # quoted 100 containers deep, the deepest as a marker.
+    deep_list, deep_tuple = nested(list, 5000), nested(tuple, 5000)
+    ql, qt = quoted(list, 100), quoted(tuple, 100)
+    pair = ("0", "0")
+    table = {("1", "1"): {pair: 1} if build is make_system else [pair]}
+    cases = [
+        (deep_list, ONE_SETTING, table, [f"name {ql} is not a string"]),
+        ("x", {"1": ("0", deep_list)}, table, [f"A-setting '1': outcome {ql} is not a string"]),
+        ("x", ONE_SETTING, {(deep_tuple, "1"): table[("1", "1")]},
+         [f"table key ({quoted(tuple, 99)}, '1'): A-setting {qt} is not a string"]),
+        ("x", ONE_SETTING,
+         {("1", "1"): {deep_tuple: 1} if build is make_system else [deep_tuple]},
+         [f"context ('1', '1'): pair {qt} outside alphabet product"]),
+    ]
+    for name, a_alphabet, given, violations in cases:
+        with pytest.raises(InvalidSystemError) as exc:
+            build(name, a_alphabet, ONE_SETTING, given)
+        assert exc.value.violations == violations
+        assert str(exc.value).startswith(f"{ql if name is deep_list else name}: ")
+
+
 @pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
 def test_setting_in_no_context_is_a_violation(build):
     # The search assigns every declared setting, so a setting that no
@@ -1244,6 +1275,15 @@ class TestMixContextDependent:
             ValueError, match=r"^weight 0\.5 at context \('1', '1'\) is not an int or Fraction$"
         ):
             mix_context_dependent(rule)
+
+    def test_weight_nested_past_the_quoting_depth_is_refused(self):
+        # Once quoted by `repr`, which raised `RecursionError` on it.
+        d1 = get("d1").system
+        with pytest.raises(ValueError) as exc:
+            mix_context_dependent({Context("1", "1"): [(d1, nested(list, 5000))]})
+        assert str(exc.value) == (
+            f"weight {quoted(list, 100)} at context ('1', '1') is not an int or Fraction"
+        )
 
     def test_context_with_no_components(self):
         # The shape comes from the first context that has components, and
