@@ -4,7 +4,9 @@ Probabilities travel as "num/den" strings, never JSON numbers: the whole
 toolkit is exact, and accepting floats would silently break that contract.
 The parser checks only the document's shape; what a label may be is the
 spec builders' rule, so a label fault in a file is refused in the words
-`make_system` and `make_support` use for it in Python.
+`make_system` and `make_support` use for it in Python.  So is a support
+entry's length: the parser needs only an array, and the builders refuse a
+pair that is not two strings.
 Emission is canonical (sorted contexts, lowest-terms rationals, stable key
 order), so identical inputs serialize byte-identically.
 """
@@ -34,7 +36,7 @@ class SystemFileError(ValueError):
 
 
 def parse_rational(text: Any) -> Fraction:
-    if isinstance(text, float) or not isinstance(text, str):
+    if not isinstance(text, str):
         raise SystemFileError(
             f"probabilities must be 'num/den' strings, got {text!r}"
         )
@@ -110,12 +112,9 @@ def parse_system_doc(doc: Any) -> SystemSpec | SupportSpec:
             pmfs[(x, y)] = pmf
         elif "support" in entry:
             rows = _require(entry, "support", list, "context")
-            supp = []
-            for row in rows:
-                if not isinstance(row, list) or len(row) != 2:
-                    raise SystemFileError("support entries must be [a, b] pairs")
-                supp.append((row[0], row[1]))
-            supports[(x, y)] = supp
+            if not all(isinstance(row, list) for row in rows):
+                raise SystemFileError("support entries must be arrays")
+            supports[(x, y)] = [tuple(row) for row in rows]
         else:
             raise SystemFileError(f"context ({x!r}, {y!r}) carries neither pmf nor support")
 

@@ -73,22 +73,22 @@ class InvalidSystemError(ValueError):
         self.violations = violations
 
 
-def _render(value, atom=repr, _open=()) -> str:
-    """`repr` of plain data, or `atom` of what holds no other value, but a
-    set's members are listed sorted by their own text, which the string hash
-    does not change: refused plain data is quoted through it.  Lists, tuples
-    and dicts are read recursively, to `_RENDER_DEPTH` containers deep: one
-    deeper, or one holding itself, is shown as `[...]`, `(...)` or `{...}`."""
+def _render(value, _open=()) -> str:
+    """`repr` of plain data, but a set's members are listed sorted by their
+    own text, which the string hash does not change: refused plain data is
+    quoted through it.  Lists, tuples and dicts are read recursively, to
+    `_RENDER_DEPTH` containers deep: one deeper, or one holding itself, is
+    shown as `[...]`, `(...)` or `{...}`."""
     kind = type(value)
     if kind not in (list, tuple, dict, set, frozenset):
-        return atom(value)
+        return repr(value)
     if id(value) in _open or len(_open) == _RENDER_DEPTH:
         return "[...]" if kind is list else "(...)" if kind is tuple else "{...}"
     _open += (id(value),)
     if kind is dict:
-        return "{" + ", ".join(f"{_render(k, repr, _open)}: {_render(v, repr, _open)}"
+        return "{" + ", ".join(f"{_render(k, _open)}: {_render(v, _open)}"
                                for k, v in value.items()) + "}"
-    items = [_render(v, repr, _open) for v in value]
+    items = [_render(v, _open) for v in value]
     if kind is list:
         return "[" + ", ".join(items) + "]"
     if kind is tuple:
@@ -120,7 +120,8 @@ class Spec:
     alphabet, table or pmf that is no mapping, outcomes or a support that
     is no collection, outcomes given as a set (whose order changes from
     process to process), a table key that is no 2-tuple, a probability
-    that is no int or `Fraction`, and an unhashable support pair.
+    that is no int or `Fraction`, and a pmf or support pair that is not
+    two strings, which nothing hashes before it is checked.
     A spec is immutable: assigning or deleting an attribute raises
     `AttributeError`.  Specs of one type with equal fields are equal.
     """
@@ -246,16 +247,19 @@ class SystemSpec(Spec):
             items = pmf.items()
         except AttributeError:
             return None, [f"pmf {_render(pmf)} is not a mapping from pairs to probabilities"]
-        frozen, problems = {}, []
+        frozen, outside, problems = {}, [], []
         for pair, p in items:
             if isinstance(p, int):
                 p = Fraction(p)
             elif not isinstance(p, Fraction):
                 problems.append(
-                    f"probability {_render(p)} at {_render(pair, str)} is not an int or Fraction"
+                    f"probability {_render(p)} at {_render(pair)} is not an int or Fraction"
                 )
-            frozen[pair] = p
-        return MappingProxyType(frozen), problems
+            if _is_pair(pair):
+                frozen[pair] = p
+            else:
+                outside.append(_outside(pair))
+        return MappingProxyType(frozen), sorted(outside) + problems
 
     @cached_property
     def _counts(self) -> tuple[int, dict[Context, dict[Pair, int]]]:
@@ -295,20 +299,26 @@ class SupportSpec(Spec):
 
     @staticmethod
     def _freeze(pairs) -> tuple[frozenset[Pair] | None, list[str]]:
-        # An unhashable pair lies outside the alphabet product.  The pairs
-        # may come from a set, whose order changes: they are listed sorted.
+        # The pairs are hashed only once each is two strings.  They may come
+        # from a set, whose order changes: those that are not are listed sorted.
         try:
             pairs = tuple(pairs)
         except TypeError:
             return None, [f"support {_render(pairs)} is not a collection of pairs"]
-        try:
+        if all(map(_is_pair, pairs)):
             return frozenset(pairs), []
-        except TypeError:
-            return None, sorted(
-                f"pair {_render(pair, str)} outside alphabet product"
-                for pair in pairs
-                if not _hashable(pair)
-            )
+        return None, sorted(_outside(pair) for pair in pairs if not _is_pair(pair))
+
+
+def _is_pair(value) -> bool:
+    """Whether a table pair can be stored: a 2-tuple of two strings.  Any
+    other value lies outside every alphabet product, and is not hashed."""
+    return (isinstance(value, tuple) and len(value) == 2
+            and isinstance(value[0], str) and isinstance(value[1], str))
+
+
+def _outside(pair) -> str:
+    return f"pair {_render(pair)} outside alphabet product"
 
 
 # The one builder of each spec kind, under the names the package has long used.
@@ -389,20 +399,16 @@ def validate(spec: Spec) -> list[str]:
             violations.append(f"context {tuple(ctx)}: unknown B-setting {_render(ctx.y)}")
             continue
         table = tables[ctx]
-        # A pair is in the alphabet product iff it is a 2-tuple of an outcome
-        # of x and one of y.  A support iterates in string-hash order, which
-        # changes from process to process: its pairs are listed sorted.
+        # Every stored pair is two strings.  A support iterates in
+        # string-hash order, which changes from process to process: the
+        # pairs outside the product are listed sorted.
         a_set, b_set = a_sets[ctx.x], b_sets[ctx.y]
         outside = []
         for pair in table:
-            if not (isinstance(pair, tuple) and len(pair) == 2
-                    and pair[0] in a_set and pair[1] in b_set):
+            if not (pair[0] in a_set and pair[1] in b_set):
                 outside.append(pair)
         if outside:
-            violations += sorted(
-                f"context {tuple(ctx)}: pair {_render(pair, str)} outside alphabet product"
-                for pair in outside
-            )
+            violations += sorted(f"context {tuple(ctx)}: {_outside(pair)}" for pair in outside)
         if not probabilistic:
             if not table:
                 violations.append(f"context {tuple(ctx)}: empty support")
@@ -410,8 +416,7 @@ def validate(spec: Spec) -> list[str]:
         for pair, c in counts[ctx].items():
             if c < 0:
                 violations.append(
-                    f"context {tuple(ctx)}: negative probability {table[pair]} "
-                    f"at {_render(pair, str)}"
+                    f"context {tuple(ctx)}: negative probability {table[pair]} at {pair}"
                 )
         total = sum(counts[ctx].values())
         if total != scale:
@@ -421,14 +426,6 @@ def validate(spec: Spec) -> list[str]:
         for s in sorted(unused, key=setting_key):
             violations.append(f"{side}-setting {_render(s)} is in no context")
     return violations
-
-
-def _hashable(value) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
 
 
 def marginal(system: SystemSpec, context: Context, side: str) -> dict[Outcome, Fraction]:

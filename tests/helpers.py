@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import random
 import sys
 from collections import Counter
@@ -25,6 +26,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
+import contextuality
 from contextuality import chsh, feasibility, make_system, mix_context_dependent
 from contextuality.analysis import _require_nonsignaling
 from contextuality.feasibility import SCALE, FarkasCertificate, FeasibleSolution, Tableau
@@ -118,6 +120,12 @@ def uniform_system(a_alph, b_alph) -> SystemSpec:
             share = Fraction(1, len(a_alph[x]) * len(b_alph[y]))
             pmfs[(x, y)] = {(a, b): share for a in a_alph[x] for b in b_alph[y]}
     return make_system("uniform", a_alph, b_alph, pmfs)
+
+
+def child_env() -> dict[str, str]:
+    """The environment, with this package importable by a child interpreter."""
+    paths = [str(Path(contextuality.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def nested(kind, depth):

@@ -7,14 +7,13 @@ from pathlib import Path
 
 import pytest
 
-import contextuality
 from contextuality import catalog, get, witness_score
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.cli import main
 from contextuality.serialize import dumps_system, loads_system
 from contextuality.systems import Context
 
-from helpers import mix, nested, uniform_system
+from helpers import child_env, mix, nested, uniform_system
 
 
 def pmf_file(p: str) -> bytes:
@@ -293,16 +292,20 @@ def test_setting_in_no_context_exit_2(capsys, tmp_path, command):
         (doc_file(a_alphabet={"1": [0]}), "A-setting '1': outcome 0 is not a string"),
         (doc_file(contexts=[{**CONTEXT, "support": [[0, "1"]]}]),
          "context ('1', '1'): pair (0, '1') outside alphabet product"),
+        (doc_file(contexts=[{**CONTEXT, "support": [["0"]]}]),
+         "context ('1', '1'): pair ('0',) outside alphabet product"),
         (doc_file(contexts=[{"x": 1, "y": "1", "pmf": PMF}]),
          "table key (1, '1'): A-setting 1 is not a string"),
         (doc_file(a_alphabet={"1": [nested(list, 900)]}),
          "A-setting '1': outcome " + "[" * 100 + "[...]" + "]" * 100 + " is not a string"),
     ],
-    ids=["outcome-0", "support-pair-0", "setting-1", "outcome-nested-900-deep"],
+    ids=["outcome-0", "support-pair-0", "support-row-of-one", "setting-1",
+         "outcome-nested-900-deep"],
 )
 def test_label_fault_in_a_file_is_refused_in_the_builders_words(capsys, tmp_path, content, message):
-    # The parser checks only the file's shape; a label fault reads as the
-    # spec builder words it, and a deep one is quoted to a fixed depth.
+    # The parser checks only the file's shape; a label fault, or a support
+    # row that is no pair, reads as the spec builder words it, and a deep
+    # one is quoted to a fixed depth.
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     code, out, err = run(capsys, "analyze", str(path))
@@ -485,12 +488,6 @@ def test_byte_identical_reruns(capsys):
     _, out1, _ = run(capsys, "analyze", "--builtin", "conspiracy")
     _, out2, _ = run(capsys, "analyze", "--builtin", "conspiracy")
     assert out1 == out2
-
-
-def child_env() -> dict[str, str]:
-    """The environment, with this package importable by a child interpreter."""
-    paths = [str(Path(contextuality.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
 
 
 def test_runtime_imports_only_stdlib():

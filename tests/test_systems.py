@@ -1,5 +1,7 @@
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +36,7 @@ from contextuality import systems
 from contextuality.analysis import BellWitness, Decomposition
 from contextuality.systems import ONE, ZERO, context_key
 
-from helpers import covered, mix, nested, random_ns_mixture
+from helpers import child_env, covered, mix, nested, random_ns_mixture
 
 BIN = {"1": ("0", "1"), "2": ("0", "1")}
 ONE_SETTING = {"1": ("0", "1")}
@@ -141,7 +143,7 @@ class TestValidate:
             "context ('1', '1'): pair ('0', '0', '0') outside alphabet product",
         ),
         ({("1", "1"): {("0",): 1}}, "context ('1', '1'): pair ('0',) outside alphabet product"),
-        ({("1", "1"): {"00": 1}}, "context ('1', '1'): pair 00 outside alphabet product"),
+        ({("1", "1"): {"00": 1}}, "context ('1', '1'): pair '00' outside alphabet product"),
         ({("1", "1"): {("0", "0"): Fraction(1, 2)}}, "context ('1', '1'): sum 1/2 != 1"),
         (
             {("1", "1"): {("0", "0"): Fraction(3, 2), ("1", "1"): Fraction(-1, 2)}},
@@ -805,6 +807,30 @@ def test_labels_nested_past_the_quoting_depth_are_refused(build):
         assert str(exc.value).startswith(f"{ql if name is deep_list else name}: ")
 
 
+def test_support_pair_nested_a_million_deep_is_refused():
+    # A support was once hashed before its pairs were checked, and a tuple
+    # hashes its items recursively in C with no depth guard: a pair nested
+    # 1,000,000 deep killed the interpreter.  So it runs in a child.
+    script = (
+        "from contextuality.systems import InvalidSystemError, SupportSpec, make_support\n"
+        "v = '0'\n"
+        "for _ in range(1_000_000):\n"
+        "    v = (v,)\n"
+        "support = {('1', '1'): [('0', '0'), (v, '1')]}\n"
+        "for build in (make_support, SupportSpec):\n"
+        "    try:\n"
+        "        build('x', {'1': ('0',)}, {'1': ('0', '1')}, support)\n"
+        "    except InvalidSystemError as exc:\n"
+        "        print(exc.violations)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=child_env(), capture_output=True, text=True
+    )
+    shown = quoted(tuple, systems._RENDER_DEPTH - 1)  # the pair is the first container
+    message = f"context ('1', '1'): pair ({shown}, '1') outside alphabet product"
+    assert (result.returncode, result.stdout, result.stderr) == (0, f"{[message]}\n" * 2, "")
+
+
 @pytest.mark.parametrize("build", [make_system, make_support], ids=["system", "support"])
 def test_setting_in_no_context_is_a_violation(build):
     # The search assigns every declared setting, so a setting that no
@@ -853,7 +879,7 @@ def test_outcomes_that_are_not_strings_are_a_violation(build):
     # so a string and an int outcome of one setting once built a spec that
     # `classify` raised TypeError on, and int outcomes alone built one it
     # decided.  An outcome is a string: each other one is refused, with one
-    # message whatever it sits beside.
+    # message whatever it sits beside, and so is each pair holding one.
     mixed = {"1": ("0", 1), "2": ("0", 1)}
     pairs = [("0", "0"), (1, 1)]
     contexts = [(x, y) for x in BIN for y in BIN]
@@ -865,7 +891,7 @@ def test_outcomes_that_are_not_strings_are_a_violation(build):
         build("m", mixed, mixed, table)
     assert exc.value.violations == [
         f"{side}-setting '{s}': outcome 1 is not a string" for side in "AB" for s in "12"
-    ]
+    ] + [f"context {ctx}: pair (1, 1) outside alphabet product" for ctx in contexts]
     ints = {"1": ("0", "1"), "2": (0, 1)}
     table = {(x, y): [(ints[x][0], "0")] for x, y in contexts}
     if build is make_system:
@@ -874,7 +900,7 @@ def test_outcomes_that_are_not_strings_are_a_violation(build):
         build("m", ints, BIN, table)
     assert exc.value.violations == [
         "A-setting '2': outcome 0 is not a string", "A-setting '2': outcome 1 is not a string"
-    ]
+    ] + [f"context ('2', '{y}'): pair (0, '0') outside alphabet product" for y in "12"]
 
 
 def test_refused_sets_are_quoted_in_one_order():
@@ -935,6 +961,14 @@ def test_support_pairs_outside_the_alphabet_are_listed_in_one_order():
 _ATOMS = [None, 0, 1, -1, 2.5, "", "0", "1", "x"]
 
 
+def _hashable(value) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
+
+
 def _junk(rng, depth):
     """None, an int, a float or a string, or, `depth` levels down, a list,
     tuple, dict, set or frozenset of up to two such values."""
@@ -942,7 +976,7 @@ def _junk(rng, depth):
     if kind == 0:
         return rng.choice(_ATOMS)
     items = [_junk(rng, depth - 1) for _ in range(rng.randint(0, 2))]
-    hashable = [v for v in items if systems._hashable(v)]
+    hashable = [v for v in items if _hashable(v)]
     return [list(items), tuple(items), dict(zip(hashable, items)), set(hashable),
             frozenset(hashable)][kind - 1]
 
@@ -1041,7 +1075,7 @@ def test_constructors_build_or_refuse_fuzzed_plain_data(monkeypatch):
         for _ in range(rng.randint(1, 2)):
             path, in_key = rng.choice(list(_slots(args))[1:])
             new = _junk(rng, rng.randint(1, 2))
-            while in_key and not systems._hashable(new):
+            while in_key and not _hashable(new):
                 new = _junk(rng, rng.randint(1, 2))
             args = _replace(args, path, new)
         if rng.random() < 0.1:  # the name slot, drawn more often than the rest
